@@ -1,7 +1,8 @@
 """Command line interface: synthesize traces, replay them, compare policies.
 
-Exit codes: 0 success, 1 usage, 2 trace validation, 3 configuration
-validation, 4 runtime invariant violation.
+Exit codes: 0 success, 1 usage, 2 trace validation (including positions
+outside the voxel index range), 3 configuration validation, 4 runtime
+invariant violation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import (
     InvariantViolation,
     StacacheError,
     TraceFormatError,
+    VoxelRangeError,
 )
 from .pipeline import Policy, ReplayStats, compare, run_stream
 from .tokens import CacheConfig
@@ -161,6 +163,14 @@ def _flatten(row: dict) -> dict:
     return flat
 
 
+def _dumps(obj, **kwargs) -> str:
+    # Strict JSON: a NaN or inf in a statistic is a bug, never output.
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError as e:
+        raise InvariantViolation(f"non-finite value in output ({e})") from e
+
+
 def cmd_synth(args) -> int:
     header, records = synth_trace(
         seed=args.seed,
@@ -173,7 +183,7 @@ def cmd_synth(args) -> int:
         cluster_spread=args.spread,
     )
     write_trace(args.out, header, records, text=args.text)
-    print(json.dumps({
+    print(_dumps({
         "type": "synth",
         "out": args.out,
         "frames": header.frame_count,
@@ -208,17 +218,17 @@ def cmd_replay(args) -> int:
                 writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
                 writer.writeheader()
                 writer.writerows(rows)
-            print(json.dumps(stats.summary), file=sys.stderr)
+            print(_dumps(stats.summary), file=sys.stderr)
         else:
             def sink(row: dict) -> None:
-                out.write(json.dumps(row) + "\n")
+                out.write(_dumps(row) + "\n")
                 out.flush()
 
             stats = _replay_once(args, policy, sink)
         if args.seed_check:
             again = _replay_once(args, policy, None)
             identical = stats.canonical_lines() == again.canonical_lines()
-            note = json.dumps({"type": "seed_check", "identical": identical})
+            note = _dumps({"type": "seed_check", "identical": identical})
             print(note, file=sys.stderr if args.csv else sys.stdout)
             if not identical:
                 print("seed check failed: replays differ", file=sys.stderr)
@@ -239,7 +249,7 @@ def cmd_compare(args) -> int:
         audit=not args.no_audit,
         threads=args.threads,
     )
-    text = json.dumps(report, indent=2)
+    text = _dumps(report, indent=2)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
@@ -253,7 +263,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TraceFormatError as e:
+    except (TraceFormatError, VoxelRangeError) as e:
+        # a position outside the voxel range is bad trace data, not config
         print(f"trace error: {e}", file=sys.stderr)
         return EXIT_TRACE
     except ConfigError as e:

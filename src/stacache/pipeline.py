@@ -220,7 +220,6 @@ class _StacChannel:
         )
         self.frames_seen = 0
         self.evicted_total = 0
-        self._evicted_ids: set = set()
 
     def register(self, frame: FrameTokens) -> None:
         self.cache.register_reference(frame)
@@ -232,19 +231,25 @@ class _StacChannel:
         retrieved = self.store.retrieve(vis_positions, self.budget.retrieve_tokens)
         events_before = dict(self.store.events)
 
+        # Key set in snapshot order: the reference and window frames are
+        # concatenated from their cached blocks; only the anchors and the
+        # retrieved tokens are stacked one by one.
         chunk_q = np.concatenate([f.queries for f in frames])
-        chunk_k = np.concatenate([f.keys for f in frames])
-        chunk_v = np.concatenate([f.values for f in frames])
-        cache_tokens = snap + retrieved
-        keys = np.concatenate([np.stack([t.key for t in cache_tokens]), chunk_k])
-        values = np.concatenate([np.stack([t.value for t in cache_tokens]), chunk_v])
-        counts = np.concatenate(
-            [np.array([float(t.count) for t in cache_tokens]), np.ones(chunk_k.shape[0])]
-        )
-        mask = build_chunk_mask(len(cache_tokens), chunk_q.shape[0])
+        key_blocks, value_blocks = self.cache.frame_blocks()
+        framed = len(snap) - self.cache.anchor_count
+        anchors = snap[framed:]
+        loose = anchors + retrieved
+        if loose:
+            key_blocks.append(np.stack([t.key for t in loose]))
+            value_blocks.append(np.stack([t.value for t in loose]))
+        keys = np.concatenate(key_blocks + [f.keys for f in frames])
+        values = np.concatenate(value_blocks + [f.values for f in frames])
+        counts = np.ones(keys.shape[0])
+        counts[framed : framed + len(loose)] = [t.count for t in loose]
+        temp_len, spat_len = len(snap), len(retrieved)
+        mask = build_chunk_mask(temp_len + spat_len, chunk_q.shape[0])
         res = attend(chunk_q, keys, values, counts, mask, self.d_h)
 
-        temp_len, spat_len = len(snap), len(retrieved)
         spatial_tokens = self.store.token_count
         self.cache.update_scores(res.mass[:temp_len])
         base = temp_len + spat_len
@@ -258,7 +263,10 @@ class _StacChannel:
 
         audits = 0
         if audit:
-            audits = self._audit(res.mass, chunk_q.shape[0], cache_tokens, frames[0].frame_idx, evicted)
+            audits = self._audit(
+                res.mass, chunk_q.shape[0], snap + retrieved, frames[0].frame_idx,
+                anchors, expelled, evicted,
+            )
 
         spat_mass = float(res.mass[temp_len : temp_len + spat_len].sum())
         events_delta = {
@@ -290,7 +298,7 @@ class _StacChannel:
             "anchor": (sum(t.score for t in anchors), len(anchors)),
         }
 
-    def _audit(self, mass, n_queries, cache_tokens, chunk_lo, evicted) -> int:
+    def _audit(self, mass, n_queries, cache_tokens, chunk_lo, prev_anchors, expelled, evicted) -> int:
         _check_mass(mass, n_queries)
         # chunk causality: everything attended from the cache predates the chunk
         for t in cache_tokens:
@@ -302,9 +310,15 @@ class _StacChannel:
         ids = [t.id for t in snap]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("duplicate token id in temporal cache")
-        for t in evicted:
-            self._evicted_ids.add(t.id)
-        hits = self._evicted_ids.intersection(ids)
+        # No evicted token re-enters: window tokens are born from strictly
+        # newer frames, so the only way back in is the anchor set, and each
+        # new anchor must be an old anchor or an expellee of this chunk that
+        # was not evicted. This needs O(budget) memory, not a record of
+        # every eviction so far.
+        eligible = {t.id for t in prev_anchors}
+        eligible.update(t.id for t in expelled)
+        eligible.difference_update(t.id for t in evicted)
+        hits = [t.id for t in snap[len(snap) - self.cache.anchor_count :] if t.id not in eligible]
         if hits:
             raise InvariantViolation(f"evicted token(s) re-entered the temporal cache: {sorted(hits)[:3]}")
         cfg, budget = self.config, self.budget
@@ -334,7 +348,8 @@ class _StacChannel:
 
 def _check_mass(mass: np.ndarray, n_queries: int) -> None:
     total = float(mass.sum())
-    if abs(total - n_queries) > 1e-9 * max(1.0, n_queries):
+    # written so that a NaN total fails the check
+    if not (abs(total - n_queries) <= 1e-9 * max(1.0, n_queries)):
         raise InvariantViolation(f"attention mass {total} != query count {n_queries}")
 
 

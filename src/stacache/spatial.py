@@ -36,14 +36,17 @@ def voxel_of(position, voxel_size: float) -> VoxelCoord:
     p = np.asarray(position, dtype=np.float64)
     if p.shape != (3,):
         raise DimensionError(f"position must have shape (3,), got {p.shape}")
-    if not np.isfinite(p).all():
+    # plain floats: this runs once per evicted token
+    x, y, z = p.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise VoxelRangeError(f"non-finite position {p}")
     if not voxel_size > 0.0:
         raise DimensionError(f"voxel_size must be positive, got {voxel_size}")
-    coord = VoxelCoord(*(int(math.floor(float(x) / voxel_size)) for x in p))
-    for c in coord:
-        if not (-COORD_LIMIT <= c < COORD_LIMIT):
-            raise VoxelRangeError(f"voxel index {c} outside [-2^20, 2^20)")
+    coord = VoxelCoord(
+        math.floor(x / voxel_size), math.floor(y / voxel_size), math.floor(z / voxel_size)
+    )
+    if not (-COORD_LIMIT <= min(coord) and max(coord) < COORD_LIMIT):
+        raise VoxelRangeError(f"voxel index {coord} outside [-2^20, 2^20)")
     return coord
 
 
@@ -131,6 +134,12 @@ class VoxelStore:
         self._seqs: dict[int, int] = {}  # id(token) -> seq
         self._center_rows: list[tuple[float, float, float]] = []
         self._center_codes: list[int] = []
+        # voxel coordinate -> (Morton code, cell), so a revisited cell costs
+        # one tuple lookup instead of an encode
+        self._by_coord: dict[VoxelCoord, tuple[int, VoxelCell]] = {}
+        # running totals; a recount over every cell gives the same numbers
+        self._token_count = 0
+        self._count_mass = 0  # held plus dropped
 
     # -- sizing -----------------------------------------------------------
 
@@ -140,15 +149,12 @@ class VoxelStore:
 
     @property
     def token_count(self) -> int:
-        return sum(len(c.long_term) + len(c.buffer) for c in self.cells.values())
+        return self._token_count
 
     @property
     def count_mass(self) -> int:
         """Total source-token count represented by the store plus drops."""
-        held = sum(
-            t.count for c in self.cells.values() for t in (*c.long_term, *c.buffer)
-        )
-        return held + self.dropped_count_mass
+        return self._count_mass
 
     def occupancy(self) -> dict[str, int]:
         g = sum(len(c.long_term) for c in self.cells.values())
@@ -166,32 +172,36 @@ class VoxelStore:
         "dropped": the token has no position and cannot be placed.
         """
         if token.position is None:
+            self._count_mass += token.count
             self.events["dropped"] += 1
             self.dropped_count_mass += token.count
             return "dropped"
         coord = voxel_of(token.position, self.voxel_size)
-        code = morton_encode(coord)
-        cell = self.cells.get(code)
-        if cell is None:
+        entry = self._by_coord.get(coord)
+        if entry is None:
+            code = morton_encode(coord)
             cell = VoxelCell(coord)
             self.cells[code] = cell
+            self._by_coord[coord] = (code, cell)
             self._center_codes.append(code)
             self._center_rows.append(
                 tuple((c + 0.5) * self.voxel_size for c in coord)
             )
+        else:
+            code, cell = entry
 
-        best_idx, best_cos = -1, -2.0
-        for i, rep in enumerate(cell.long_term):
-            c = _safe_cos(rep.key, token.key)
-            if c > best_cos:
-                best_idx, best_cos = i, c
-        if best_idx >= 0 and best_cos > self.merge_lambda:
-            self._fuse(cell.long_term[best_idx], token, best_cos)
-            self.events["fused"] += 1
-            return "fused"
+        if cell.long_term:
+            best_idx, best_cos = _best_match(cell.long_term, token.key)
+            if best_idx >= 0 and best_cos > self.merge_lambda:
+                self._fuse(cell.long_term[best_idx], token, best_cos)
+                self._count_mass += token.count
+                self.events["fused"] += 1
+                return "fused"
 
         token.origin = Origin.BUFFERED
         cell.buffer.append(token)
+        self._token_count += 1
+        self._count_mass += token.count
         self._seqs[id(token)] = self._seq
         self._seq += 1
         if len(cell.buffer) >= self.e_cap:
@@ -237,7 +247,8 @@ class VoxelStore:
         for t in members:
             self._seqs.pop(id(t), None)
         cell.buffer = []
-        self._admit(cell, rep)
+        self._token_count -= len(members)
+        self._admit(cell, rep, code)
 
     def re_merge(self, code: int) -> None:
         """Free a long-term slot by folding the lightest entry into a peer.
@@ -258,6 +269,7 @@ class VoxelStore:
                 best_idx, best_cos = i, c
         self._fuse(cell.long_term[best_idx], victim, best_cos)
         self._seqs.pop(id(victim), None)
+        self._token_count -= 1
         self.events["re_merged"] += 1
 
     # -- retrieval ----------------------------------------------------------
@@ -297,7 +309,7 @@ class VoxelStore:
 
     # -- helpers ----------------------------------------------------------
 
-    def _admit(self, cell: VoxelCell, rep: CachedToken) -> None:
+    def _admit(self, cell: VoxelCell, rep: CachedToken, code: int) -> None:
         # Long-term insertion; at capacity a slot is freed first. With
         # g_cap=1 the sole resident folds into the newcomer instead, since
         # there is no peer to re-merge with.
@@ -306,10 +318,12 @@ class VoxelStore:
                 old = cell.long_term.pop()
                 self._fuse(rep, old, _safe_cos(rep.key, old.key))
                 self._seqs.pop(id(old), None)
+                self._token_count -= 1
                 self.events["re_merged"] += 1
             else:
-                self.re_merge(morton_encode(cell.coord))
+                self.re_merge(code)
         cell.long_term.append(rep)
+        self._token_count += 1
         self._seqs[id(rep)] = self._seq
         self._seq += 1
 
@@ -331,6 +345,39 @@ class VoxelStore:
             return vec
         self.half_saturations += int((np.abs(vec) > HALF_MAX).sum())
         return half_roundtrip(vec)
+
+
+def _best_match(reps: list[CachedToken], key) -> tuple[int, float]:
+    """Index and cosine of the representative most similar to key.
+
+    Each pair costs one dot product and two norms, the same IEEE operations
+    (ndarray.dot, then sqrt, divide and clip) kernel.cosine performs, so
+    every cosine is bit-identical to it; only the incoming key's norm is
+    taken once instead of once per pair. A NaN cosine never wins, and a
+    zero-norm key scores -1 against everything.
+    """
+    key = np.asarray(key, dtype=np.float64)
+    if key.ndim != 1:
+        raise DimensionError(f"key must be 1-D, got shape {key.shape}")
+    nb = math.sqrt(key.dot(key))
+    best_idx, best_cos = -1, -2.0
+    for i, rep in enumerate(reps):
+        rk = rep.key
+        if rk.shape != key.shape:
+            raise DimensionError(f"length mismatch: {rk.shape[0]} vs {key.shape[0]}")
+        na = math.sqrt(rk.dot(rk))
+        if na == 0.0 or nb == 0.0:
+            c = -1.0
+        else:
+            # explicit comparisons keep a NaN, as np.clip does; min/max would not
+            c = float(rk.dot(key)) / (na * nb)
+            if c > 1.0:
+                c = 1.0
+            elif c < -1.0:
+                c = -1.0
+        if c > best_cos:
+            best_idx, best_cos = i, c
+    return best_idx, best_cos
 
 
 def _safe_cos(a: np.ndarray, b: np.ndarray) -> float:

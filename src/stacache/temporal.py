@@ -24,6 +24,10 @@ class TemporalCache:
     never expire); structurally they live in their own list, so counts and
     stats can still tell them apart. All mutation happens through the four
     public methods below, in the order the pipeline calls them.
+
+    Next to each resident frame's tokens the cache keeps that frame's key
+    and value blocks, so a caller can assemble the framed part of the key
+    set by concatenation instead of stacking token by token.
     """
 
     def __init__(
@@ -46,6 +50,9 @@ class TemporalCache:
         self.half_saturations = 0
         self._reference: list[CachedToken] = []
         self._window: deque[list[CachedToken]] = deque()
+        # (keys, values) of the reference frame and of each window frame
+        self._reference_block: tuple[np.ndarray, np.ndarray] | None = None
+        self._window_blocks: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._anchors: list[CachedToken] = []
         self._last_frame = -1
 
@@ -76,13 +83,23 @@ class TemporalCache:
         out.extend(self._anchors)
         return out
 
+    def frame_blocks(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Key and value blocks of the reference and window frames.
+
+        Stacked in order, their rows are the keys and values of the first
+        reference_count + window_token_count members of snapshot(); the
+        blocks are read-only.
+        """
+        blocks = [self._reference_block, *self._window_blocks]
+        return [k for k, _ in blocks], [v for _, v in blocks]
+
     # -- mutation -------------------------------------------------------
 
     def register_reference(self, frame: FrameTokens) -> None:
         """Install the first frame as the permanent reference set."""
         if self._reference or self._window or self._anchors:
             raise StacacheError("reference already registered")
-        self._reference = self._make_tokens(frame, None)
+        self._reference, self._reference_block = self._make_tokens(frame, None)
         self._last_frame = frame.frame_idx
 
     def ingest_frames(
@@ -112,11 +129,14 @@ class TemporalCache:
                     f"after {self._last_frame}"
                 )
             scores = None if initial_scores is None else initial_scores[i]
-            self._window.append(self._make_tokens(frame, scores))
+            tokens, block = self._make_tokens(frame, scores)
+            self._window.append(tokens)
+            self._window_blocks.append(block)
             self._last_frame = frame.frame_idx
         expelled: list[CachedToken] = []
         while len(self._window) > self.window_frames:
             expelled.extend(self._window.popleft())
+            self._window_blocks.popleft()
         return expelled
 
     def update_scores(self, mass: np.ndarray) -> None:
@@ -127,8 +147,8 @@ class TemporalCache:
             raise DimensionError(
                 f"mass shape {mass.shape} misaligned with {len(members)} cache members"
             )
-        for token, m in zip(members, mass):
-            token.score = self.gamma * token.score + float(m)
+        for token, m in zip(members, mass.tolist()):
+            token.score = self.gamma * token.score + m
 
     def select_anchors(self, expelled: list[CachedToken]) -> list[CachedToken]:
         """Rank current anchors plus expelled tokens; keep the top ones.
@@ -147,24 +167,37 @@ class TemporalCache:
 
     # -- helpers ----------------------------------------------------------
 
-    def _make_tokens(self, frame: FrameTokens, scores: np.ndarray | None) -> list[CachedToken]:
+    def _make_tokens(
+        self, frame: FrameTokens, scores: np.ndarray | None
+    ) -> tuple[list[CachedToken], tuple[np.ndarray, np.ndarray]]:
+        # The frame's tokens plus its (quantized) key and value blocks; each
+        # token gets its own copy of its rows.
         keys, values = frame.keys, frame.values
         if self.quantize:
             self.half_saturations += int((np.abs(keys) > HALF_MAX).sum())
             self.half_saturations += int((np.abs(values) > HALF_MAX).sum())
             keys = half_roundtrip(keys)
             values = half_roundtrip(values)
-        tokens = []
-        for j in range(frame.token_count):
-            pos = frame.positions[j].copy() if frame.position_mask[j] else None
-            tokens.append(
-                CachedToken(
-                    id=TokenId(frame.frame_idx, j),
-                    key=keys[j].copy(),
-                    value=values[j].copy(),
-                    score=0.0 if scores is None else float(scores[j]),
-                    position=pos,
-                    origin=Origin.WINDOW,
-                )
+        else:
+            keys, values = np.array(keys), np.array(values)
+        n = frame.token_count
+        mask = np.asarray(frame.position_mask, dtype=bool).tolist()
+        score_list = [0.0] * n if scores is None else np.asarray(scores, dtype=np.float64).tolist()
+        if len(mask) != n or len(score_list) != n:
+            raise DimensionError(
+                f"frame {frame.frame_idx}: {n} tokens, {len(mask)} mask entries, "
+                f"{len(score_list)} scores"
             )
-        return tokens
+        positions, fi = frame.positions, frame.frame_idx
+        tokens = [
+            CachedToken(
+                id=TokenId(fi, j),
+                key=k.copy(),
+                value=v.copy(),
+                score=s,
+                position=positions[j].copy() if m else None,
+                origin=Origin.WINDOW,
+            )
+            for j, (k, v, m, s) in enumerate(zip(keys, values, mask, score_list))
+        ]
+        return tokens, (keys, values)

@@ -133,7 +133,17 @@ def _decode_record(payload: bytes, index: int, header: TraceHeader) -> TraceReco
     )[:n].astype(bool)
     off += bm
     pos = np.frombuffer(payload[off : off + n * 3 * 8], dtype="<f8").reshape(n, 3).copy()
+    _check_finite(data, pos, mask, index)
     return TraceRecord(frame_idx, data, pos, mask)
+
+
+def _check_finite(data: np.ndarray, pos: np.ndarray, mask: np.ndarray, index: int) -> None:
+    # One NaN or inf in q/k/v or in a real position would otherwise flow
+    # into every statistic; rows with a False mask are junk and not read.
+    if not np.isfinite(data).all():
+        raise TraceFormatError(f"record {index}: non-finite q/k/v value")
+    if not np.isfinite(pos[mask]).all():
+        raise TraceFormatError(f"record {index}: non-finite position")
 
 
 # -- text encoding --------------------------------------------------------
@@ -167,6 +177,7 @@ def _record_from_json(obj: dict, index: int, header: TraceHeader) -> TraceRecord
     for i, p in enumerate(raw_pos):
         if p is not None:
             pos[i] = np.asarray(p, dtype=np.float64)
+    _check_finite(data, pos, mask, index)
     return TraceRecord(frame_idx, data, pos, mask)
 
 

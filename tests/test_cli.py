@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from stacache import synth_trace, write_trace
 from stacache.cli import main
 
 
@@ -92,6 +94,39 @@ def test_corrupt_trace_is_trace_error(tmp_path, capsys):
     code = main(["replay", "--trace", str(path), "--policy", "full"])
     assert code == 2
     assert "trace error" in capsys.readouterr().err
+
+
+def _write_tampered(tmp_path, tamper, frames=30, tokens=8):
+    header, records = synth_trace(seed=2, frames=frames, tokens_per_frame=tokens, d_h=4)
+    for record in records[1:]:
+        tamper(record)
+    path = str(tmp_path / "tampered.kvtrace")
+    write_trace(path, header, records)
+    return path
+
+
+def test_non_finite_trace_is_trace_error(tmp_path, capsys):
+    def poison(record):
+        if record.frame_idx == 7:
+            record.data[0, 0, 1, 2, 0] = np.nan
+
+    path = _write_tampered(tmp_path, poison)
+    code = main(["replay", "--trace", path, "--policy", "stac"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_out_of_range_position_is_trace_error(tmp_path, capsys):
+    # 1e7 / voxel 0.05 is far past the 2^20 voxel index range; it only
+    # surfaces when an evicted token is placed in the voxel store
+    def far_away(record):
+        record.positions[record.position_mask] = 1e7
+
+    path = _write_tampered(tmp_path, far_away)
+    code = main(["replay", "--trace", path, "--policy", "stac"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "trace error" in err and "outside" in err
 
 
 def test_invalid_config_is_config_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from stacache import (
     CacheConfig,
     ConfigError,
+    InvariantViolation,
     Policy,
     StreamReplayer,
     allocate_budget,
@@ -207,3 +208,39 @@ def test_stac_bounded_on_long_walk():
         assert row["temporal"] <= 6 + cfg.budget_multiplier * 6
     full = run_stream((header, records), Policy.full())
     assert stats.summary["peak_total_tokens"] < full.summary["peak_total_tokens"]
+
+
+def _leaky_replay(leak):
+    """Replay stac on one channel whose select_anchors is wrapped by leak."""
+    header, records = _trace(seed=3, frames=40, tokens=6, d_h=4, motion="revisit")
+    replayer = StreamReplayer(header, Policy.stac(), audit=True)
+    cache = replayer.channels[0].cache
+    original = cache.select_anchors
+    cache.select_anchors = lambda expelled: leak(cache, original(expelled))
+    for record in records:
+        replayer.feed(record)
+
+
+def test_audit_catches_token_evicted_this_chunk_staying_resident():
+    def leak(cache, evicted):
+        if evicted:
+            cache._anchors.append(evicted[0])
+        return evicted
+
+    with pytest.raises(InvariantViolation, match="re-entered"):
+        _leaky_replay(leak)
+
+
+def test_audit_catches_token_evicted_earlier_coming_back():
+    # the O(budget) check has no record of old evictions, yet still sees a
+    # token evicted chunks ago turn up among the anchors
+    gone = []
+
+    def leak(cache, evicted):
+        if len(gone) > 1:
+            cache._anchors[-1] = gone[0]
+        gone.extend(evicted)
+        return evicted
+
+    with pytest.raises(InvariantViolation, match="re-entered"):
+        _leaky_replay(leak)

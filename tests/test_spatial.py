@@ -8,6 +8,7 @@ import pytest
 
 from stacache import (
     CachedToken,
+    DegenerateVectorError,
     DimensionError,
     Origin,
     TokenId,
@@ -18,6 +19,7 @@ from stacache import (
     morton_encode,
     voxel_of,
 )
+from stacache import kernel
 from oracles import morton_oracle, py_cosine, FusionOracle
 
 LIMIT = 1 << 20
@@ -325,3 +327,182 @@ def test_retrieval_is_deterministic():
     a, b = build(), build()
     assert [t.id for t in a] == [t.id for t in b]
     assert all(np.array_equal(x.key, y.key) for x, y in zip(a, b))
+
+
+# -- exactness against the scalar reference -------------------------------------
+
+
+class _ReferenceStore:
+    """The straightforward insertion routine the store must match bit for bit.
+
+    Each similarity goes through kernel.cosine, each cell through voxel_of
+    and morton_encode, and fusion recomputes every mean from scratch; the
+    store's scalar hot path must reproduce every event and every bit.
+    """
+
+    def __init__(self, voxel_size, merge_lambda, g_cap, e_cap, quantize):
+        self.voxel_size, self.merge_lambda = voxel_size, merge_lambda
+        self.g_cap, self.e_cap, self.quantize = g_cap, e_cap, quantize
+        self.cells = {}
+        self.half_saturations = 0
+        self.serial = 0
+
+    @staticmethod
+    def _cos(a, b):
+        try:
+            return kernel.cosine(a, b)
+        except DegenerateVectorError:
+            return -1.0
+
+    def _q(self, vec):
+        if not self.quantize:
+            return vec
+        self.half_saturations += int((np.abs(vec) > kernel.HALF_MAX).sum())
+        return kernel.half_roundtrip(vec)
+
+    def insert(self, token):
+        if token.position is None:
+            return "dropped"
+        code = morton_encode(voxel_of(token.position, self.voxel_size))
+        long_term, buffer = self.cells.setdefault(code, ([], []))
+        best_idx, best_cos = -1, -2.0
+        for i, rep in enumerate(long_term):
+            c = self._cos(rep.key, token.key)
+            if c > best_cos:
+                best_idx, best_cos = i, c
+        if best_idx >= 0 and best_cos > self.merge_lambda:
+            self._fuse(long_term[best_idx], token, best_cos)
+            return "fused"
+        token.origin = Origin.BUFFERED
+        buffer.append(token)
+        if len(buffer) >= self.e_cap:
+            self._aggregate(long_term, buffer)
+            return "aggregated"
+        return "buffered"
+
+    def _aggregate(self, long_term, buffer):
+        pivot = max(buffer, key=lambda t: t.score)
+        omegas = np.array([
+            math.e if t is pivot else math.exp(self._cos(pivot.key, t.key)) for t in buffer
+        ])
+        rep = CachedToken(
+            id=TokenId(-1, self.serial),
+            key=self._q(kernel.weighted_mean(np.stack([t.key for t in buffer]), omegas)),
+            value=self._q(kernel.weighted_mean(np.stack([t.value for t in buffer]), omegas)),
+            score=pivot.score,
+            position=kernel.weighted_mean(np.stack([t.position for t in buffer]), omegas),
+            count=sum(t.count for t in buffer),
+            weight=float(omegas.sum()),
+            origin=Origin.MERGED,
+        )
+        self.serial += 1
+        buffer.clear()
+        if len(long_term) >= self.g_cap:
+            if self.g_cap == 1:
+                old = long_term.pop()
+                self._fuse(rep, old, self._cos(rep.key, old.key))
+            else:
+                vi = min(range(len(long_term)), key=lambda i: (long_term[i].weight, i))
+                victim = long_term.pop(vi)
+                best_idx, best_cos = 0, -2.0
+                for i, r in enumerate(long_term):
+                    c = self._cos(r.key, victim.key)
+                    if c > best_cos:
+                        best_idx, best_cos = i, c
+                self._fuse(long_term[best_idx], victim, best_cos)
+        long_term.append(rep)
+
+    def _fuse(self, rep, incoming, cos_k):
+        omega = math.exp(cos_k)
+        z = rep.weight
+        rep.key = self._q((z * rep.key + omega * incoming.key) / (z + omega))
+        rep.value = self._q((z * rep.value + omega * incoming.value) / (z + omega))
+        if rep.position is not None and incoming.position is not None:
+            rep.position = (z * rep.position + omega * incoming.position) / (z + omega)
+        rep.weight = z + omega
+        rep.count += incoming.count
+        rep.origin = Origin.MERGED
+
+
+def _bits(token):
+    pos = None if token.position is None else np.asarray(token.position).tobytes()
+    return (token.id, token.key.tobytes(), token.value.tobytes(), pos,
+            float(token.weight).hex(), token.count, float(token.score).hex(), token.origin)
+
+
+def _outcome(insert, token):
+    try:
+        return insert(token)
+    except Exception as e:  # e.g. an aggregate over a NaN key fails in both
+        return f"error:{type(e).__name__}"
+
+
+def test_insert_is_bit_identical_to_scalar_reference():
+    rng = np.random.default_rng(46)
+    seen_events = set()
+    for case in range(240):
+        voxel_size = float(rng.choice([0.1, 0.5, 1.0]))
+        params = dict(
+            voxel_size=voxel_size,
+            merge_lambda=float(rng.uniform(-0.5, 0.99)),
+            g_cap=int(rng.integers(1, 5)),
+            e_cap=int(rng.integers(1, 9)),
+            quantize=bool(rng.random() < 0.3),
+        )
+        store = VoxelStore(knn_radius_mult=2.0, **params)
+        ref = _ReferenceStore(**params)
+        d = int(rng.integers(2, 7))
+        history = []
+        for i in range(60):
+            kind = rng.random()
+            if kind < 0.08:
+                key = np.zeros(d)
+            elif kind < 0.25 and history:
+                key = history[int(rng.integers(len(history)))].copy()  # cos = 1 with a twin
+            elif kind < 0.29:
+                key = np.full(d, np.nan)
+            elif kind < 0.33:
+                key = rng.normal(size=d) * 1e-9  # flushes to zero under quantization
+            elif kind < 0.36:
+                key = rng.normal(size=d).astype(np.float32)
+            else:
+                key = rng.normal(size=d) + 2.0 * (i % 2)
+            history.append(np.asarray(key, dtype=np.float64))
+            if rng.random() < 0.05:
+                pos = None
+            elif rng.random() < 0.3:  # exactly on voxel boundaries
+                pos = rng.integers(-3, 4, size=3) * voxel_size
+            else:
+                pos = rng.uniform(-1.5 * voxel_size, 1.5 * voxel_size, size=3)
+            score = float(rng.choice([0.0, 0.5, 1.0]))
+            count = int(rng.integers(1, 4))
+
+            def token():
+                return CachedToken(
+                    id=TokenId(1, i), key=key.copy(), value=np.asarray(key) * 3.0 - 1.0,
+                    score=score, position=None if pos is None else pos.copy(), count=count,
+                )
+
+            got, want = _outcome(store.insert_evicted, token()), _outcome(ref.insert, token())
+            assert got == want, (case, i)
+            seen_events.add(got)
+            held = [t for c in store.cells.values() for t in (*c.long_term, *c.buffer)]
+            assert store.token_count == len(held)
+            assert store.count_mass == sum(t.count for t in held) + store.dropped_count_mass
+
+        assert set(store.cells) == set(ref.cells)
+        for code, cell in store.cells.items():
+            long_term, buffer = ref.cells[code]
+            assert [_bits(t) for t in cell.long_term] == [_bits(t) for t in long_term]
+            assert [_bits(t) for t in cell.buffer] == [_bits(t) for t in buffer]
+        assert store.half_saturations == ref.half_saturations
+    assert {"fused", "buffered", "aggregated", "dropped",
+            "error:DegenerateVectorError"} <= seen_events
+
+
+def test_nan_key_is_buffered_not_fused():
+    store = _store(e_cap=4, merge_lambda=-0.5)
+    store.insert_evicted(_token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
+    store.aggregate(next(iter(store.cells)))
+    event = store.insert_evicted(_token([np.nan, 0.0], position=[0.5, 0.5, 0.5], idx=1))
+    assert event == "buffered"

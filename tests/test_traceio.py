@@ -114,6 +114,24 @@ def test_shape_mismatch_detected(tmp_path):
         list(it)
 
 
+@pytest.mark.parametrize("text", [False, True])
+@pytest.mark.parametrize("where", ["data", "position"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected_at_decode(tmp_path, text, where, bad):
+    header, records = _small_trace(frames=3)
+    if where == "data":
+        records[2].data[1, 0, 2, 3, 1] = bad
+    else:
+        records[2].positions[np.flatnonzero(records[2].position_mask)[0], 2] = bad
+    path = str(tmp_path / "t.kvtrace")
+    write_trace(path, header, records, text=text)
+    h, it = read_trace(path)
+    got = [next(it), next(it)]  # earlier records still decode
+    assert [r.frame_idx for r in got] == [0, 1]
+    with pytest.raises(TraceFormatError, match="record 2: non-finite"):
+        next(it)
+
+
 def test_out_of_order_frames_rejected(tmp_path):
     header, records = _small_trace(frames=3)
     records[1], records[2] = records[2], records[1]
