@@ -10,7 +10,7 @@ softmax algebra, only the number of rows we keep.
 
 import numpy as np
 
-from stacache import AttentionMask, attend, build_chunk_mask
+from stacache import attend
 
 rng = np.random.default_rng(0)
 d_h = 8
@@ -21,14 +21,12 @@ keys = rng.normal(size=(3, d_h))
 values = rng.normal(size=(3, d_h))
 counts = np.array([5.0, 1.0, 1.0])
 
-mask = AttentionMask(np.ones((2, 3), dtype=bool))
-merged = attend(queries, keys, values, counts, mask, d_h)
+merged = attend(queries, keys, values, counts, d_h)
 
 # the same computation with the five duplicates written out explicitly
 keys_dup = np.vstack([np.tile(keys[0], (5, 1)), keys[1:]])
 values_dup = np.vstack([np.tile(values[0], (5, 1)), values[1:]])
-mask_dup = AttentionMask(np.ones((2, 7), dtype=bool))
-explicit = attend(queries, keys_dup, values_dup, np.ones(7), mask_dup, d_h)
+explicit = attend(queries, keys_dup, values_dup, np.ones(7), d_h)
 
 print("outputs with count bias:")
 print(merged.outputs.round(6))
@@ -41,9 +39,11 @@ print("max |difference|:", float(np.abs(merged.outputs - explicit.outputs).max()
 print("\nmass per cache row (merged):   ", merged.mass.round(6))
 print("mass of the five duplicates:    ", explicit.mass[:5].sum().round(6))
 
-# chunk-causality, the only masking this pipeline needs: queries of a chunk
-# see the whole chunk (bidirectional) plus everything strictly older, so
-# with the cache laid out first the allowed matrix is simply all-true
-chunk_mask = build_chunk_mask(cache_len=3, chunk_token_count=2)
-print("\nchunk mask (cache columns then chunk columns):")
-print(chunk_mask.allowed.astype(int))
+# chunk-causality needs no mask: queries of a chunk see the whole chunk
+# (bidirectional) plus everything strictly older, so the key set is simply
+# the cache rows followed by the chunk's own rows
+chunk_keys, chunk_values = rng.normal(size=(2, d_h)), rng.normal(size=(2, d_h))
+step = attend(queries, np.vstack([keys, chunk_keys]), np.vstack([values, chunk_values]),
+              np.ones(5), d_h)
+print("\nmass on cache rows, then chunk rows:", step.mass.round(6))
+print("total mass == number of queries:", float(step.mass.sum()))

@@ -7,7 +7,7 @@ and replays recorded q/k/v traces to measure what the compression does to
 memory growth and attention outputs.
 """
 
-from .attention import AttentionMask, AttentionResult, attend, build_chunk_mask
+from .attention import AttentionResult, attend
 from .errors import (
     ConfigError,
     DegenerateVectorError,
@@ -18,7 +18,7 @@ from .errors import (
     TraceFormatError,
     VoxelRangeError,
 )
-from .kernel import HALF_MAX, cosine, dot, half_roundtrip, masked_softmax, weighted_mean
+from .kernel import HALF_MAX, cosine, half_roundtrip, weighted_mean
 from .pipeline import (
     BudgetSplit,
     Policy,
@@ -44,7 +44,6 @@ from .traceio import TraceHeader, TraceRecord, read_trace, synth_trace, write_tr
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionMask",
     "AttentionResult",
     "BudgetSplit",
     "CacheConfig",
@@ -72,13 +71,10 @@ __all__ = [
     "VoxelStore",
     "allocate_budget",
     "attend",
-    "build_chunk_mask",
     "compare",
     "cosine",
     "divergence_report",
-    "dot",
     "half_roundtrip",
-    "masked_softmax",
     "morton_decode",
     "morton_encode",
     "read_trace",

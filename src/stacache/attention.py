@@ -18,37 +18,9 @@ from .errors import DimensionError, EmptySupportError
 
 
 @dataclass
-class AttentionMask:
-    """Boolean (n_queries, n_keys) matrix; True marks an attendable pair."""
-
-    allowed: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.allowed.shape
-
-
-@dataclass
 class AttentionResult:
     outputs: np.ndarray  # (n_queries, d_h) attention outputs
     mass: np.ndarray     # (n_keys,) attention mass received per key
-
-
-def build_chunk_mask(cache_len: int, chunk_token_count: int) -> AttentionMask:
-    """Mask for one chunk step: every query sees cache and chunk alike.
-
-    Within a chunk attention is bidirectional, and the cache only ever
-    contains strictly older tokens, so the mask is all True by
-    construction. It exists as an explicit object so that variant masking
-    schemes can be swapped in without touching attend().
-    """
-    if cache_len < 0 or chunk_token_count < 1:
-        raise DimensionError(
-            f"need cache_len >= 0 and chunk_token_count >= 1, "
-            f"got {cache_len} and {chunk_token_count}"
-        )
-    n_keys = cache_len + chunk_token_count
-    return AttentionMask(np.ones((chunk_token_count, n_keys), dtype=bool))
 
 
 def attend(
@@ -56,15 +28,19 @@ def attend(
     keys: np.ndarray,
     values: np.ndarray,
     counts: np.ndarray,
-    mask: AttentionMask,
     d_h: int,
 ) -> AttentionResult:
     """Scaled dot-product attention with a count-duplication bias.
 
     logit[i, j] = q_i . k_j / sqrt(d_h) + ln(counts[j]); rows are
-    softmax-normalized over their unmasked keys only. Returns the outputs
-    and the per-key attention mass summed over queries; the mass sums to
-    the number of queries up to rounding.
+    softmax-normalized over all keys. Returns the outputs and the per-key
+    attention mass summed over queries; the mass sums to the number of
+    queries up to rounding.
+
+    The logits, shifted logits and weights share one Q x K buffer: every
+    step after the product writes in place, with the same IEEE operations
+    in the same order as the allocating form, so the results are
+    bit-identical to it.
     """
     queries = np.asarray(queries, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
@@ -82,22 +58,15 @@ def attend(
         raise DimensionError(f"values shape {values.shape} != keys shape {keys.shape}")
     if counts.shape != (keys.shape[0],):
         raise DimensionError(f"counts shape {counts.shape} != ({keys.shape[0]},)")
-    if (counts < 1.0).any():
-        raise DimensionError("counts must all be >= 1")
-    allowed = np.asarray(mask.allowed, dtype=bool)
-    if allowed.shape != (queries.shape[0], keys.shape[0]):
-        raise DimensionError(
-            f"mask shape {allowed.shape} != ({queries.shape[0]}, {keys.shape[0]})"
-        )
+    # written so that NaN fails too; an infinite count would turn ln(count)
+    # into inf and the whole row into NaN
+    if not (np.isfinite(counts).all() and (counts >= 1.0).all()):
+        raise DimensionError("counts must all be finite and >= 1")
 
-    logits = queries @ keys.T / np.sqrt(float(d_h)) + np.log(counts)[None, :]
-    if allowed.all():
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        w = np.exp(shifted)
-    else:
-        if not allowed.any(axis=1).all():
-            raise EmptySupportError("a query row has every key masked")
-        neg = np.where(allowed, logits, -np.inf)
-        w = np.exp(neg - neg.max(axis=1, keepdims=True))  # exp(-inf) is exactly 0
+    w = queries @ keys.T
+    np.divide(w, np.sqrt(float(d_h)), out=w)
+    np.add(w, np.log(counts)[None, :], out=w)
+    np.subtract(w, w.max(axis=1, keepdims=True), out=w)
+    np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return AttentionResult(outputs=w @ values, mass=w.sum(axis=0))

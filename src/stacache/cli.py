@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="W,A,R", help="budget fractions window,anchor,retrieve")
         p.add_argument("--half", action="store_true", help="round cache contents through float16")
         p.add_argument("--no-audit", action="store_true", help="skip runtime invariant audits")
-        p.add_argument("--threads", type=int, default=1, help="worker threads across channels")
 
     p = sub.add_parser("replay", help="replay a trace under one policy")
     p.add_argument("--trace", required=True)
@@ -198,13 +197,7 @@ def cmd_synth(args) -> int:
 
 
 def _replay_once(args, policy: Policy, sink) -> ReplayStats:
-    return run_stream(
-        args.trace,
-        policy,
-        audit=not args.no_audit,
-        threads=args.threads,
-        stats_sink=sink,
-    )
+    return run_stream(args.trace, policy, audit=not args.no_audit, stats_sink=sink)
 
 
 def cmd_replay(args) -> int:
@@ -242,13 +235,7 @@ def cmd_replay(args) -> int:
 def cmd_compare(args) -> int:
     policy_a = _policy_from_spec(args.a, args)
     policy_b = _policy_from_spec(args.b, args)
-    report = compare(
-        args.trace,
-        policy_a,
-        policy_b,
-        audit=not args.no_audit,
-        threads=args.threads,
-    )
+    report = compare(args.trace, policy_a, policy_b, audit=not args.no_audit)
     text = _dumps(report, indent=2)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as f:

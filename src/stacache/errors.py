@@ -12,7 +12,7 @@ class StacacheError(Exception):
 
 
 class DimensionError(StacacheError):
-    """Operand shapes are inconsistent (vector lengths, matrix dims, mask shape)."""
+    """Operands are inconsistent (vector lengths, matrix dims) or out of range."""
 
 
 class DegenerateVectorError(StacacheError):
@@ -20,7 +20,7 @@ class DegenerateVectorError(StacacheError):
 
 
 class EmptySupportError(StacacheError):
-    """A softmax row (or an attention call) has no unmasked key to attend to."""
+    """An attention call has no key to attend to."""
 
 
 class VoxelRangeError(StacacheError):

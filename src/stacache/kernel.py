@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateVectorError, DimensionError, EmptySupportError
+from .errors import DegenerateVectorError, DimensionError
 
 # Largest finite float16 value; casts beyond this saturate instead of
 # producing inf so that cache contents stay finite.
@@ -22,15 +22,6 @@ def _vec(a, name: str = "vector") -> np.ndarray:
     if a.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got shape {a.shape}")
     return a
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    a = _vec(a, "a")
-    b = _vec(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.dot(a, b))
 
 
 def cosine(a, b) -> float:
@@ -48,26 +39,6 @@ def cosine(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         raise DegenerateVectorError("cosine undefined for zero-norm input")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def masked_softmax(logits, mask) -> np.ndarray:
-    """Softmax over the unmasked entries of a logit row.
-
-    Masked entries get probability exactly 0.0 and do not participate in
-    the max-subtraction or the normalizer, so a -1e9 logit under a mask
-    cannot leak mass the way additive masking would.
-    """
-    logits = _vec(logits, "logits")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.shape:
-        raise DimensionError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-    if not mask.any():
-        raise EmptySupportError("softmax row with every entry masked")
-    out = np.zeros_like(logits)
-    sel = logits[mask]
-    e = np.exp(sel - sel.max())
-    out[mask] = e / e.sum()
-    return out
 
 
 def weighted_mean(vectors, weights) -> np.ndarray:

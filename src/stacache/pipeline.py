@@ -13,14 +13,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .attention import attend, build_chunk_mask
+from .attention import attend
 from .errors import ConfigError, InvariantViolation, TraceFormatError
 from .spatial import VoxelStore
 from .temporal import TemporalCache
@@ -108,89 +106,68 @@ def allocate_budget(config: CacheConfig, tokens_per_frame: int) -> BudgetSplit:
 # -- per-channel policy implementations ------------------------------------
 
 
-class _FullChannel:
-    """Baseline: the cache is every token seen so far, in arrival order."""
+class _VerbatimChannel:
+    """Baseline: the reference frame plus the last `window` frames, verbatim.
 
-    def __init__(self, d_h: int):
+    `window=None` keeps every frame (the `full` policy). Rows live in one
+    append-only key/value buffer, reference first, so a step attends over a
+    prefix slice in arrival order; a window moves its last frames down
+    behind the reference after each step. The buffer doubles when full
+    rather than being sized from the header, so a header that declares an
+    absurd frame count cannot turn into an allocation.
+    """
+
+    def __init__(self, d_h: int, window: Optional[int], tokens_per_frame: int):
         self.d_h = d_h
-        self.key_blocks: list[np.ndarray] = []
-        self.value_blocks: list[np.ndarray] = []
+        self.window = window
+        self.tokens_per_frame = tokens_per_frame
+        self.keys = np.empty((0, d_h))
+        self.values = np.empty((0, d_h))
+        self.ref_len = 0
         self.cached = 0
 
     def register(self, frame: FrameTokens) -> None:
-        self._append(frame)
+        self.ref_len = self._append([frame])
+        self.cached = self.ref_len
 
-    def _append(self, frame: FrameTokens) -> None:
-        self.key_blocks.append(np.array(frame.keys))
-        self.value_blocks.append(np.array(frame.values))
-        self.cached += frame.token_count
+    def _append(self, frames: list[FrameTokens]) -> int:
+        """Write the frames' rows after the cached ones; returns the new end."""
+        end = self.cached + sum(f.token_count for f in frames)
+        if end > self.keys.shape[0]:
+            rows = max(end, 2 * self.keys.shape[0])
+            keys, values = np.empty((rows, self.d_h)), np.empty((rows, self.d_h))
+            keys[: self.cached] = self.keys[: self.cached]
+            values[: self.cached] = self.values[: self.cached]
+            self.keys, self.values = keys, values
+        row = self.cached
+        for f in frames:
+            self.keys[row : row + f.token_count] = f.keys
+            self.values[row : row + f.token_count] = f.values
+            row += f.token_count
+        return end
 
     def step(self, frames: list[FrameTokens], vis_positions: np.ndarray, audit: bool) -> dict:
         chunk_q = np.concatenate([f.queries for f in frames])
-        chunk_k = np.concatenate([f.keys for f in frames])
-        chunk_v = np.concatenate([f.values for f in frames])
         cache_len = self.cached
-        keys = np.concatenate(self.key_blocks + [chunk_k])
-        values = np.concatenate(self.value_blocks + [chunk_v])
-        counts = np.ones(keys.shape[0])
-        mask = build_chunk_mask(cache_len, chunk_q.shape[0])
-        res = attend(chunk_q, keys, values, counts, mask, self.d_h)
+        end = self._append(frames)
+        res = attend(chunk_q, self.keys[:end], self.values[:end], np.ones(end), self.d_h)
         audits = 0
         if audit:
             _check_mass(res.mass, chunk_q.shape[0])
             audits += 1
-        for f in frames:
-            self._append(f)
+        if self.window is None:
+            self.cached = end
+        else:
+            kept = min(end - self.ref_len, self.window * self.tokens_per_frame)
+            self.cached = self.ref_len + kept
+            self.keys[self.ref_len : self.cached] = self.keys[end - kept : end]
+            self.values[self.ref_len : self.cached] = self.values[end - kept : end]
         return _step_result(
             outputs=res.outputs,
             temporal=cache_len,
             spatial=0,
             in_flight=chunk_q.shape[0],
             temporal_end=self.cached,
-            spatial_end=0,
-            audits=audits,
-        )
-
-
-class _WindowChannel:
-    """Baseline: reference frame plus the last `window` frames, verbatim."""
-
-    def __init__(self, d_h: int, window: int):
-        self.d_h = d_h
-        self.ref_keys: Optional[np.ndarray] = None
-        self.ref_values: Optional[np.ndarray] = None
-        self.recent: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=window)
-        self.window = window
-
-    def register(self, frame: FrameTokens) -> None:
-        self.ref_keys = np.array(frame.keys)
-        self.ref_values = np.array(frame.values)
-
-    def _cached(self) -> int:
-        return self.ref_keys.shape[0] + sum(k.shape[0] for k, _ in self.recent)
-
-    def step(self, frames: list[FrameTokens], vis_positions: np.ndarray, audit: bool) -> dict:
-        chunk_q = np.concatenate([f.queries for f in frames])
-        chunk_k = np.concatenate([f.keys for f in frames])
-        chunk_v = np.concatenate([f.values for f in frames])
-        cache_len = self._cached()
-        keys = np.concatenate([self.ref_keys] + [k for k, _ in self.recent] + [chunk_k])
-        values = np.concatenate([self.ref_values] + [v for _, v in self.recent] + [chunk_v])
-        counts = np.ones(keys.shape[0])
-        mask = build_chunk_mask(cache_len, chunk_q.shape[0])
-        res = attend(chunk_q, keys, values, counts, mask, self.d_h)
-        audits = 0
-        if audit:
-            _check_mass(res.mass, chunk_q.shape[0])
-            audits += 1
-        for f in frames:
-            self.recent.append((np.array(f.keys), np.array(f.values)))
-        return _step_result(
-            outputs=res.outputs,
-            temporal=cache_len,
-            spatial=0,
-            in_flight=chunk_q.shape[0],
-            temporal_end=self._cached(),
             spatial_end=0,
             audits=audits,
         )
@@ -247,8 +224,7 @@ class _StacChannel:
         counts = np.ones(keys.shape[0])
         counts[framed : framed + len(loose)] = [t.count for t in loose]
         temp_len, spat_len = len(snap), len(retrieved)
-        mask = build_chunk_mask(temp_len + spat_len, chunk_q.shape[0])
-        res = attend(chunk_q, keys, values, counts, mask, self.d_h)
+        res = attend(chunk_q, keys, values, counts, self.d_h)
 
         spatial_tokens = self.store.token_count
         self.cache.update_scores(res.mass[:temp_len])
@@ -425,7 +401,6 @@ class StreamReplayer:
         chunk_size: Optional[int] = None,
         audit: bool = True,
         collect_outputs: bool = False,
-        threads: int = 1,
         stats_sink: Optional[Callable[[dict], None]] = None,
     ):
         if policy.kind == "stac":
@@ -439,8 +414,6 @@ class StreamReplayer:
             chunk_size = policy.config.chunk_size if policy.kind == "stac" else 4
         if chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
         self.header = header
         self.policy = policy
         self.chunk_size = chunk_size
@@ -461,15 +434,14 @@ class StreamReplayer:
             "re_merged": 0, "dropped": 0,
         }
         self._t0 = time.perf_counter()
-        self._pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         self._finished = False
 
     def _make_channel(self):
         h = self.header
         if self.policy.kind == "full":
-            return _FullChannel(h.d_h)
+            return _VerbatimChannel(h.d_h, None, h.tokens_per_frame)
         if self.policy.kind == "window":
-            return _WindowChannel(h.d_h, self.policy.window)
+            return _VerbatimChannel(h.d_h, self.policy.window, h.tokens_per_frame)
         return _StacChannel(self.policy.config, self.budget, h.d_h, h.tokens_per_frame)
 
     def feed(self, record: TraceRecord) -> Optional[dict]:
@@ -501,18 +473,13 @@ class StreamReplayer:
         vis = np.concatenate([r.positions[r.position_mask] for r in records]) \
             if any(r.position_mask.any() for r in records) else np.zeros((0, 3))
 
-        jobs = []
-        for li in range(h.layers):
-            for hi in range(h.heads):
-                channel = self.channels[li * h.heads + hi]
-                frames = [r.channel(li, hi) for r in records]
-                jobs.append((channel, frames))
-        if self._pool is not None:
-            results = list(
-                self._pool.map(lambda job: job[0].step(job[1], vis, self.audit), jobs)
+        results = [
+            self.channels[li * h.heads + hi].step(
+                [r.channel(li, hi) for r in records], vis, self.audit
             )
-        else:
-            results = [ch.step(frames, vis, self.audit) for ch, frames in jobs]
+            for li in range(h.layers)
+            for hi in range(h.heads)
+        ]
 
         if self.outputs is not None:
             n, d = h.tokens_per_frame, h.d_h
@@ -580,8 +547,6 @@ class StreamReplayer:
         if self._pending:
             self.process_chunk(self._pending)
         self._finished = True
-        if self._pool is not None:
-            self._pool.shutdown()
         h = self.header
         channels = h.layers * h.heads
         full_tokens = self._frames_seen * h.tokens_per_frame * channels
@@ -640,7 +605,6 @@ def run_stream(
     chunk_size: Optional[int] = None,
     audit: bool = True,
     collect_outputs: bool = False,
-    threads: int = 1,
     stats_sink: Optional[Callable[[dict], None]] = None,
 ) -> ReplayStats:
     """Replay a whole trace (path, or header+records) under one policy."""
@@ -651,7 +615,6 @@ def run_stream(
         chunk_size=chunk_size,
         audit=audit,
         collect_outputs=collect_outputs,
-        threads=threads,
         stats_sink=stats_sink,
     )
     for record in records:
@@ -743,7 +706,6 @@ def compare(
     policy_b: Policy,
     chunk_size: Optional[int] = None,
     audit: bool = True,
-    threads: int = 1,
 ) -> dict:
     """Replay under two policies and report their output divergence.
 
@@ -762,12 +724,6 @@ def compare(
         header, records = trace
         if not isinstance(records, (list, tuple)):
             trace = (header, list(records))  # the trace is traversed twice
-    stats_a = run_stream(
-        trace, policy_a, chunk_size=chunk_size, audit=audit,
-        collect_outputs=True, threads=threads,
-    )
-    stats_b = run_stream(
-        trace, policy_b, chunk_size=chunk_size, audit=audit,
-        collect_outputs=True, threads=threads,
-    )
+    stats_a = run_stream(trace, policy_a, chunk_size=chunk_size, audit=audit, collect_outputs=True)
+    stats_b = run_stream(trace, policy_b, chunk_size=chunk_size, audit=audit, collect_outputs=True)
     return divergence_report(stats_a, stats_b)

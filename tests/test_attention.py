@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from stacache import (
-    AttentionMask,
-    DimensionError,
-    EmptySupportError,
-    attend,
-    build_chunk_mask,
-)
+from stacache import DimensionError, EmptySupportError, attend
 from oracles import naive_attend
 
 
@@ -28,14 +22,17 @@ def test_attend_matches_naive_oracle():
     rng = np.random.default_rng(21)
     for _ in range(60):
         q, k, v, counts, d = _random_instance(rng)
-        mask = AttentionMask(np.ones((q.shape[0], k.shape[0]), dtype=bool))
-        res = attend(q, k, v, counts, mask, d)
-        ref_out, ref_mass = naive_attend(q, k, v, counts, mask.allowed, d)
+        res = attend(q, k, v, counts, d)
+        allowed = np.ones((q.shape[0], k.shape[0]), dtype=bool)
+        ref_out, ref_mass = naive_attend(q, k, v, counts, allowed, d)
         assert np.allclose(res.outputs, ref_out, atol=1e-12)
         assert np.allclose(res.mass, ref_mass, atol=1e-12)
 
 
 def test_attend_matches_oracle_under_partial_masks():
+    # attend has no mask: a masked-out key is a key left out of the key set,
+    # which is how the pipeline builds each channel's keys. Attending each
+    # query row over its allowed keys must match the masked oracle.
     rng = np.random.default_rng(22)
     for _ in range(60):
         q, k, v, counts, d = _random_instance(rng)
@@ -43,14 +40,59 @@ def test_attend_matches_oracle_under_partial_masks():
         for i in range(q.shape[0]):
             if not allowed[i].any():
                 allowed[i, rng.integers(0, k.shape[0])] = True
-        res = attend(q, k, v, counts, AttentionMask(allowed), d)
+        outputs = np.empty((q.shape[0], v.shape[1]))
+        mass = np.zeros(k.shape[0])
+        for i in range(q.shape[0]):
+            sel = allowed[i]
+            res = attend(q[i:i + 1], k[sel], v[sel], counts[sel], d)
+            outputs[i] = res.outputs[0]
+            mass[sel] += res.mass
         ref_out, ref_mass = naive_attend(q, k, v, counts, allowed, d)
-        assert np.allclose(res.outputs, ref_out, atol=1e-12)
-        assert np.allclose(res.mass, ref_mass, atol=1e-12)
-        # masked keys receive exactly zero mass per query, so a fully
-        # masked key column has zero total mass
+        assert np.allclose(outputs, ref_out, atol=1e-12)
+        assert np.allclose(mass, ref_mass, atol=1e-12)
+        # a key no query may see receives exactly zero mass
         dead = ~allowed.any(axis=0)
-        assert (res.mass[dead] == 0.0).all()
+        assert (mass[dead] == 0.0).all()
+
+
+def _allocating_attend(q, k, v, counts, d_h):
+    """The previous attend: a fresh Q x K array for every step."""
+    logits = q @ k.T / np.sqrt(float(d_h)) + np.log(counts)[None, :]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    w = np.exp(shifted)
+    w /= w.sum(axis=1, keepdims=True)
+    return w @ v, w.sum(axis=0)
+
+
+@pytest.mark.parametrize(
+    "n_q, n_k, d, count_hi, scale",
+    [
+        (1, 1, 4, 1, 1.0),
+        (1, 37, 8, 5, 1.0),
+        (9, 1, 8, 1e6, 1.0),
+        (64, 300, 32, 1e6, 1.0),
+        (256, 1056, 32, 50, 1.0),
+        (7, 16384, 16, 1e6, 1.0),
+        (33, 513, 32, 1e6, 16.0),  # logits around +-1e3
+    ],
+)
+def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale):
+    rng = np.random.default_rng(n_q * 7919 + n_k)
+    q = rng.normal(size=(n_q, d)) * scale
+    k = rng.normal(size=(n_k, d)) * scale
+    v = rng.normal(size=(n_k, d))
+    counts = np.floor(rng.uniform(1.0, count_hi + 1.0, size=n_k))
+    inputs = [a.copy() for a in (q, k, v, counts)]
+    res = attend(q, k, v, counts, d)
+    ref_out, ref_mass = _allocating_attend(q, k, v, counts, d)
+    assert np.array_equal(res.outputs, ref_out)
+    assert np.array_equal(res.mass, ref_mass)
+    # the in-place steps work on their own buffer, never the caller's arrays
+    for before, after in zip(inputs, (q, k, v, counts)):
+        assert np.array_equal(before, after)
+    if scale > 1.0:
+        logits = q @ k.T / np.sqrt(float(d))
+        assert np.abs(logits).max() > 500.0
 
 
 def test_count_bias_equals_duplication():
@@ -67,26 +109,22 @@ def test_count_bias_equals_duplication():
 
         dup_k = np.vstack([base_k] + [rep_k] * n)
         dup_v = np.vstack([base_v] + [rep_v] * n)
-        dup = attend(q, dup_k, dup_v, np.ones(4 + n), _all_true(3, 4 + n), d)
+        dup = attend(q, dup_k, dup_v, np.ones(4 + n), d)
 
         rep_keys = np.vstack([base_k, rep_k])
         rep_vals = np.vstack([base_v, rep_v])
         counts = np.array([1.0] * 4 + [float(n)])
-        rep = attend(q, rep_keys, rep_vals, counts, _all_true(3, 5), d)
+        rep = attend(q, rep_keys, rep_vals, counts, d)
 
         assert np.allclose(rep.outputs, dup.outputs, atol=1e-9)
         # the representative's mass equals the sum over the duplicates
         assert rep.mass[-1] == pytest.approx(dup.mass[4:].sum(), abs=1e-9)
 
 
-def _all_true(n_q, n_k):
-    return AttentionMask(np.ones((n_q, n_k), dtype=bool))
-
-
 def test_mass_sums_to_query_count():
     rng = np.random.default_rng(24)
     q, k, v, counts, d = _random_instance(rng, n_q=7, n_k=11)
-    res = attend(q, k, v, counts, _all_true(7, 11), d)
+    res = attend(q, k, v, counts, d)
     assert res.mass.sum() == pytest.approx(7.0, abs=1e-9)
     assert (res.mass >= 0.0).all()
 
@@ -96,22 +134,10 @@ def test_attend_is_stable_for_large_logits():
     q = np.full((2, d), 50.0)
     k = np.vstack([np.full(d, 50.0), -np.full(d, 50.0)])
     v = np.eye(2, d)
-    res = attend(q, k, v, np.ones(2), _all_true(2, 2), d)
+    res = attend(q, k, v, np.ones(2), d)
     assert np.isfinite(res.outputs).all()
     # the aligned key takes essentially all the weight
     assert np.allclose(res.outputs, np.tile(v[0], (2, 1)), atol=1e-12)
-
-
-def test_build_chunk_mask_shape_and_content():
-    m = build_chunk_mask(10, 4)
-    assert m.shape == (4, 14)
-    assert m.allowed.all()
-    m = build_chunk_mask(0, 3)
-    assert m.shape == (3, 3)
-    with pytest.raises(DimensionError):
-        build_chunk_mask(-1, 3)
-    with pytest.raises(DimensionError):
-        build_chunk_mask(5, 0)
 
 
 def test_attend_error_paths():
@@ -121,18 +147,16 @@ def test_attend_error_paths():
     v = np.zeros((4, d))
     ones = np.ones(4)
     with pytest.raises(EmptySupportError):
-        attend(q, np.zeros((0, d)), np.zeros((0, d)), np.zeros(0), _all_true(2, 0), d)
+        attend(q, np.zeros((0, d)), np.zeros((0, d)), np.zeros(0), d)
     with pytest.raises(DimensionError):
-        attend(q, np.zeros((4, d + 1)), v, ones, _all_true(2, 4), d)
+        attend(q, np.zeros((4, d + 1)), v, ones, d)
     with pytest.raises(DimensionError):
-        attend(q, k, np.zeros((3, d)), ones, _all_true(2, 4), d)
+        attend(q, k, np.zeros((3, d)), ones, d)
     with pytest.raises(DimensionError):
-        attend(q, k, v, np.ones(3), _all_true(2, 4), d)
+        attend(q, k, v, np.ones(3), d)
     with pytest.raises(DimensionError):
-        attend(q, k, v, np.full(4, 0.5), _all_true(2, 4), d)  # counts below 1
+        attend(q, k, v, np.full(4, 0.5), d)  # counts below 1
     with pytest.raises(DimensionError):
-        attend(q, k, v, ones, _all_true(3, 4), d)  # mask rows mismatch
-    bad = np.ones((2, 4), dtype=bool)
-    bad[1] = False
-    with pytest.raises(EmptySupportError):
-        attend(q, k, v, ones, AttentionMask(bad), d)
+        attend(q, k, v, np.array([1.0, np.nan, 1.0, 1.0]), d)
+    with pytest.raises(DimensionError):
+        attend(q, k, v, np.array([1.0, np.inf, 1.0, 1.0]), d)

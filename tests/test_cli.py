@@ -96,6 +96,23 @@ def test_corrupt_trace_is_trace_error(tmp_path, capsys):
     assert "trace error" in capsys.readouterr().err
 
 
+def test_absurd_frame_count_is_trace_error(tmp_path, capsys):
+    # the header claims a billion frames over a five-frame file: the replay
+    # must reach the truncation (exit 2), not size its buffers from the claim
+    header, records = synth_trace(seed=1, frames=5, tokens_per_frame=16, d_h=8)
+    path = tmp_path / "liar.kvtrace"
+    write_trace(str(path), header, records)
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    claim = json.loads(data[len(b"KVTRACE0") : end])
+    claim["frame_count"] = 10**9
+    path.write_bytes(b"KVTRACE0" + json.dumps(claim).encode() + data[end:])
+    for policy in ("full", "window"):
+        code = main(["replay", "--trace", str(path), "--policy", policy])
+        assert code == 2
+        assert "truncated at record 5" in capsys.readouterr().err
+
+
 def _write_tampered(tmp_path, tamper, frames=30, tokens=8):
     header, records = synth_trace(seed=2, frames=frames, tokens_per_frame=tokens, d_h=4)
     for record in records[1:]:

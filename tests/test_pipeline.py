@@ -1,5 +1,7 @@
 """Replay harness: policies vs oracles, budgets, stats rows, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,55 @@ def test_window_policy_matches_manual_key_set():
     assert np.allclose(got, ref_out, atol=1e-12)
 
 
+def _reference_verbatim(records, window, chunk_size, layer, head, d_h):
+    """Outputs and token counts of full (window=None) or window:W, chunk by
+    chunk, from a key set concatenated afresh and the previous attend's
+    allocating arithmetic."""
+    def frame(r, part):
+        return r.data[layer, head, part]
+
+    outputs, counts = {}, []
+    history = []
+    for lo in range(1, len(records), chunk_size):
+        chunk = records[lo : lo + chunk_size]
+        kept = history if window is None else history[max(0, len(history) - window) :]
+        keys = np.concatenate([frame(r, 1) for r in [records[0]] + kept + chunk])
+        values = np.concatenate([frame(r, 2) for r in [records[0]] + kept + chunk])
+        queries = np.concatenate([frame(r, 0) for r in chunk])
+        logits = queries @ keys.T / np.sqrt(float(d_h)) + np.log(np.ones(len(keys)))[None, :]
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        out = w @ values
+        n = frame(records[0], 1).shape[0]
+        for i, r in enumerate(chunk):
+            outputs[r.frame_idx] = out[i * n : (i + 1) * n]
+        history += chunk
+        end = 1 + (len(history) if window is None else min(window, len(history)))
+        counts.append((keys.shape[0] - queries.shape[0], queries.shape[0], end * n))
+    return outputs, counts
+
+
+@pytest.mark.parametrize("window", [None, 0, 3, 8])
+@pytest.mark.parametrize("chunk_size", [3, 4])
+def test_verbatim_policies_are_bit_identical_to_concatenated_key_sets(window, chunk_size):
+    # 23 frames: the key buffer grows several times, and a window of 3 or 8
+    # compacts both with and without overlapping rows
+    header, records = _trace(seed=4, frames=23, tokens=5, layers=2, heads=2, d_h=6)
+    policy = Policy.full() if window is None else Policy.sliding(window)
+    stats = run_stream((header, records), policy, chunk_size=chunk_size, collect_outputs=True)
+    channels = header.layers * header.heads
+    for li in range(header.layers):
+        for hi in range(header.heads):
+            ref, counts = _reference_verbatim(records, window, chunk_size, li, hi, header.d_h)
+            assert sorted(stats.outputs) == sorted(ref)
+            for f, out in ref.items():
+                assert np.array_equal(stats.outputs[f][li, hi], out)
+    assert len(stats.rows) == len(counts)
+    for row, (temporal, in_flight, end) in zip(stats.rows, counts):
+        assert (row["temporal"], row["in_flight"]) == (temporal * channels, in_flight * channels)
+        assert (row["spatial"], row["total_end"]) == (0, end * channels)
+
+
 def test_stac_lossless_regime_equals_full():
     header, records = _trace(seed=3, frames=14, tokens=4, d_h=4, motion="revisit")
     cfg = CacheConfig(budget_multiplier=14.0, window_frac=0.3, anchor_frac=0.7,
@@ -136,10 +187,31 @@ def test_replays_are_deterministic():
 
 
 def test_threaded_replay_matches_serial():
+    # Replays share no mutable state: three policies replayed at once from
+    # caller threads give the serial replays' rows and output bits.
     header, records = _trace(seed=8, frames=15, tokens=4, layers=2, heads=2, d_h=4)
-    a = run_stream((header, records), Policy.stac(), chunk_size=4, threads=1)
-    b = run_stream((header, records), Policy.stac(), chunk_size=4, threads=3)
-    assert a.canonical_lines() == b.canonical_lines()
+    policies = [Policy.stac(), Policy.full(), Policy.sliding(3)]
+
+    def replay(policy):
+        return run_stream((header, records), policy, chunk_size=4, collect_outputs=True)
+
+    serial = [replay(p) for p in policies]
+    threaded = [None] * len(policies)
+
+    def worker(i):
+        threaded[i] = replay(policies[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(policies))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    for a, b in zip(serial, threaded):
+        assert b is not None
+        assert a.canonical_lines() == b.canonical_lines()
+        assert sorted(a.outputs) == sorted(b.outputs)
+        for f, out in a.outputs.items():
+            assert np.array_equal(out, b.outputs[f])
 
 
 def test_compare_policy_with_itself_is_exact():
