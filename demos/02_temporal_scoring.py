@@ -36,7 +36,7 @@ print("after reference:", cache.reference_count, "reference tokens")
 expelled = cache.ingest_frames([frame(1), frame(2), frame(3)])
 print("window holds", cache.window_token_count, "tokens;",
       len(expelled), "tokens expelled from frame",
-      expelled[0].id.frame_idx if expelled else None)
+      expelled.frames[0] if len(expelled) else None)
 
 # pretend the attention step just ran: give every member some mass.
 # decay means score ~ recent mass, not lifetime totals
@@ -45,13 +45,14 @@ for step in range(3):
     cache.update_scores(mass)
 snap = cache.snapshot()
 print("\nscores after three decayed updates:")
-for t in snap[:4]:
-    print(f"  token {tuple(t.id)}  score={t.score:.4f}  origin={t.origin.value}")
+for token_id, score in list(zip(snap.ids(), snap.scores))[:4]:
+    print(f"  token {tuple(token_id)}  score={score:.4f}")
 
 # anchor selection ranks expelled tokens (plus sitting anchors) by score,
 # younger frame first on ties, and keeps the best two; the rest are the
 # tokens the temporal cache is done with -- they exit toward the voxel store
-expelled[0].score = 5.0  # make one expelled token clearly worth keeping
+expelled.scores[0] = 5.0  # make one expelled token clearly worth keeping
 losers = cache.select_anchors(expelled)
-print("\nanchors kept:", [tuple(t.id) for t in cache.snapshot()[cache.reference_count + cache.window_token_count:]])
-print("evicted toward the spatial cache:", [tuple(t.id) for t in losers])
+anchors = cache.blocks()[-1]
+print("\nanchors kept:", [tuple(i) for i in anchors.ids()])
+print("evicted toward the spatial cache:", [tuple(i) for i in losers.ids()])

@@ -16,7 +16,7 @@ plus a small arrival buffer; three mechanisms keep it bounded:
 
 import numpy as np
 
-from stacache import CachedToken, TokenId, VoxelStore, morton_decode, morton_encode, voxel_of
+from stacache import TokenBlock, VoxelStore, morton_decode, morton_encode, voxel_of
 
 rng = np.random.default_rng(2)
 
@@ -32,36 +32,35 @@ store = VoxelStore(voxel_size=0.05, merge_lambda=0.8, g_cap=2, e_cap=3,
 
 
 def evicted(i, key, pos, score=0.0):
-    return CachedToken(id=TokenId(1, i), key=np.asarray(key, dtype=float),
-                       value=rng.normal(size=4), score=score,
-                       position=np.asarray(pos, dtype=float))
+    # evicted tokens travel as rows of a block: [key | value | position]
+    return TokenBlock.build([key], [rng.normal(size=4)], [pos], scores=[score],
+                            frames=1, tokens=[i])
 
 
 # three dissimilar arrivals in one voxel fill its buffer and aggregate
 home = [0.01, 0.01, 0.01]
 print("\nrouting events:")
-print("  ", store.insert_evicted(evicted(0, [1, 0, 0, 0], home, score=1.0)))
-print("  ", store.insert_evicted(evicted(1, [0, 1, 0, 0], home)))
-print("  ", store.insert_evicted(evicted(2, [0, 0, 1, 0], home)))
+print("  ", store.insert_block(evicted(0, [1, 0, 0, 0], home, score=1.0)))
+print("  ", store.insert_block(evicted(1, [0, 1, 0, 0], home)))
+print("  ", store.insert_block(evicted(2, [0, 0, 1, 0], home)))
 
 cell = next(iter(store.cells.values()))
-rep = cell.long_term[0]
-print("aggregated entry: count =", rep.count, " weight Z =", round(rep.weight, 4),
-      " origin =", rep.origin.value)
+rep = cell.long_term[0]  # a row of the store's pool
+print("aggregated entry: count =", store.count[rep], " weight Z =", round(store.weight[rep], 4))
 
 # a similar arrival now fuses one-to-one instead of buffering
-print("\na near-duplicate of the pivot:", store.insert_evicted(
+print("\na near-duplicate of the pivot:", store.insert_block(
     evicted(3, [1, 0.05, 0, 0], home, score=0.5)))
-print("entry after fusion: count =", rep.count, " weight Z =", round(rep.weight, 4))
+print("entry after fusion: count =", store.count[rep], " weight Z =", round(store.weight[rep], 4))
 
 # retrieval pulls tokens whose home voxel sits near anything currently
 # visible: long-term entries first, then nearer cells, then heavier entries
 for i in range(8):
-    store.insert_evicted(evicted(10 + i, rng.normal(size=4),
-                                 rng.uniform(-0.1, 0.1, size=3)))
+    store.insert_block(evicted(10 + i, rng.normal(size=4), rng.uniform(-0.1, 0.1, size=3)))
 visible = np.array([[0.0, 0.0, 0.0]])
 got = store.retrieve(visible, quota=4)
 print("\nretrieved near the origin:")
-for t in got:
-    print(f"  origin={t.origin.value:8s} count={t.count}  weight={t.weight:.3f}")
+for token_id, count in zip(got.ids(), got.counts):
+    kind = "merged" if token_id.frame_idx == -1 else "buffered"
+    print(f"  {kind:8s} count={count}  id={tuple(token_id)}")
 print("store occupancy:", store.occupancy(), "events:", store.events)

@@ -38,7 +38,7 @@ from .spatial import (
     voxel_of,
 )
 from .temporal import TemporalCache
-from .tokens import CacheConfig, CachedToken, FrameTokens, Origin, TokenId, validate_config
+from .tokens import CacheConfig, FrameTokens, TokenBlock, TokenId, validate_config
 from .traceio import TraceHeader, TraceRecord, read_trace, synth_trace, write_trace
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "AttentionResult",
     "BudgetSplit",
     "CacheConfig",
-    "CachedToken",
     "ConfigError",
     "DegenerateVectorError",
     "DimensionError",
@@ -55,12 +54,12 @@ __all__ = [
     "FrameTokens",
     "HALF_MAX",
     "InvariantViolation",
-    "Origin",
     "Policy",
     "ReplayStats",
     "StacacheError",
     "StreamReplayer",
     "TemporalCache",
+    "TokenBlock",
     "TokenId",
     "TraceFormatError",
     "TraceHeader",

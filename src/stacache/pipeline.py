@@ -22,7 +22,7 @@ from .attention import attend
 from .errors import ConfigError, InvariantViolation, TraceFormatError
 from .spatial import VoxelStore
 from .temporal import TemporalCache
-from .tokens import CacheConfig, FrameTokens, Origin, validate_config
+from .tokens import CacheConfig, FrameTokens, TokenBlock, validate_config
 from .traceio import TraceHeader, TraceRecord, read_trace
 
 # Byte accounting convention: cache entries are float16 key+value pairs,
@@ -196,7 +196,6 @@ class _StacChannel:
             quantize=config.half_precision,
         )
         self.frames_seen = 0
-        self.evicted_total = 0
 
     def register(self, frame: FrameTokens) -> None:
         self.cache.register_reference(frame)
@@ -204,26 +203,20 @@ class _StacChannel:
 
     def step(self, frames: list[FrameTokens], vis_positions: np.ndarray, audit: bool) -> dict:
         n = self.tokens_per_frame
-        snap = self.cache.snapshot()
+        members = self.cache.blocks()
+        anchors = members[-1]  # as attended; selection replaces the block
         retrieved = self.store.retrieve(vis_positions, self.budget.retrieve_tokens)
         events_before = dict(self.store.events)
 
-        # Key set in snapshot order: the reference and window frames are
-        # concatenated from their cached blocks; only the anchors and the
-        # retrieved tokens are stacked one by one.
+        # Key set in snapshot order (reference, window, anchors), then the
+        # retrieved rows, then the chunk; each part is one block of rows.
         chunk_q = np.concatenate([f.queries for f in frames])
-        key_blocks, value_blocks = self.cache.frame_blocks()
-        framed = len(snap) - self.cache.anchor_count
-        anchors = snap[framed:]
-        loose = anchors + retrieved
-        if loose:
-            key_blocks.append(np.stack([t.key for t in loose]))
-            value_blocks.append(np.stack([t.value for t in loose]))
-        keys = np.concatenate(key_blocks + [f.keys for f in frames])
-        values = np.concatenate(value_blocks + [f.values for f in frames])
+        attended = [*members, retrieved] if len(retrieved) else members
+        keys = np.concatenate([b.keys for b in attended] + [f.keys for f in frames])
+        values = np.concatenate([b.values for b in attended] + [f.values for f in frames])
+        temp_len, spat_len = sum(len(b) for b in members), len(retrieved)
         counts = np.ones(keys.shape[0])
-        counts[framed : framed + len(loose)] = [t.count for t in loose]
-        temp_len, spat_len = len(snap), len(retrieved)
+        counts[temp_len : temp_len + spat_len] = retrieved.counts
         res = attend(chunk_q, keys, values, counts, self.d_h)
 
         spatial_tokens = self.store.token_count
@@ -232,15 +225,13 @@ class _StacChannel:
         initial_scores = [res.mass[base + i * n : base + (i + 1) * n] for i in range(len(frames))]
         expelled = self.cache.ingest_frames(frames, initial_scores)
         evicted = self.cache.select_anchors(expelled)
-        for token in evicted:
-            self.store.insert_evicted(token)
+        self.store.insert_block(evicted)
         self.frames_seen += len(frames)
-        self.evicted_total += len(evicted)
 
         audits = 0
         if audit:
             audits = self._audit(
-                res.mass, chunk_q.shape[0], snap + retrieved, frames[0].frame_idx,
+                res.mass, chunk_q.shape[0], attended, frames[0].frame_idx,
                 anchors, expelled, evicted,
             )
 
@@ -249,7 +240,7 @@ class _StacChannel:
             k: self.store.events[k] - events_before[k] for k in self.store.events
         }
         events_delta["evicted"] = len(evicted)
-        returned_g = sum(1 for t in retrieved if t.origin is Origin.MERGED)
+        returned_g = int((retrieved.frames == -1).sum())
         return _step_result(
             outputs=res.outputs,
             temporal=temp_len,
@@ -259,44 +250,47 @@ class _StacChannel:
             spatial_end=self.store.token_count,
             audits=audits,
             events=events_delta,
-            retrieval=(self.budget.retrieve_tokens, returned_g, len(retrieved) - returned_g),
+            retrieval=(self.budget.retrieve_tokens, returned_g, spat_len - returned_g),
             spat_mass=spat_mass,
             score_sums=self._score_sums(),
         )
 
     def _score_sums(self) -> dict:
-        ref = self.cache._reference
-        window = [t for frame in self.cache._window for t in frame]
-        anchors = self.cache._anchors
+        # Sequential float sums over each group's scores in member order.
+        ref, anchors = self.cache._reference, self.cache._anchors
+        window_scores = [s for b in self.cache._window for s in b.scores.tolist()]
         return {
-            "reference": (sum(t.score for t in ref), len(ref)),
-            "window": (sum(t.score for t in window), len(window)),
-            "anchor": (sum(t.score for t in anchors), len(anchors)),
+            "reference": (sum(ref.scores.tolist()), len(ref)),
+            "window": (sum(window_scores), len(window_scores)),
+            "anchor": (sum(anchors.scores.tolist()), len(anchors)),
         }
 
-    def _audit(self, mass, n_queries, cache_tokens, chunk_lo, prev_anchors, expelled, evicted) -> int:
+    def _audit(self, mass, n_queries, attended, chunk_lo, prev_anchors, expelled, evicted) -> int:
         _check_mass(mass, n_queries)
         # chunk causality: everything attended from the cache predates the chunk
-        for t in cache_tokens:
-            if t.id.frame_idx >= chunk_lo:
+        for block in attended:
+            late = np.flatnonzero(block.frames >= chunk_lo)
+            if late.size:
                 raise InvariantViolation(
-                    f"cache token {t.id} not older than chunk starting at {chunk_lo}"
+                    f"cache token {block.take(late[:1]).ids()[0]} not older than "
+                    f"chunk starting at {chunk_lo}"
                 )
-        snap = self.cache.snapshot()
-        ids = [t.id for t in snap]
-        if len(set(ids)) != len(ids):
+        members = self.cache.blocks()
+        ids = np.sort(_id_codes(members))
+        if (ids[1:] == ids[:-1]).any():
             raise InvariantViolation("duplicate token id in temporal cache")
         # No evicted token re-enters: window tokens are born from strictly
         # newer frames, so the only way back in is the anchor set, and each
         # new anchor must be an old anchor or an expellee of this chunk that
         # was not evicted. This needs O(budget) memory, not a record of
         # every eviction so far.
-        eligible = {t.id for t in prev_anchors}
-        eligible.update(t.id for t in expelled)
-        eligible.difference_update(t.id for t in evicted)
-        hits = [t.id for t in snap[len(snap) - self.cache.anchor_count :] if t.id not in eligible]
-        if hits:
-            raise InvariantViolation(f"evicted token(s) re-entered the temporal cache: {sorted(hits)[:3]}")
+        eligible = set(_id_codes([prev_anchors, expelled]).tolist())
+        eligible.difference_update(_id_codes([evicted]).tolist())
+        anchors = members[-1]
+        back = [i for i, c in enumerate(_id_codes([anchors]).tolist()) if c not in eligible]
+        if back:
+            hits = sorted(anchors.take(back).ids())
+            raise InvariantViolation(f"evicted token(s) re-entered the temporal cache: {hits[:3]}")
         cfg, budget = self.config, self.budget
         wa_cap = (cfg.window_frac + cfg.anchor_frac) * cfg.budget_multiplier * self.tokens_per_frame
         wa = self.cache.window_token_count + self.cache.anchor_count
@@ -306,7 +300,7 @@ class _StacChannel:
             raise InvariantViolation(
                 f"{self.cache.anchor_count} anchors exceed budget {budget.anchor_tokens}"
             )
-        if any(t.score < 0.0 for t in snap):
+        if any((b.scores < 0.0).any() for b in members):
             raise InvariantViolation("negative score in temporal cache")
         for code, cell in self.store.cells.items():
             if len(cell.long_term) > self.store.g_cap:
@@ -320,6 +314,12 @@ class _StacChannel:
                 f"token conservation broken: {accounted} accounted vs {produced} produced"
             )
         return 8
+
+
+def _id_codes(blocks: list[TokenBlock]) -> np.ndarray:
+    # One int64 per (frame, token) id; temporal ids are non-negative and
+    # below 2^31, so the code is unique.
+    return np.concatenate([(b.frames << 32) | b.tokens for b in blocks])
 
 
 def _check_mass(mass: np.ndarray, n_queries: int) -> None:

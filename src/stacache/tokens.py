@@ -2,52 +2,108 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DimensionError
+
 
 class TokenId(NamedTuple):
-    """Identity of a token by its birth coordinates in the stream.
-
-    Merged tokens synthesized inside the spatial cache carry frame_idx -1
-    and a store-assigned serial in token_idx, so ids stay unique without
-    pretending a merged vector was ever part of a frame.
-    """
+    """Identity of a token by its birth coordinates in the stream."""
 
     frame_idx: int
     token_idx: int
 
 
-class Origin(enum.Enum):
-    """How a cached token got to where it currently lives."""
-
-    FRESH = "fresh"          # in-flight chunk token, not yet cached
-    WINDOW = "window"        # resident in the temporal window
-    ANCHOR = "anchor"        # retained by top-k score selection
-    MERGED = "merged"        # long-term voxel representative (count >= 1)
-    BUFFERED = "buffered"    # waiting in a voxel buffer for aggregation
-
-
 @dataclass
-class CachedToken:
-    """One cache entry: a key/value pair plus its bookkeeping.
+class TokenBlock:
+    """Tokens of one channel held as rows of arrays, not as objects.
 
-    Mutable on purpose. Scores decay in place every chunk and voxel
-    representatives are fused in place; each (layer, head) channel has a
-    single writer, so nothing here needs to be copy-on-write.
+    rows[i] is token i's [key | value | position], 2 * d_h + 3 floats; the
+    position columns of a row whose mask is False are junk and never read.
+    The other fields are parallel per-row columns. Merged representatives
+    synthesized inside the spatial cache carry frame -1 and a store-assigned
+    serial as their token index, so ids stay unique without pretending a
+    merged vector was ever part of a frame.
     """
 
-    id: TokenId
-    key: np.ndarray
-    value: np.ndarray
-    score: float = 0.0
-    position: Optional[np.ndarray] = None
-    count: int = 1
-    weight: float = 1.0
-    origin: Origin = Origin.FRESH
+    rows: np.ndarray    # (n, 2 * d_h + 3) float64
+    mask: np.ndarray    # (n,) bool: the token has a position
+    scores: np.ndarray  # (n,) float64: decayed attention mass
+    frames: np.ndarray  # (n,) int64: birth frame
+    tokens: np.ndarray  # (n,) int64: index within the birth frame
+    counts: np.ndarray  # (n,) int64: source tokens the row stands for
+
+    @classmethod
+    def build(cls, keys, values, positions=None, mask=None, scores=None,
+              frames=0, tokens=None, counts=1) -> "TokenBlock":
+        """Block from per-field arrays; positions=None means none present."""
+        keys = np.asarray(keys, dtype=np.float64)
+        if keys.ndim != 2:
+            raise DimensionError(f"keys must be (n, d_h), got shape {keys.shape}")
+        n, d = keys.shape
+        rows = np.zeros((n, 2 * d + 3))
+        rows[:, :d] = keys
+        rows[:, d : 2 * d] = values
+        if positions is not None:
+            rows[:, 2 * d :] = positions
+        if mask is None:
+            mask = np.full(n, positions is not None)
+        block = cls(
+            rows,
+            np.array(mask, dtype=bool),
+            np.zeros(n) if scores is None else np.array(scores, dtype=np.float64),
+            np.array(np.broadcast_to(frames, (n,)), dtype=np.int64),
+            np.arange(n, dtype=np.int64) if tokens is None else np.array(tokens, dtype=np.int64),
+            np.array(np.broadcast_to(counts, (n,)), dtype=np.int64),
+        )
+        for name in ("mask", "scores", "tokens"):
+            if getattr(block, name).shape != (n,):
+                raise DimensionError(
+                    f"{n} tokens but {name} has shape {getattr(block, name).shape}"
+                )
+        return block
+
+    @classmethod
+    def empty(cls, d_h: int) -> "TokenBlock":
+        return cls.build(np.empty((0, d_h)), np.empty((0, d_h)))
+
+    @classmethod
+    def concat(cls, blocks: list["TokenBlock"]) -> "TokenBlock":
+        return cls(*(np.concatenate(column) for column in zip(*(b.columns() for b in blocks))))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.rows, self.mask, self.scores, self.frames, self.tokens, self.counts)
+
+    def take(self, index) -> "TokenBlock":
+        """The rows at index, in index order: copies for an index array,
+        views for a slice."""
+        return TokenBlock(*(column[index] for column in self.columns()))
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def d_h(self) -> int:
+        return (self.rows.shape[1] - 3) // 2
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.rows[:, : self.d_h]
+
+    @property
+    def values(self) -> np.ndarray:
+        d = self.d_h
+        return self.rows[:, d : 2 * d]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.rows[:, 2 * self.d_h :]
+
+    def ids(self) -> list[TokenId]:
+        return [TokenId(f, t) for f, t in zip(self.frames.tolist(), self.tokens.tolist())]
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 from typing import Iterable, Iterator, Optional
 
@@ -74,19 +75,32 @@ class TraceRecord:
 
 
 def _expected_shapes(header: TraceHeader) -> tuple[tuple[int, ...], int]:
+    # Python ints: a product of header fields must not wrap around
     shape = (header.layers, header.heads, 3, header.tokens_per_frame, header.d_h)
     n = header.tokens_per_frame
-    payload = 8 + int(np.prod(shape)) * 8 + (n + 7) // 8 + n * 3 * 8
+    payload = 8 + math.prod(shape) * 8 + (n + 7) // 8 + n * 3 * 8
     return shape, payload
 
 
 def _check_header(header: TraceHeader) -> None:
-    if header.version != VERSION:
-        raise TraceFormatError(f"unsupported trace version {header.version}")
+    if isinstance(header.version, bool) or header.version != VERSION:
+        raise TraceFormatError(f"unsupported trace version {header.version!r}")
     for name in ("layers", "heads", "d_h", "tokens_per_frame", "frame_count"):
         v = getattr(header, name)
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise TraceFormatError(f"header field {name} must be a positive int, got {v!r}")
+
+
+def _check_fits(header: TraceHeader, file_size: int) -> None:
+    # Both encodings spend at least one byte per value, so a record needs at
+    # least as many bytes as it has values; a header that claims more than
+    # the whole file holds is rejected before anything is sized from it.
+    shape, _ = _expected_shapes(header)
+    values = math.prod(shape) + 3 * header.tokens_per_frame
+    if values > file_size:
+        raise TraceFormatError(
+            f"header claims {values} values per record but the file has {file_size} bytes"
+        )
 
 
 # -- binary encoding ------------------------------------------------------
@@ -124,7 +138,7 @@ def _decode_record(payload: bytes, index: int, header: TraceHeader) -> TraceReco
     n = header.tokens_per_frame
     frame_idx = int.from_bytes(payload[:8], "little")
     off = 8
-    nbytes = int(np.prod(shape)) * 8
+    nbytes = math.prod(shape) * 8
     data = np.frombuffer(payload[off : off + nbytes], dtype="<f8").reshape(shape).copy()
     off += nbytes
     bm = (n + 7) // 8
@@ -221,10 +235,12 @@ def read_trace(path: str) -> tuple[TraceHeader, Iterator[TraceRecord]]:
     """
     f = open(path, "rb")
     try:
+        size = os.fstat(f.fileno()).st_size
         head = f.read(len(MAGIC))
         if head == MAGIC:
             line = f.readline()
             header = _parse_header_obj(_load_json_line(line, "header"))
+            _check_fits(header, size)
             return header, _iter_binary(f, header)
         if head[:1] == b"{":
             f.close()
@@ -234,7 +250,12 @@ def read_trace(path: str) -> tuple[TraceHeader, Iterator[TraceRecord]]:
                 tf.close()
                 raise TraceFormatError("text trace missing magic field")
             obj.pop("magic")
-            header = _parse_header_obj(obj)
+            try:
+                header = _parse_header_obj(obj)
+                _check_fits(header, size)
+            except TraceFormatError:
+                tf.close()
+                raise
             return header, _iter_text(tf, header)
         raise TraceFormatError(f"bad magic {head!r}")
     except Exception:

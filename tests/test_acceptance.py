@@ -13,10 +13,10 @@ import numpy as np
 
 from stacache import (
     CacheConfig,
-    CachedToken,
     FrameTokens,
     Policy,
     TemporalCache,
+    TokenBlock,
     TokenId,
     VoxelStore,
     attend,
@@ -82,6 +82,13 @@ def test_c02_count_bias_equals_duplicates():
           f"100 random cases within 1e-9 ({elapsed:.2f}s)")
 
 
+def _evictee(key, value, position, score, frame, idx, count=1):
+    # one evicted token as the one-row block the temporal cache hands on
+    return TokenBlock.build(np.asarray(key)[None, :], np.asarray(value)[None, :],
+                            np.asarray(position)[None, :], scores=[score], frames=frame,
+                            tokens=[idx], counts=count)
+
+
 def test_c03_fusion_recurrences_match_independent_replay():
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
@@ -101,18 +108,18 @@ def test_c03_fusion_recurrences_match_independent_replay():
             score = float(rng.choice([0.0, 0.5, 1.0])) if rng.random() < 0.5 \
                 else float(rng.uniform(0.0, 2.0))
             count = int(rng.integers(1, 4))
-            token = CachedToken(id=TokenId(0, i), key=key.copy(), value=val.copy(),
-                                score=score, position=home.copy(), count=count)
-            assert store.insert_evicted(token) == mirror.insert(key, val, score, count)
+            token = _evictee(key, val, home, score, 0, i, count)
+            assert store.insert_block(token) == [mirror.insert(key, val, score, count)]
             inserted += count
         cell = store.cells[morton_encode((0, 0, 0))]
         assert len(cell.long_term) == len(mirror.long_term)
         assert len(cell.buffer) == len(mirror.buffer)
-        for got, ref in zip(cell.long_term, mirror.long_term):
-            assert np.allclose(got.key, mirror.key_mean(ref), rtol=1e-6, atol=1e-6)
-            assert np.allclose(got.value, mirror.value_mean(ref), rtol=1e-6, atol=1e-6)
-            assert abs(got.weight - ref["z"]) <= 1e-9
-            assert got.count == ref["count"]
+        for got, ref in zip(store.block(cell.long_term).rows, mirror.long_term):
+            assert np.allclose(got[:d], mirror.key_mean(ref), rtol=1e-6, atol=1e-6)
+            assert np.allclose(got[d : 2 * d], mirror.value_mean(ref), rtol=1e-6, atol=1e-6)
+        for r, ref in zip(cell.long_term, mirror.long_term):
+            assert abs(store.weight[r] - ref["z"]) <= 1e-9
+            assert store.count[r] == ref["count"]
         assert store.count_mass == inserted == mirror.count_mass()
     elapsed = time.perf_counter() - t0
     print(f"\nC3 PASS: 1000 eviction sequences, long-term keys/values within 1e-6, "
@@ -136,14 +143,15 @@ def test_c04_score_closed_form():
             for t in range(1, 201):
                 cache.update_scores(np.array([a]))
                 want = geometric_closed_form(a, gamma, t)
-                assert abs(cache.snapshot()[0].score - want) <= 1e-10, (gamma, a, t)
+                assert abs(cache.snapshot().scores[0] - want) <= 1e-10, (gamma, a, t)
     elapsed = time.perf_counter() - t0
     print(f"\nC4 PASS: decayed score matches a(1-g^t)/(1-g) within 1e-10 "
           f"for g in {{0.5, 0.9, 0.99}}, t <= 200 ({elapsed:.2f}s)")
 
 
 def _anchor_oracle(candidates, budget):
-    ranked = sorted(candidates, key=lambda t: (-t.score, -t.id.frame_idx, t.id.token_idx))
+    # candidates are (TokenId, score) pairs
+    ranked = sorted(candidates, key=lambda t: (-t[1], -t[0].frame_idx, t[0].token_idx))
     return ranked[:budget], ranked[budget:]
 
 
@@ -157,10 +165,10 @@ def _retrieve_oracle(store, visible, quota):
         dmin = float(np.sqrt(((center[None, :] - vis_centers) ** 2).sum(axis=1)).min())
         if dmin > radius + 1e-12:
             continue
-        for t in cell.long_term:
-            ranked.append((0, dmin, -t.weight, store._seqs[id(t)], t))
-        for t in cell.buffer:
-            ranked.append((1, dmin, -t.weight, store._seqs[id(t)], t))
+        for r in cell.long_term:
+            ranked.append((0, dmin, -store.weight[r], store.seq[r], r))
+        for r in cell.buffer:
+            ranked.append((1, dmin, -store.weight[r], store.seq[r], r))
     ranked.sort(key=lambda r: r[:4])
     return [r[4] for r in ranked[:quota]]
 
@@ -180,13 +188,15 @@ def test_c05_selection_mechanisms_match_bruteforce():
             for _ in range(int(rng.integers(1, 9))):
                 score = float(rng.choice([0.0, 1.0, 2.0])) if rng.random() < 0.5 \
                     else float(rng.uniform(0.0, 3.0))
-                batch.append(CachedToken(id=TokenId(int(rng.integers(0, 4)), next_idx),
-                                         key=vec, value=vec, score=score))
+                batch.append((TokenId(int(rng.integers(0, 4)), next_idx), score))
                 next_idx += 1
             kept_ref, losers_ref = _anchor_oracle(pool + batch, budget)
-            losers = cache.select_anchors(batch)
-            assert [t.id for t in cache.snapshot()] == [t.id for t in kept_ref]
-            assert [t.id for t in losers] == [t.id for t in losers_ref]
+            losers = cache.select_anchors(TokenBlock.build(
+                np.tile(vec, (len(batch), 1)), np.tile(vec, (len(batch), 1)),
+                scores=[s for _, s in batch], frames=[t.frame_idx for t, _ in batch],
+                tokens=[t.token_idx for t, _ in batch]))
+            assert cache.snapshot().ids() == [t for t, _ in kept_ref]
+            assert losers.ids() == [t for t, _ in losers_ref]
             pool = kept_ref
 
     # fusion-target argmax and routing events
@@ -200,20 +210,19 @@ def test_c05_selection_mechanisms_match_bruteforce():
         for i in range(20):
             key, val = rng.normal(size=3), rng.normal(size=3)
             reps = list(cell.long_term) if cell is not None else []
-            snap = [(r.key.copy(), r.count) for r in reps]
+            snap = [(store.data[r, :3].copy(), store.count[r]) for r in reps]
             buffered = len(cell.buffer) if cell is not None else 0
             best_i, best_cos = -1, -2.0
             for j, (k, _) in enumerate(snap):
                 c = py_cosine(k, key)
                 if c > best_cos:
                     best_i, best_cos = j, c
-            token = CachedToken(id=TokenId(0, i), key=key, value=val,
-                                score=float(rng.uniform(0, 1)), position=home.copy())
-            event = store.insert_evicted(token)
+            token = _evictee(key, val, home, float(rng.uniform(0, 1)), 0, i)
+            (event,) = store.insert_block(token)
             cell = store.cells[morton_encode((0, 0, 0))]
             if best_i >= 0 and best_cos > lam:
                 assert event == "fused"
-                assert reps[best_i].count == snap[best_i][1] + 1
+                assert store.count[reps[best_i]] == snap[best_i][1] + 1
                 fused_checked += 1
             else:
                 assert event == ("aggregated" if buffered + 1 >= 2 else "buffered")
@@ -229,22 +238,22 @@ def test_c05_selection_mechanisms_match_bruteforce():
             key, val = rng.normal(size=3), rng.normal(size=3)
             cell = store.cells.get(morton_encode((0, 0, 0)))
             reps = list(cell.long_term) if cell is not None else []
-            snap = [(r.id.token_idx, r.key.copy(), r.weight, r.count) for r in reps]
+            snap = [(store.token[r], store.data[r, :3].copy(), store.weight[r], store.count[r])
+                    for r in reps]
             count = int(rng.integers(1, 4))
-            token = CachedToken(id=TokenId(0, i), key=key, value=val,
-                                score=0.0, position=home.copy(), count=count)
-            assert store.insert_evicted(token) == "aggregated"
+            token = _evictee(key, val, home, 0.0, 0, i, count)
+            assert store.insert_block(token) == ["aggregated"]
             if len(snap) < 3:
                 continue
             vi = min(range(3), key=lambda j: (snap[j][2], j))
             rest = [j for j in range(3) if j != vi]
             bi = max(rest, key=lambda j: py_cosine(snap[j][1], snap[vi][1]))
             left = store.cells[morton_encode((0, 0, 0))].long_term
-            assert [r.id.token_idx for r in left[:-1]] == [snap[j][0] for j in rest]
+            assert [store.token[r] for r in left[:-1]] == [snap[j][0] for j in rest]
             heir = left[rest.index(bi)]
-            assert heir.count == snap[bi][3] + snap[vi][3]
+            assert store.count[heir] == snap[bi][3] + snap[vi][3]
             omega = math.exp(py_cosine(snap[bi][1], snap[vi][1]))
-            assert abs(heir.weight - (snap[bi][2] + omega)) <= 1e-9
+            assert abs(store.weight[heir] - (snap[bi][2] + omega)) <= 1e-9
             remerges += 1
     assert remerges >= 1000
 
@@ -253,16 +262,15 @@ def test_c05_selection_mechanisms_match_bruteforce():
         store = VoxelStore(voxel_size=0.05, merge_lambda=0.5, g_cap=2, e_cap=3,
                            knn_radius_mult=2.0)
         for i in range(60):
-            token = CachedToken(id=TokenId(0, i), key=rng.normal(size=3),
-                                value=rng.normal(size=3), score=float(rng.uniform(0, 1)),
-                                position=rng.uniform(-0.3, 0.3, size=3))
-            store.insert_evicted(token)
+            key, val = rng.normal(size=3), rng.normal(size=3)
+            score = float(rng.uniform(0, 1))
+            store.insert_block(_evictee(key, val, rng.uniform(-0.3, 0.3, size=3), score, 0, i))
         for _ in range(20):
             visible = rng.uniform(-0.3, 0.3, size=(int(rng.integers(1, 6)), 3))
             quota = int(rng.integers(1, 50))
             got = store.retrieve(visible, quota)
             want = _retrieve_oracle(store, visible, quota)
-            assert [id(t) for t in got] == [id(t) for t in want]
+            assert got.ids() == store.block(want).ids()
 
     elapsed = time.perf_counter() - t0
     print(f"\nC5 PASS: anchor Top-K (1000), fusion argmax ({fused_checked} fused of 1000), "

@@ -113,6 +113,23 @@ def test_absurd_frame_count_is_trace_error(tmp_path, capsys):
         assert "truncated at record 5" in capsys.readouterr().err
 
 
+def test_absurd_channel_count_is_trace_error(tmp_path, capsys):
+    # 2^31 x 2^31 channels used to wrap the expected record size to 33
+    # bytes; the replayer then tried to build 2^62 channels
+    header, records = synth_trace(seed=1, frames=3, tokens_per_frame=1, d_h=4)
+    path = tmp_path / "huge.kvtrace"
+    write_trace(str(path), header, records)
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    claim = json.loads(data[len(b"KVTRACE0") : end])
+    claim.update(layers=2**31, heads=2**31)
+    path.write_bytes(b"KVTRACE0" + json.dumps(claim).encode() + data[end:])
+    for policy in ("stac", "full"):
+        code = main(["replay", "--trace", str(path), "--policy", policy])
+        assert code == 2
+        assert "values per record" in capsys.readouterr().err
+
+
 def _write_tampered(tmp_path, tamper, frames=30, tokens=8):
     header, records = synth_trace(seed=2, frames=frames, tokens_per_frame=tokens, d_h=4)
     for record in records[1:]:

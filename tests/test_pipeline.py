@@ -11,6 +11,7 @@ from stacache import (
     InvariantViolation,
     Policy,
     StreamReplayer,
+    TokenBlock,
     allocate_budget,
     compare,
     divergence_report,
@@ -295,8 +296,8 @@ def _leaky_replay(leak):
 
 def test_audit_catches_token_evicted_this_chunk_staying_resident():
     def leak(cache, evicted):
-        if evicted:
-            cache._anchors.append(evicted[0])
+        if len(evicted):
+            cache._anchors = TokenBlock.concat([cache._anchors, evicted.take([0])])
         return evicted
 
     with pytest.raises(InvariantViolation, match="re-entered"):
@@ -310,8 +311,8 @@ def test_audit_catches_token_evicted_earlier_coming_back():
 
     def leak(cache, evicted):
         if len(gone) > 1:
-            cache._anchors[-1] = gone[0]
-        gone.extend(evicted)
+            cache._anchors = TokenBlock.concat([cache._anchors.take(slice(0, -1)), gone[0]])
+        gone.extend(evicted.take([i]) for i in range(len(evicted)))
         return evicted
 
     with pytest.raises(InvariantViolation, match="re-entered"):

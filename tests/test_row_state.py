@@ -1,0 +1,375 @@
+"""The row-state stac channel against the object-based channel it replaced.
+
+The reference below is the previous stac path, kept as test-local code: a
+temporal cache and a voxel store that hold one Python object per token, and
+a channel step that stacks those objects into its key set. The channel
+under test keeps the same state as rows of arrays. Every replay must give
+the same attention outputs, bit for bit, and the same canonical stats
+stream, byte for byte.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from stacache import CacheConfig, Policy, StreamReplayer, TokenId, synth_trace
+from stacache.attention import attend
+from stacache.kernel import HALF_MAX, half_roundtrip, weighted_mean
+from stacache.pipeline import _StacChannel, _step_result
+from stacache.spatial import VoxelCell, _safe_cos, morton_encode, voxel_of
+
+
+@dataclass
+class _Token:
+    id: TokenId
+    key: np.ndarray
+    value: np.ndarray
+    score: float = 0.0
+    position: Optional[np.ndarray] = None
+    count: int = 1
+    weight: float = 1.0
+    merged: bool = False
+
+
+class _RefCache:
+    """Reference, window and anchors as lists of token objects."""
+
+    def __init__(self, window_frames, anchor_budget, gamma, quantize):
+        self.window_frames, self.anchor_budget = window_frames, anchor_budget
+        self.gamma, self.quantize = gamma, quantize
+        self.half_saturations = 0
+        self.reference: list[_Token] = []
+        self.window: deque[list[_Token]] = deque()
+        self.window_blocks: deque[tuple[np.ndarray, np.ndarray]] = deque()
+        self.reference_block = None
+        self.anchors: list[_Token] = []
+
+    @property
+    def member_count(self):
+        return len(self.snapshot())
+
+    def snapshot(self):
+        out = list(self.reference)
+        for frame in self.window:
+            out.extend(frame)
+        return out + self.anchors
+
+    def frame_blocks(self):
+        blocks = [self.reference_block, *self.window_blocks]
+        return [k for k, _ in blocks], [v for _, v in blocks]
+
+    def register_reference(self, frame):
+        self.reference, self.reference_block = self._make_tokens(frame, None)
+
+    def ingest_frames(self, frames, initial_scores):
+        for frame, scores in zip(frames, initial_scores):
+            tokens, block = self._make_tokens(frame, scores)
+            self.window.append(tokens)
+            self.window_blocks.append(block)
+        expelled = []
+        while len(self.window) > self.window_frames:
+            expelled.extend(self.window.popleft())
+            self.window_blocks.popleft()
+        return expelled
+
+    def update_scores(self, mass):
+        for token, m in zip(self.snapshot(), np.asarray(mass).tolist()):
+            token.score = self.gamma * token.score + m
+
+    def select_anchors(self, expelled):
+        candidates = self.anchors + list(expelled)
+        candidates.sort(key=lambda t: (-t.score, -t.id.frame_idx, t.id.token_idx))
+        self.anchors = candidates[: self.anchor_budget]
+        return candidates[self.anchor_budget :]
+
+    def _make_tokens(self, frame, scores):
+        keys, values = frame.keys, frame.values
+        if self.quantize:
+            self.half_saturations += int((np.abs(keys) > HALF_MAX).sum())
+            self.half_saturations += int((np.abs(values) > HALF_MAX).sum())
+            keys, values = half_roundtrip(keys), half_roundtrip(values)
+        else:
+            keys, values = np.array(keys), np.array(values)
+        n = frame.token_count
+        mask = np.asarray(frame.position_mask, dtype=bool).tolist()
+        score_list = [0.0] * n if scores is None else np.asarray(scores).tolist()
+        tokens = [
+            _Token(TokenId(frame.frame_idx, j), k.copy(), v.copy(), s,
+                   frame.positions[j].copy() if m else None)
+            for j, (k, v, m, s) in enumerate(zip(keys, values, mask, score_list))
+        ]
+        return tokens, (keys, values)
+
+
+class _RefStore:
+    """Voxel cells of token objects, ranked by an id(token)-keyed sequence map."""
+
+    def __init__(self, voxel_size, merge_lambda, g_cap, e_cap, knn_radius_mult, quantize):
+        self.voxel_size, self.merge_lambda = voxel_size, merge_lambda
+        self.g_cap, self.e_cap = g_cap, e_cap
+        self.knn_radius_mult, self.quantize = knn_radius_mult, quantize
+        self.half_saturations = 0
+        self.cells: dict[int, VoxelCell] = {}
+        self.events = {"fused": 0, "buffered": 0, "aggregated": 0, "re_merged": 0, "dropped": 0}
+        self.serial = 0
+        self.seq = 0
+        self.seqs: dict[int, int] = {}
+        self.center_rows: list[tuple] = []
+        self.center_codes: list[int] = []
+        self.token_count = 0
+
+    def insert_evicted(self, token):
+        if token.position is None:
+            self.events["dropped"] += 1
+            return
+        coord = voxel_of(token.position, self.voxel_size)
+        code = morton_encode(coord)
+        cell = self.cells.get(code)
+        if cell is None:
+            cell = self.cells[code] = VoxelCell(coord)
+            self.center_codes.append(code)
+            self.center_rows.append(tuple((c + 0.5) * self.voxel_size for c in coord))
+        if cell.long_term:
+            best_idx, best_cos = _ref_best_match(cell.long_term, token.key)
+            if best_idx >= 0 and best_cos > self.merge_lambda:
+                self._fuse(cell.long_term[best_idx], token, best_cos)
+                self.events["fused"] += 1
+                return
+        cell.buffer.append(token)
+        self.token_count += 1
+        self.seqs[id(token)] = self.seq
+        self.seq += 1
+        if len(cell.buffer) >= self.e_cap:
+            self.aggregate(cell)
+            self.events["aggregated"] += 1
+        else:
+            self.events["buffered"] += 1
+
+    def aggregate(self, cell):
+        members = cell.buffer
+        pivot = max(members, key=lambda t: t.score)
+        omegas = np.array([
+            math.e if t is pivot else math.exp(_safe_cos(pivot.key, t.key)) for t in members
+        ])
+        rep = _Token(
+            id=TokenId(-1, self.serial),
+            key=self._quantized(weighted_mean(np.stack([t.key for t in members]), omegas)),
+            value=self._quantized(weighted_mean(np.stack([t.value for t in members]), omegas)),
+            score=pivot.score,
+            position=weighted_mean(np.stack([t.position for t in members]), omegas),
+            count=sum(t.count for t in members),
+            weight=float(omegas.sum()),
+            merged=True,
+        )
+        self.serial += 1
+        for t in members:
+            self.seqs.pop(id(t), None)
+        cell.buffer = []
+        self.token_count -= len(members)
+        if len(cell.long_term) >= self.g_cap:
+            if self.g_cap == 1:
+                old = cell.long_term.pop()
+                self._fuse(rep, old, _safe_cos(rep.key, old.key))
+                self.seqs.pop(id(old), None)
+            else:
+                lt = cell.long_term
+                victim = lt.pop(min(range(len(lt)), key=lambda i: (lt[i].weight, i)))
+                best_idx, best_cos = 0, -2.0
+                for i, r in enumerate(lt):
+                    c = _safe_cos(r.key, victim.key)
+                    if c > best_cos:
+                        best_idx, best_cos = i, c
+                self._fuse(lt[best_idx], victim, best_cos)
+                self.seqs.pop(id(victim), None)
+            self.token_count -= 1
+            self.events["re_merged"] += 1
+        cell.long_term.append(rep)
+        self.token_count += 1
+        self.seqs[id(rep)] = self.seq
+        self.seq += 1
+
+    def retrieve(self, visible_positions, quota):
+        vis = np.asarray(visible_positions, dtype=np.float64)
+        if quota <= 0 or not self.cells or vis.size == 0:
+            return []
+        vis_coords = np.unique(np.floor(vis / self.voxel_size).astype(np.int64), axis=0)
+        vis_centers = (vis_coords + 0.5) * self.voxel_size
+        centers = np.asarray(self.center_rows)
+        d = np.sqrt(((centers[:, None, :] - vis_centers[None, :, :]) ** 2).sum(axis=2))
+        dmin = d.min(axis=1)
+        radius = self.knn_radius_mult * self.voxel_size
+        ranked = []
+        for cell_i in np.flatnonzero(dmin <= radius + 1e-12):
+            cell = self.cells[self.center_codes[cell_i]]
+            dist = float(dmin[cell_i])
+            for t in cell.long_term:
+                ranked.append((0, dist, -t.weight, self.seqs[id(t)], t))
+            for t in cell.buffer:
+                ranked.append((1, dist, -t.weight, self.seqs[id(t)], t))
+        ranked.sort(key=lambda r: r[:4])
+        return [r[4] for r in ranked[:quota]]
+
+    def _fuse(self, rep, incoming, cos_k):
+        omega = math.exp(cos_k)
+        z = rep.weight
+        rep.key = self._quantized((z * rep.key + omega * incoming.key) / (z + omega))
+        rep.value = self._quantized((z * rep.value + omega * incoming.value) / (z + omega))
+        rep.position = (z * rep.position + omega * incoming.position) / (z + omega)
+        rep.weight = z + omega
+        rep.count += incoming.count
+        rep.merged = True
+
+    def _quantized(self, vec):
+        if not self.quantize:
+            return vec
+        self.half_saturations += int((np.abs(vec) > HALF_MAX).sum())
+        return half_roundtrip(vec)
+
+
+def _ref_best_match(reps, key):
+    key = np.asarray(key, dtype=np.float64)
+    nb = math.sqrt(key.dot(key))
+    best_idx, best_cos = -1, -2.0
+    for i, rep in enumerate(reps):
+        na = math.sqrt(rep.key.dot(rep.key))
+        if na == 0.0 or nb == 0.0:
+            c = -1.0
+        else:
+            c = float(rep.key.dot(key)) / (na * nb)
+            if c > 1.0:
+                c = 1.0
+            elif c < -1.0:
+                c = -1.0
+        if c > best_cos:
+            best_idx, best_cos = i, c
+    return best_idx, best_cos
+
+
+class _RefChannel(_StacChannel):
+    """The previous channel step over token objects (no audit checks; it
+    reports the audit count the channel under test reports)."""
+
+    def __init__(self, config, budget, d_h, tokens_per_frame):
+        self.config, self.budget = config, budget
+        self.d_h, self.tokens_per_frame = d_h, tokens_per_frame
+        self.cache = _RefCache(config.window_frames, budget.anchor_tokens, config.gamma,
+                               config.half_precision)
+        self.store = _RefStore(config.voxel_size, config.merge_lambda, config.g_cap,
+                               config.e_cap, config.knn_radius_mult, config.half_precision)
+
+    def register(self, frame):
+        self.cache.register_reference(frame)
+
+    def step(self, frames, vis_positions, audit):
+        n = self.tokens_per_frame
+        snap = self.cache.snapshot()
+        retrieved = self.store.retrieve(vis_positions, self.budget.retrieve_tokens)
+        events_before = dict(self.store.events)
+        chunk_q = np.concatenate([f.queries for f in frames])
+        key_blocks, value_blocks = self.cache.frame_blocks()
+        framed = len(snap) - len(self.cache.anchors)
+        loose = snap[framed:] + retrieved
+        if loose:
+            key_blocks.append(np.stack([t.key for t in loose]))
+            value_blocks.append(np.stack([t.value for t in loose]))
+        keys = np.concatenate(key_blocks + [f.keys for f in frames])
+        values = np.concatenate(value_blocks + [f.values for f in frames])
+        counts = np.ones(keys.shape[0])
+        counts[framed : framed + len(loose)] = [t.count for t in loose]
+        temp_len, spat_len = len(snap), len(retrieved)
+        res = attend(chunk_q, keys, values, counts, self.d_h)
+
+        spatial_tokens = self.store.token_count
+        self.cache.update_scores(res.mass[:temp_len])
+        base = temp_len + spat_len
+        initial = [res.mass[base + i * n : base + (i + 1) * n] for i in range(len(frames))]
+        expelled = self.cache.ingest_frames(frames, initial)
+        evicted = self.cache.select_anchors(expelled)
+        for token in evicted:
+            self.store.insert_evicted(token)
+        events = {k: self.store.events[k] - events_before[k] for k in self.store.events}
+        events["evicted"] = len(evicted)
+        returned_g = sum(1 for t in retrieved if t.merged)
+        window = [t for frame in self.cache.window for t in frame]
+        return _step_result(
+            outputs=res.outputs,
+            temporal=temp_len,
+            spatial=spatial_tokens,
+            in_flight=chunk_q.shape[0],
+            temporal_end=self.cache.member_count,
+            spatial_end=self.store.token_count,
+            audits=8 if audit else 0,
+            events=events,
+            retrieval=(self.budget.retrieve_tokens, returned_g, len(retrieved) - returned_g),
+            spat_mass=float(res.mass[temp_len : temp_len + spat_len].sum()),
+            score_sums={
+                "reference": (sum(t.score for t in self.cache.reference), len(self.cache.reference)),
+                "window": (sum(t.score for t in window), len(window)),
+                "anchor": (sum(t.score for t in self.cache.anchors), len(self.cache.anchors)),
+            },
+        )
+
+
+def _replay(header, records, config, chunk_size, reference):
+    replayer = StreamReplayer(header, Policy.stac(config), chunk_size=chunk_size,
+                              audit=True, collect_outputs=True)
+    if reference:
+        replayer.channels = [
+            _RefChannel(config, replayer.budget, header.d_h, header.tokens_per_frame)
+            for _ in replayer.channels
+        ]
+    for record in records:
+        replayer.feed(record)
+    return replayer.finish()
+
+
+CASES = [
+    # (config, chunk size, trace: frames, tokens per frame, d_h, motion)
+    pytest.param(CacheConfig(), 4, (45, 8, 4, "revisit"), id="defaults"),
+    pytest.param(CacheConfig(half_precision=True), 4, (45, 8, 4, "revisit"), id="quantized"),
+    pytest.param(CacheConfig(g_cap=1, e_cap=1), 3, (44, 8, 4, "orbit"), id="g1-e1-chunk3"),
+    pytest.param(CacheConfig(g_cap=4, e_cap=8, merge_lambda=0.99), 4, (60, 8, 4, "revisit"),
+                 id="g4-e8-re-merge"),
+    pytest.param(CacheConfig(g_cap=1, e_cap=8, merge_lambda=-0.5, half_precision=True), 1,
+                 (30, 8, 4, "random_walk"), id="low-lambda-chunk1-quantized"),
+    pytest.param(CacheConfig(g_cap=2, e_cap=3, merge_lambda=0.2, voxel_size=0.1), 3,
+                 (42, 6, 3, "revisit"), id="partial-last-chunk"),
+    pytest.param(CacheConfig(), 4, (30, 1, 4, "revisit"), id="positionless-only"),
+]
+
+
+@pytest.mark.parametrize("config, chunk_size, geometry", CASES)
+def test_row_state_replays_bit_identical_to_object_channel(config, chunk_size, geometry):
+    frames, tokens, d_h, motion = geometry
+    header, records = synth_trace(seed=frames + tokens, frames=frames, tokens_per_frame=tokens,
+                                  layers=1, heads=2, d_h=d_h, motion=motion)
+    got = _replay(header, records, config, chunk_size, reference=False)
+    want = _replay(header, records, config, chunk_size, reference=True)
+    assert "\n".join(got.canonical_lines()).encode() == "\n".join(want.canonical_lines()).encode()
+    assert sorted(got.outputs) == sorted(want.outputs)
+    for f, out in want.outputs.items():
+        assert np.array_equal(got.outputs[f], out), f
+    assert got.summary["events"]["evicted"] > 0
+
+
+def test_cases_reach_every_insert_path():
+    # the cases above fuse, buffer, aggregate, re-merge and drop, and one
+    # of them ends on a partial chunk
+    seen = set()
+    partial = 0
+    for case in CASES:
+        config, chunk_size, (frames, tokens, d_h, motion) = case.values
+        header, records = synth_trace(seed=frames + tokens, frames=frames,
+                                      tokens_per_frame=tokens, layers=1, heads=2, d_h=d_h,
+                                      motion=motion)
+        stats = _replay(header, records, config, chunk_size, reference=False)
+        seen.update(k for k, v in stats.summary["events"].items() if v > 0)
+        partial += stats.rows[-1]["frame_hi"] - stats.rows[-1]["frame_lo"] + 1 < chunk_size
+    assert {"fused", "buffered", "aggregated", "re_merged", "dropped"} <= seen
+    assert partial

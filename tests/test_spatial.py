@@ -2,15 +2,16 @@
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from stacache import (
-    CachedToken,
     DegenerateVectorError,
     DimensionError,
-    Origin,
+    TokenBlock,
     TokenId,
     VoxelCoord,
     VoxelRangeError,
@@ -26,15 +27,26 @@ LIMIT = 1 << 20
 
 
 def _token(key, position=None, score=0.0, frame=1, idx=0, count=1):
+    """A one-row block, as the temporal cache hands evictees on."""
     key = np.asarray(key, dtype=float)
-    return CachedToken(
-        id=TokenId(frame, idx),
-        key=key,
-        value=key * 2.0 + 1.0,
-        score=score,
-        position=None if position is None else np.asarray(position, dtype=float),
-        count=count,
+    return TokenBlock.build(
+        key[None, :], key[None, :] * 2.0 + 1.0,
+        None if position is None else np.asarray(position, dtype=float)[None, :],
+        scores=[score], frames=frame, tokens=[idx], counts=count,
     )
+
+
+def _insert(store, token):
+    (event,) = store.insert_block(token)
+    return event
+
+
+def _key(store, r):
+    return store.data[r, : store.d_h]
+
+
+def _value(store, r):
+    return store.data[r, store.d_h : 2 * store.d_h]
 
 
 # -- morton -----------------------------------------------------------------
@@ -111,7 +123,7 @@ def _store(**kw):
 
 def test_positionless_token_is_dropped():
     store = _store()
-    assert store.insert_evicted(_token([1.0, 0.0])) == "dropped"
+    assert _insert(store, _token([1.0, 0.0])) == "dropped"
     assert store.events["dropped"] == 1
     assert store.token_count == 0
     assert store.count_mass == 1
@@ -119,18 +131,20 @@ def test_positionless_token_is_dropped():
 
 def test_first_token_is_buffered():
     store = _store()
-    event = store.insert_evicted(_token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
+    event = _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
     assert event == "buffered"
     cell = next(iter(store.cells.values()))
     assert len(cell.buffer) == 1 and len(cell.long_term) == 0
-    assert cell.buffer[0].origin is Origin.BUFFERED
+    (row,) = cell.buffer
+    assert store.block([row]).ids() == [TokenId(1, 0)]
+    assert store.weight[row] == 1.0 and store.count[row] == 1
 
 
 def test_buffer_fills_then_aggregates():
     store = _store(e_cap=3)
     keys = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     events = [
-        store.insert_evicted(_token(k, position=[0.5, 0.5, 0.5], idx=i, score=float(i)))
+        _insert(store, _token(k, position=[0.5, 0.5, 0.5], idx=i, score=float(i)))
         for i, k in enumerate(keys)
     ]
     assert events == ["buffered", "buffered", "aggregated"]
@@ -138,53 +152,50 @@ def test_buffer_fills_then_aggregates():
     assert len(cell.buffer) == 0
     assert len(cell.long_term) == 1
     rep = cell.long_term[0]
-    assert rep.origin is Origin.MERGED
-    assert rep.count == 3
-    assert rep.id.frame_idx == -1
+    assert store.count[rep] == 3
+    assert store.frame[rep] == -1  # a merged representative
 
 
 def test_aggregate_pivot_and_weights():
     # pivot is the top score (earliest on ties); every member contributes
     # with weight exp(cos(pivot, member))
     store = _store(e_cap=3)
-    toks = [
-        _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0, score=2.0),
-        _token([0.9, 0.1], position=[0.5, 0.5, 0.5], idx=1, score=2.0),  # tie loses to idx 0
-        _token([0.0, 1.0], position=[0.5, 0.5, 0.5], idx=2, score=1.0),
-    ]
-    for t in toks:
-        store.insert_evicted(t)
+    keys = [np.array([1.0, 0.0]), np.array([0.9, 0.1]), np.array([0.0, 1.0])]
+    scores = [2.0, 2.0, 1.0]  # the tie at 2.0 goes to idx 0
+    for i, (k, sc) in enumerate(zip(keys, scores)):
+        _insert(store, _token(k, position=[0.5, 0.5, 0.5], idx=i, score=sc))
     rep = next(iter(store.cells.values())).long_term[0]
-    omegas = [math.exp(py_cosine(toks[0].key, t.key)) for t in toks]
-    want_key = sum(w * t.key for w, t in zip(omegas, toks)) / sum(omegas)
-    want_val = sum(w * t.value for w, t in zip(omegas, toks)) / sum(omegas)
-    assert rep.score == 2.0
-    assert rep.weight == pytest.approx(sum(omegas), abs=1e-12)
-    assert np.allclose(rep.key, want_key, atol=1e-12)
-    assert np.allclose(rep.value, want_val, atol=1e-12)
+    omegas = [math.exp(py_cosine(keys[0], k)) for k in keys]
+    want_key = sum(w * k for w, k in zip(omegas, keys)) / sum(omegas)
+    want_val = sum(w * (k * 2.0 + 1.0) for w, k in zip(omegas, keys)) / sum(omegas)
+    assert store.score[rep] == 2.0
+    assert store.weight[rep] == pytest.approx(sum(omegas), abs=1e-12)
+    assert np.allclose(_key(store, rep), want_key, atol=1e-12)
+    assert np.allclose(_value(store, rep), want_val, atol=1e-12)
 
 
 def test_similar_token_fuses_into_representative():
     store = _store(e_cap=1)  # every buffered token aggregates immediately
     first = _token([1.0, 0.0, 0.0], position=[0.5, 0.5, 0.5], idx=0)
-    assert store.insert_evicted(first) == "aggregated"
+    assert _insert(store, first) == "aggregated"
     rep = next(iter(store.cells.values())).long_term[0]
-    z0, key0 = rep.weight, rep.key.copy()
+    z0, key0 = store.weight[rep], _key(store, rep).copy()
     incoming = _token([0.96, 0.1, 0.0], position=[0.5, 0.5, 0.5], idx=1)
-    cos = py_cosine(key0, incoming.key)
+    cos = py_cosine(key0, incoming.keys[0])
     assert cos > 0.8
-    assert store.insert_evicted(incoming) == "fused"
+    assert _insert(store, incoming) == "fused"
     omega = math.exp(cos)
-    assert rep.weight == pytest.approx(z0 + omega, abs=1e-12)
-    assert np.allclose(rep.key, (z0 * key0 + omega * incoming.key) / (z0 + omega), atol=1e-12)
-    assert rep.count == 2
+    assert store.weight[rep] == pytest.approx(z0 + omega, abs=1e-12)
+    assert np.allclose(_key(store, rep), (z0 * key0 + omega * incoming.keys[0]) / (z0 + omega),
+                       atol=1e-12)
+    assert store.count[rep] == 2
 
 
 def test_dissimilar_token_goes_to_buffer():
     store = _store(e_cap=4)
-    store.insert_evicted(_token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
+    _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
     # buffer -> no aggregation yet; a second orthogonal key must not fuse
-    event = store.insert_evicted(_token([0.0, 1.0], position=[0.5, 0.5, 0.5], idx=1))
+    event = _insert(store, _token([0.0, 1.0], position=[0.5, 0.5, 0.5], idx=1))
     assert event == "buffered"
 
 
@@ -196,24 +207,24 @@ def test_fusion_recurrence_matches_one_pass_oracle():
         base = rng.normal(size=d)
         base /= np.linalg.norm(base)
         first = _token(base, position=[0.5, 0.5, 0.5], idx=0)
-        store.insert_evicted(first)
+        _insert(store, first)
         cell = next(iter(store.cells.values()))
         rep = cell.long_term[0]
-        key_oracle = FusionOracle(first.key, math.e)  # singleton pivot weight e^1
-        val_oracle = FusionOracle(first.value, math.e)
+        key_oracle = FusionOracle(first.keys[0], math.e)  # singleton pivot weight e^1
+        val_oracle = FusionOracle(first.values[0], math.e)
         total = 1
         for i in range(1, int(rng.integers(2, 12))):
             vec = base + 0.15 * rng.normal(size=d)
             tok = _token(vec, position=[0.5, 0.5, 0.5], idx=i)
-            omega = math.exp(py_cosine(key_oracle.mean(), tok.key))
-            assert store.insert_evicted(tok) == "fused"
-            key_oracle.add(tok.key, omega)
-            val_oracle.add(tok.value, omega)
+            omega = math.exp(py_cosine(key_oracle.mean(), tok.keys[0]))
+            assert _insert(store, tok) == "fused"
+            key_oracle.add(tok.keys[0], omega)
+            val_oracle.add(tok.values[0], omega)
             total += 1
-        assert np.allclose(rep.key, key_oracle.mean(), rtol=1e-6, atol=1e-12)
-        assert np.allclose(rep.value, val_oracle.mean(), rtol=1e-6, atol=1e-12)
-        assert rep.weight == pytest.approx(key_oracle.den, abs=1e-9)
-        assert rep.count == total
+        assert np.allclose(_key(store, rep), key_oracle.mean(), rtol=1e-6, atol=1e-12)
+        assert np.allclose(_value(store, rep), val_oracle.mean(), rtol=1e-6, atol=1e-12)
+        assert store.weight[rep] == pytest.approx(key_oracle.den, abs=1e-9)
+        assert store.count[rep] == total
 
 
 def test_re_merge_picks_min_weight_victim():
@@ -224,24 +235,24 @@ def test_re_merge_picks_min_weight_victim():
     b = _token([0.0, 1.0], position=[0.5, 0.5, 0.5], idx=1)
     c = _token([-1.0, 0.0], position=[0.5, 0.5, 0.5], idx=2)
     for t in (a, b, c):
-        store.insert_evicted(t)
+        _insert(store, t)
     cell = next(iter(store.cells.values()))
     assert len(cell.long_term) == 2
     assert store.events["re_merged"] == 1
     merged, newest = cell.long_term
     # the victim (rep of a) fused into the rep of b; counts conserved
-    assert merged.count == 2
-    assert newest.count == 1
+    assert store.count[merged] == 2
+    assert store.count[newest] == 1
     assert store.count_mass == 3
 
 
 def test_g_cap_one_folds_resident_into_newcomer():
     store = _store(e_cap=1, g_cap=1, merge_lambda=0.99)
-    store.insert_evicted(_token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
-    store.insert_evicted(_token([0.0, 1.0], position=[0.5, 0.5, 0.5], idx=1))
+    _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
+    _insert(store, _token([0.0, 1.0], position=[0.5, 0.5, 0.5], idx=1))
     cell = next(iter(store.cells.values()))
     assert len(cell.long_term) == 1
-    assert cell.long_term[0].count == 2
+    assert store.count[cell.long_term[0]] == 2
     assert store.events["re_merged"] == 1
 
 
@@ -252,12 +263,27 @@ def test_capacity_invariants_under_random_load():
     for i in range(500):
         pos = rng.uniform(0.0, 3.0, size=3)  # a handful of cells
         key = rng.normal(size=5)
-        store.insert_evicted(_token(key, position=pos, idx=i, score=rng.random()))
+        _insert(store, _token(key, position=pos, idx=i, score=rng.random()))
         inserted += 1
         for cell in store.cells.values():
             assert len(cell.long_term) <= 3
             assert len(cell.buffer) < 4
     assert store.count_mass == inserted
+
+
+def test_insert_block_places_rows_in_order():
+    # one block routes its rows in row order; a positionless row is dropped
+    # and a row outside the voxel range fails the whole block
+    store = _store(e_cap=2)
+    block = TokenBlock.build(
+        np.eye(3), np.eye(3), [[0.5, 0.5, 0.5], [9.0, 9.0, 9.0], [0.5, 0.5, 0.5]],
+        mask=[True, False, True],
+    )
+    assert store.insert_block(block) == ["buffered", "dropped", "aggregated"]
+    with pytest.raises(VoxelRangeError):
+        store.insert_block(TokenBlock.build(np.eye(3)[:1], np.eye(3)[:1], [[1e7, 0.0, 0.0]]))
+    with pytest.raises(DimensionError):
+        store.insert_block(_token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
 
 
 # -- retrieval ----------------------------------------------------------------
@@ -269,28 +295,28 @@ def test_retrieval_ranking_and_quota():
     # later orthogonal arrival that stays buffered
     a_pos = [0.5, 0.5, 0.5]
     for i in range(2):
-        store.insert_evicted(_token([1.0, 0.0], position=a_pos, idx=i))
+        _insert(store, _token([1.0, 0.0], position=a_pos, idx=i))
     store.aggregate(next(iter(store.cells)))
-    store.insert_evicted(_token([0.0, 1.0], position=a_pos, idx=5))
+    _insert(store, _token([0.0, 1.0], position=a_pos, idx=5))
     # cell B one step away holds only a buffered token
-    store.insert_evicted(_token([1.0, 1.0], position=[1.5, 0.5, 0.5], idx=7))
+    _insert(store, _token([1.0, 1.0], position=[1.5, 0.5, 0.5], idx=7))
 
     got = store.retrieve(np.array([[0.4, 0.4, 0.4]]), quota=10)
     # long-term rep first, then the near buffered token, then the far one
-    assert [t.origin for t in got] == [Origin.MERGED, Origin.BUFFERED, Origin.BUFFERED]
-    assert got[1].id == TokenId(1, 5)
-    assert got[2].id == TokenId(1, 7)
+    assert got.frames[0] == -1 and (got.frames[1:] != -1).all()
+    assert got.ids()[1] == TokenId(1, 5)
+    assert got.ids()[2] == TokenId(1, 7)
     truncated = store.retrieve(np.array([[0.4, 0.4, 0.4]]), quota=2)
-    assert [t.id for t in truncated] == [t.id for t in got[:2]]
+    assert truncated.ids() == got.ids()[:2]
 
 
 def test_retrieval_radius_cutoff():
     store = _store(voxel_size=1.0, knn_radius_mult=2.0)
-    store.insert_evicted(_token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
-    store.insert_evicted(_token([1.0, 0.0], position=[2.5, 0.5, 0.5], idx=1))  # exactly 2.0 away
-    store.insert_evicted(_token([1.0, 0.0], position=[3.5, 0.5, 0.5], idx=2))  # 3.0 away
+    _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
+    _insert(store, _token([1.0, 0.0], position=[2.5, 0.5, 0.5], idx=1))  # exactly 2.0 away
+    _insert(store, _token([1.0, 0.0], position=[3.5, 0.5, 0.5], idx=2))  # 3.0 away
     got = store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=10)
-    ids = [t.id.token_idx for t in got]
+    ids = got.tokens.tolist()
     assert ids == [0, 1]  # the boundary cell is included, the far one is not
 
 
@@ -298,21 +324,45 @@ def test_retrieval_prefers_heavier_equidistant_entries():
     store = _store(voxel_size=1.0, e_cap=2, merge_lambda=0.95)
     # two cells at the same distance from the probe; one rep is heavier
     for i in range(2):
-        store.insert_evicted(_token([1.0, 0.0], position=[1.5, 0.5, 0.5], idx=i))
+        _insert(store, _token([1.0, 0.0], position=[1.5, 0.5, 0.5], idx=i))
     for i in range(2, 4):
-        store.insert_evicted(_token([1.0, 0.05], position=[-0.5, 0.5, 0.5], idx=i))
+        _insert(store, _token([1.0, 0.05], position=[-0.5, 0.5, 0.5], idx=i))
     # fuse one more into the second cell to raise its weight
-    store.insert_evicted(_token([1.0, 0.04], position=[-0.5, 0.5, 0.5], idx=9))
+    _insert(store, _token([1.0, 0.04], position=[-0.5, 0.5, 0.5], idx=9))
     got = store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=2)
-    assert got[0].count == 3
-    assert got[1].count == 2
+    assert got.counts[0] == 3
+    assert got.counts[1] == 2
+
+
+def test_retrieval_distance_ties_break_as_summed_squares():
+    # Cells at permuted offsets (1, 2, 3), (3, 2, 1), ... are equidistant in
+    # exact arithmetic; in floats their distances tie or differ in the last
+    # bit depending on the order the squares are summed, and that decides
+    # the ranking. It must be the order of ((c - v) ** 2).sum(axis=-1).
+    vs = 0.05
+    store = _store(voxel_size=vs, knn_radius_mult=4.0)
+    offsets = list(itertools.product(range(-3, 4), repeat=3))
+    np.random.default_rng(47).shuffle(offsets)
+    for i, off in enumerate(offsets):
+        _insert(store, _token([1.0, 0.0], position=(np.array(off) + 0.5) * vs, idx=i))
+    for probe in ([0.5, 0.5, 0.5], [1.5, -0.5, 2.5], [-2.5, 0.5, -1.5]):
+        visible = np.array([probe]) * vs
+        got = store.retrieve(visible, quota=len(offsets))
+        center = (np.floor(visible / vs) + 0.5) * vs
+        ranked = []
+        for i, off in enumerate(offsets):
+            cell = (np.array(off, dtype=np.float64) + 0.5) * vs
+            dist = float(np.sqrt(((cell[None, :] - center) ** 2).sum(axis=1)).min())
+            if dist <= store.knn_radius_mult * vs + 1e-12:
+                ranked.append((dist, i))
+        assert got.tokens.tolist() == [i for _, i in sorted(ranked)]
 
 
 def test_retrieval_empty_cases():
     store = _store()
-    assert store.retrieve(np.zeros((0, 3)), quota=5) == []
-    store.insert_evicted(_token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
-    assert store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=0) == []
+    assert len(store.retrieve(np.zeros((0, 3)), quota=5)) == 0
+    _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
+    assert len(store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=0)) == 0
 
 
 def test_retrieval_is_deterministic():
@@ -321,23 +371,37 @@ def test_retrieval_is_deterministic():
         store = _store(voxel_size=1.0, g_cap=2, e_cap=3)
         for i in range(200):
             pos = rng.uniform(0.0, 4.0, size=3)
-            store.insert_evicted(_token(rng.normal(size=4), position=pos, idx=i, score=rng.random()))
+            _insert(store, _token(rng.normal(size=4), position=pos, idx=i, score=rng.random()))
         return store.retrieve(np.array([[1.5, 1.5, 1.5], [2.5, 2.5, 2.5]]), quota=12)
 
     a, b = build(), build()
-    assert [t.id for t in a] == [t.id for t in b]
-    assert all(np.array_equal(x.key, y.key) for x, y in zip(a, b))
+    assert a.ids() == b.ids()
+    assert np.array_equal(a.keys, b.keys)
 
 
 # -- exactness against the scalar reference -------------------------------------
+
+
+@dataclass
+class _Tok:
+    """One token as an object, the way the reference routine holds it."""
+
+    id: TokenId
+    key: np.ndarray
+    value: np.ndarray
+    score: float = 0.0
+    position: Optional[np.ndarray] = None
+    count: int = 1
+    weight: float = 1.0
 
 
 class _ReferenceStore:
     """The straightforward insertion routine the store must match bit for bit.
 
     Each similarity goes through kernel.cosine, each cell through voxel_of
-    and morton_encode, and fusion recomputes every mean from scratch; the
-    store's scalar hot path must reproduce every event and every bit.
+    and morton_encode, and fusion recomputes every mean from scratch on
+    token objects; the store's row pool must reproduce every event and
+    every bit.
     """
 
     def __init__(self, voxel_size, merge_lambda, g_cap, e_cap, quantize):
@@ -373,7 +437,6 @@ class _ReferenceStore:
         if best_idx >= 0 and best_cos > self.merge_lambda:
             self._fuse(long_term[best_idx], token, best_cos)
             return "fused"
-        token.origin = Origin.BUFFERED
         buffer.append(token)
         if len(buffer) >= self.e_cap:
             self._aggregate(long_term, buffer)
@@ -385,7 +448,7 @@ class _ReferenceStore:
         omegas = np.array([
             math.e if t is pivot else math.exp(self._cos(pivot.key, t.key)) for t in buffer
         ])
-        rep = CachedToken(
+        rep = _Tok(
             id=TokenId(-1, self.serial),
             key=self._q(kernel.weighted_mean(np.stack([t.key for t in buffer]), omegas)),
             value=self._q(kernel.weighted_mean(np.stack([t.value for t in buffer]), omegas)),
@@ -393,7 +456,6 @@ class _ReferenceStore:
             position=kernel.weighted_mean(np.stack([t.position for t in buffer]), omegas),
             count=sum(t.count for t in buffer),
             weight=float(omegas.sum()),
-            origin=Origin.MERGED,
         )
         self.serial += 1
         buffer.clear()
@@ -421,13 +483,20 @@ class _ReferenceStore:
             rep.position = (z * rep.position + omega * incoming.position) / (z + omega)
         rep.weight = z + omega
         rep.count += incoming.count
-        rep.origin = Origin.MERGED
 
 
 def _bits(token):
     pos = None if token.position is None else np.asarray(token.position).tobytes()
     return (token.id, token.key.tobytes(), token.value.tobytes(), pos,
-            float(token.weight).hex(), token.count, float(token.score).hex(), token.origin)
+            float(token.weight).hex(), token.count, float(token.score).hex())
+
+
+def _row_bits(store, r):
+    d = store.d_h
+    row = store.data[r]
+    return (TokenId(store.frame[r], store.token[r]), row[:d].tobytes(),
+            row[d : 2 * d].tobytes(), row[2 * d :].tobytes(), float(store.weight[r]).hex(),
+            store.count[r], float(store.score[r]).hex())
 
 
 def _outcome(insert, token):
@@ -464,7 +533,7 @@ def test_insert_is_bit_identical_to_scalar_reference():
             elif kind < 0.33:
                 key = rng.normal(size=d) * 1e-9  # flushes to zero under quantization
             elif kind < 0.36:
-                key = rng.normal(size=d).astype(np.float32)
+                key = rng.normal(size=d).astype(np.float32)  # widened to float64 rows
             else:
                 key = rng.normal(size=d) + 2.0 * (i % 2)
             history.append(np.asarray(key, dtype=np.float64))
@@ -476,25 +545,30 @@ def test_insert_is_bit_identical_to_scalar_reference():
                 pos = rng.uniform(-1.5 * voxel_size, 1.5 * voxel_size, size=3)
             score = float(rng.choice([0.0, 0.5, 1.0]))
             count = int(rng.integers(1, 4))
+            block = TokenBlock.build(
+                np.asarray(key)[None, :], (np.asarray(key) * 3.0 - 1.0)[None, :],
+                None if pos is None else pos[None, :], scores=[score], frames=1, tokens=[i],
+                counts=count,
+            )
+            token = _Tok(
+                id=TokenId(1, i), key=block.keys[0].copy(), value=block.values[0].copy(),
+                score=score, position=None if pos is None else block.positions[0].copy(),
+                count=count,
+            )
 
-            def token():
-                return CachedToken(
-                    id=TokenId(1, i), key=key.copy(), value=np.asarray(key) * 3.0 - 1.0,
-                    score=score, position=None if pos is None else pos.copy(), count=count,
-                )
-
-            got, want = _outcome(store.insert_evicted, token()), _outcome(ref.insert, token())
+            got = _outcome(lambda b: store.insert_block(b)[0], block)
+            want = _outcome(ref.insert, token)
             assert got == want, (case, i)
             seen_events.add(got)
-            held = [t for c in store.cells.values() for t in (*c.long_term, *c.buffer)]
+            held = [r for c in store.cells.values() for r in (*c.long_term, *c.buffer)]
             assert store.token_count == len(held)
-            assert store.count_mass == sum(t.count for t in held) + store.dropped_count_mass
+            assert store.count_mass == sum(store.count[r] for r in held) + store.dropped_count_mass
 
         assert set(store.cells) == set(ref.cells)
         for code, cell in store.cells.items():
             long_term, buffer = ref.cells[code]
-            assert [_bits(t) for t in cell.long_term] == [_bits(t) for t in long_term]
-            assert [_bits(t) for t in cell.buffer] == [_bits(t) for t in buffer]
+            assert [_row_bits(store, r) for r in cell.long_term] == [_bits(t) for t in long_term]
+            assert [_row_bits(store, r) for r in cell.buffer] == [_bits(t) for t in buffer]
         assert store.half_saturations == ref.half_saturations
     assert {"fused", "buffered", "aggregated", "dropped",
             "error:DegenerateVectorError"} <= seen_events
@@ -502,7 +576,7 @@ def test_insert_is_bit_identical_to_scalar_reference():
 
 def test_nan_key_is_buffered_not_fused():
     store = _store(e_cap=4, merge_lambda=-0.5)
-    store.insert_evicted(_token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
+    _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
     store.aggregate(next(iter(store.cells)))
-    event = store.insert_evicted(_token([np.nan, 0.0], position=[0.5, 0.5, 0.5], idx=1))
+    event = _insert(store, _token([np.nan, 0.0], position=[0.5, 0.5, 0.5], idx=1))
     assert event == "buffered"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stacache import DimensionError, Origin, StacacheError, TemporalCache, TokenId
+from stacache import DimensionError, StacacheError, TemporalCache, TokenId
 from stacache.tokens import FrameTokens
 from oracles import decayed_score, geometric_closed_form
 
@@ -20,6 +20,10 @@ def _frame(frame_idx, n=4, d=4, seed=None, with_positions=True):
     )
 
 
+def _anchors(cache):
+    return cache.blocks()[-1]
+
+
 def _cache(window_frames=2, anchor_budget=4, gamma=0.9, **kw):
     cache = TemporalCache(window_frames, anchor_budget, gamma, **kw)
     cache.register_reference(_frame(0))
@@ -31,8 +35,8 @@ def test_register_reference_snapshot():
     snap = cache.snapshot()
     assert len(snap) == 4
     assert cache.reference_count == 4
-    assert all(t.id.frame_idx == 0 for t in snap)
-    assert all(t.score == 0.0 and t.count == 1 and t.weight == 1.0 for t in snap)
+    assert (snap.frames == 0).all()
+    assert (snap.scores == 0.0).all() and (snap.counts == 1).all()
 
 
 def test_double_registration_raises():
@@ -50,7 +54,7 @@ def test_ingest_before_register_raises():
 def test_ingest_within_window_no_expulsion():
     cache = _cache(window_frames=2)
     expelled = cache.ingest_frames([_frame(1)])
-    assert expelled == []
+    assert len(expelled) == 0
     assert cache.window_token_count == 4
     assert cache.member_count == 8
 
@@ -60,8 +64,8 @@ def test_ingest_beyond_window_expels_fifo():
     cache.ingest_frames([_frame(1), _frame(2)])
     expelled = cache.ingest_frames([_frame(3), _frame(4)])
     # frames 1 and 2 leave, oldest first, 4 tokens each
-    assert [t.id.frame_idx for t in expelled] == [1] * 4 + [2] * 4
-    assert [t.id.token_idx for t in expelled[:4]] == [0, 1, 2, 3]
+    assert expelled.frames.tolist() == [1] * 4 + [2] * 4
+    assert expelled.tokens[:4].tolist() == [0, 1, 2, 3]
     assert cache.window_token_count == 8
 
 
@@ -76,9 +80,9 @@ def test_update_scores_zero_mass_scales_by_gamma():
     cache = _cache(gamma=0.5)
     cache.ingest_frames([_frame(1)], initial_scores=[np.full(4, 2.0)])
     cache.update_scores(np.zeros(cache.member_count))
-    for t in cache.snapshot():
-        if t.id.frame_idx == 1:
-            assert t.score == pytest.approx(1.0, abs=1e-12)
+    snap = cache.snapshot()
+    for score in snap.scores[snap.frames == 1]:
+        assert score == pytest.approx(1.0, abs=1e-12)
 
 
 def test_update_scores_matches_replay_oracle():
@@ -89,7 +93,7 @@ def test_update_scores_matches_replay_oracle():
     for m in masses:
         cache.update_scores(np.array([m]))
     expected = decayed_score(masses, 0.9)
-    assert cache.snapshot()[0].score == pytest.approx(expected, abs=1e-12)
+    assert cache.snapshot().scores[0] == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
@@ -100,7 +104,7 @@ def test_constant_mass_closed_form(gamma):
     for t in range(1, 121):
         cache.update_scores(np.array([a]))
         want = geometric_closed_form(a, gamma, t)
-        assert cache.snapshot()[0].score == pytest.approx(want, abs=1e-10)
+        assert cache.snapshot().scores[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_gamma_zero_keeps_only_last_mass():
@@ -108,7 +112,7 @@ def test_gamma_zero_keeps_only_last_mass():
     cache.register_reference(_frame(0, n=1))
     cache.update_scores(np.array([5.0]))
     cache.update_scores(np.array([0.25]))
-    assert cache.snapshot()[0].score == 0.25
+    assert cache.snapshot().scores[0] == 0.25
 
 
 def test_update_scores_misalignment_raises():
@@ -121,46 +125,42 @@ def test_initial_scores_seed_fresh_tokens():
     cache = _cache(window_frames=2)
     scores = np.array([0.1, 0.2, 0.3, 0.4])
     cache.ingest_frames([_frame(1)], initial_scores=[scores])
-    window = [t for t in cache.snapshot() if t.id.frame_idx == 1]
-    assert [t.score for t in window] == pytest.approx(list(scores))
+    snap = cache.snapshot()
+    assert list(snap.scores[snap.frames == 1]) == pytest.approx(list(scores))
 
 
 def test_select_anchors_ranking_and_ties():
     cache = _cache(window_frames=1, anchor_budget=2)
     expelled = cache.ingest_frames([_frame(1), _frame(2)])
     # within one frame, a score tie prefers the lower token index
-    for t in expelled:
-        t.score = 1.0 if t.id.token_idx < 2 else 0.0
+    expelled.scores[:] = np.where(expelled.tokens < 2, 1.0, 0.0)
     evicted = cache.select_anchors(expelled)
-    kept = [t.id for t in cache.snapshot() if t.origin is Origin.ANCHOR]
+    kept = _anchors(cache).ids()
     assert kept == [TokenId(1, 0), TokenId(1, 1)]
-    assert [t.id for t in evicted] == [TokenId(1, 2), TokenId(1, 3)]
+    assert evicted.ids() == [TokenId(1, 2), TokenId(1, 3)]
     # across frames, an exact tie prefers the younger frame
     expelled2 = cache.ingest_frames([_frame(3)])
-    for t in expelled2:
-        t.score = 1.0 if t.id.token_idx < 2 else 0.0
+    expelled2.scores[:] = np.where(expelled2.tokens < 2, 1.0, 0.0)
     evicted2 = cache.select_anchors(expelled2)
-    kept2 = [t.id for t in cache.snapshot() if t.origin is Origin.ANCHOR]
+    kept2 = _anchors(cache).ids()
     assert kept2 == [TokenId(2, 0), TokenId(2, 1)]
-    assert [t.id for t in evicted2] == [
+    assert evicted2.ids() == [
         TokenId(1, 0), TokenId(1, 1), TokenId(2, 2), TokenId(2, 3)]
 
 
 def test_anchor_scores_persist_and_recompete():
     cache = _cache(window_frames=1, anchor_budget=1)
     exp = cache.ingest_frames([_frame(1), _frame(2)])
-    for i, t in enumerate(exp):
-        t.score = float(i)
+    exp.scores[:] = np.arange(len(exp), dtype=float)
     cache.select_anchors(exp)
-    (anchor,) = [t for t in cache.snapshot() if t.origin is Origin.ANCHOR]
-    assert anchor.score == 3.0
+    (anchor,) = _anchors(cache).ids()
+    assert _anchors(cache).scores.tolist() == [3.0]
     # a stronger newcomer displaces it; the loser keeps its frozen score
     exp2 = cache.ingest_frames([_frame(3)])
-    for t in exp2:
-        t.score = 10.0
+    exp2.scores[:] = 10.0
     evicted = cache.select_anchors(exp2)
-    assert anchor in evicted
-    assert anchor.score == 3.0
+    assert anchor in evicted.ids()
+    assert evicted.scores[evicted.ids().index(anchor)] == 3.0
     assert cache.anchor_count == 1
 
 
@@ -175,31 +175,30 @@ def test_anchor_budget_zero_evicts_everything():
 def test_snapshot_order_reference_window_anchors():
     cache = _cache(window_frames=2, anchor_budget=8)
     exp = cache.ingest_frames([_frame(1), _frame(2), _frame(3)])
-    for i, t in enumerate(exp):
-        t.score = float(i)
+    exp.scores[:] = np.arange(len(exp), dtype=float)
     cache.select_anchors(exp)
     snap = cache.snapshot()
-    ref = snap[: cache.reference_count]
-    window = snap[cache.reference_count : cache.reference_count + cache.window_token_count]
-    anchors = snap[cache.reference_count + cache.window_token_count :]
-    assert all(t.id.frame_idx == 0 for t in ref)
-    assert [t.id.frame_idx for t in window] == [2] * 4 + [3] * 4
-    scores = [t.score for t in anchors]
+    ref = snap.take(slice(0, cache.reference_count))
+    window = snap.take(slice(cache.reference_count,
+                             cache.reference_count + cache.window_token_count))
+    anchors = snap.take(slice(cache.reference_count + cache.window_token_count, None))
+    assert (ref.frames == 0).all()
+    assert window.frames.tolist() == [2] * 4 + [3] * 4
+    scores = anchors.scores.tolist()
     assert scores == sorted(scores, reverse=True)
 
 
 def test_reference_survives_many_cycles_unchanged():
     cache = _cache(window_frames=1, anchor_budget=2)
-    before = [t.key.copy() for t in cache.snapshot()[:4]]
+    before = cache.snapshot().keys[:4].copy()
     for f in range(1, 101):
         mass = np.random.default_rng(f).random(cache.member_count)
         cache.update_scores(mass)
         exp = cache.ingest_frames([_frame(f)])
         cache.select_anchors(exp)
-    after = cache.snapshot()[:4]
-    for b, t in zip(before, after):
-        assert t.id.frame_idx == 0
-        assert np.array_equal(b, t.key)
+    after = cache.snapshot().take(slice(0, 4))
+    assert (after.frames == 0).all()
+    assert np.array_equal(before, after.keys)
 
 
 def test_quantize_rounds_and_counts_saturation():
@@ -207,8 +206,8 @@ def test_quantize_rounds_and_counts_saturation():
     frame = _frame(0)
     frame.keys[0, 0] = 1e6  # beyond float16
     cache.register_reference(frame)
-    tok = cache.snapshot()[0]
-    assert tok.key[0] == 65504.0
+    key = cache.snapshot().keys[0]
+    assert key[0] == 65504.0
     assert cache.half_saturations == 1
     # remaining entries equal their float16 roundtrip
-    assert np.array_equal(tok.key, np.float64(np.float16(tok.key)))
+    assert np.array_equal(key, np.float64(np.float16(key)))

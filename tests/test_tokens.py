@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stacache import CacheConfig, FrameTokens, Origin, TokenId, validate_config
+from stacache import CacheConfig, DimensionError, FrameTokens, TokenBlock, TokenId, validate_config
 
 
 def test_default_config_is_valid():
@@ -86,5 +86,28 @@ def test_frame_tokens_count():
     assert ft.token_count == n
 
 
-def test_origin_values():
-    assert {o.value for o in Origin} == {"fresh", "window", "anchor", "merged", "buffered"}
+
+def test_token_block_rows_take_and_concat():
+    keys, values = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
+    positions = np.arange(9.0).reshape(3, 3)
+    block = TokenBlock.build(keys, values, positions, mask=[True, False, True],
+                             scores=[0.5, 0.0, 2.0], frames=7)
+    assert len(block) == 3 and block.d_h == 2
+    assert block.rows.shape == (3, 2 * 2 + 3)
+    assert np.array_equal(block.keys, keys) and np.array_equal(block.values, values)
+    assert np.array_equal(block.positions, positions)
+    assert block.ids() == [TokenId(7, 0), TokenId(7, 1), TokenId(7, 2)]
+    assert block.counts.tolist() == [1, 1, 1]
+    picked = block.take([2, 0])
+    assert picked.ids() == [TokenId(7, 2), TokenId(7, 0)]
+    assert picked.mask.tolist() == [True, True] and picked.scores.tolist() == [2.0, 0.5]
+    picked.scores[0] = 9.0  # a taken block owns its columns
+    assert block.scores[2] == 2.0
+    both = TokenBlock.concat([block, picked])
+    assert both.tokens.tolist() == [0, 1, 2, 2, 0]
+    assert np.array_equal(both.rows[3:], picked.rows)
+    assert len(TokenBlock.empty(2)) == 0 and TokenBlock.empty(2).d_h == 2
+    with pytest.raises(DimensionError):
+        TokenBlock.build(keys, values, positions, mask=[True, False])
+    with pytest.raises(DimensionError):
+        TokenBlock.build(keys, values, scores=[1.0])

@@ -67,6 +67,36 @@ def test_magic_sniffing(tmp_path):
         list(it)
 
 
+def _retitled(tmp_path, text, **fields):
+    """A valid two-frame trace whose header line claims the given fields."""
+    header, records = _small_trace(frames=2)
+    path = tmp_path / ("t.jsonl" if text else "t.kvtrace")
+    write_trace(str(path), header, records, text=text)
+    data = path.read_bytes()
+    start = 0 if text else len(MAGIC)
+    end = data.index(b"\n")
+    claim = json.loads(data[start:end])
+    claim.update(fields)
+    path.write_bytes(data[:start] + json.dumps(claim).encode() + data[end:])
+    return str(path)
+
+
+@pytest.mark.parametrize("text", [False, True])
+@pytest.mark.parametrize("fields, needle", [
+    # L*H*3*N*d_h wraps to 0 in int64: the record would be expected to be
+    # 33 bytes long and the replayer would build 2^62 channels
+    pytest.param(dict(layers=2**31, heads=2**31, d_h=4, tokens_per_frame=1),
+                 "values per record", id="wrapping-size"),
+    pytest.param(dict(tokens_per_frame=10**6), "values per record", id="larger-than-file"),
+    pytest.param(dict(layers=True), "positive int", id="bool-layers"),
+    pytest.param(dict(frame_count=True), "positive int", id="bool-frames"),
+    pytest.param(dict(version=True), "version", id="bool-version"),
+])
+def test_absurd_header_is_rejected_before_any_record(tmp_path, text, fields, needle):
+    with pytest.raises(TraceFormatError, match=needle):
+        read_trace(_retitled(tmp_path, text, **fields))
+
+
 def test_bad_magic_raises(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTATRACE" + b"\x00" * 64)
