@@ -40,23 +40,23 @@ def evicted(i, key, pos, score=0.0):
 # three dissimilar arrivals in one voxel fill its buffer and aggregate
 home = [0.01, 0.01, 0.01]
 print("\nrouting events:")
-print("  ", store.insert_block(evicted(0, [1, 0, 0, 0], home, score=1.0)))
-print("  ", store.insert_block(evicted(1, [0, 1, 0, 0], home)))
-print("  ", store.insert_block(evicted(2, [0, 0, 1, 0], home)))
+print("  ", store.insert_evicted(evicted(0, [1, 0, 0, 0], home, score=1.0)))
+print("  ", store.insert_evicted(evicted(1, [0, 1, 0, 0], home)))
+print("  ", store.insert_evicted(evicted(2, [0, 0, 1, 0], home)))
 
 cell = next(iter(store.cells.values()))
 rep = cell.long_term[0]  # a row of the store's pool
 print("aggregated entry: count =", store.count[rep], " weight Z =", round(store.weight[rep], 4))
 
 # a similar arrival now fuses one-to-one instead of buffering
-print("\na near-duplicate of the pivot:", store.insert_block(
+print("\na near-duplicate of the pivot:", store.insert_evicted(
     evicted(3, [1, 0.05, 0, 0], home, score=0.5)))
 print("entry after fusion: count =", store.count[rep], " weight Z =", round(store.weight[rep], 4))
 
 # retrieval pulls tokens whose home voxel sits near anything currently
 # visible: long-term entries first, then nearer cells, then heavier entries
 for i in range(8):
-    store.insert_block(evicted(10 + i, rng.normal(size=4), rng.uniform(-0.1, 0.1, size=3)))
+    store.insert_evicted(evicted(10 + i, rng.normal(size=4), rng.uniform(-0.1, 0.1, size=3)))
 visible = np.array([[0.0, 0.0, 0.0]])
 got = store.retrieve(visible, quota=4)
 print("\nretrieved near the origin:")

@@ -18,7 +18,7 @@ from .errors import (
     TraceFormatError,
     VoxelRangeError,
 )
-from .kernel import HALF_MAX, cosine, half_roundtrip, weighted_mean
+from .kernel import HALF_MAX, half_roundtrip, weighted_mean
 from .pipeline import (
     BudgetSplit,
     Policy,
@@ -71,7 +71,6 @@ __all__ = [
     "allocate_budget",
     "attend",
     "compare",
-    "cosine",
     "divergence_report",
     "half_roundtrip",
     "morton_decode",

@@ -24,23 +24,6 @@ def _vec(a, name: str = "vector") -> np.ndarray:
     return a
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity, clipped into [-1, 1] against rounding spill.
-
-    Zero-norm inputs have no direction; they raise DegenerateVectorError
-    rather than silently comparing equal to everything.
-    """
-    a = _vec(a, "a")
-    b = _vec(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateVectorError("cosine undefined for zero-norm input")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def weighted_mean(vectors, weights) -> np.ndarray:
     """Convex combination sum(w_i * v_i) / sum(w_i) of row vectors."""
     vectors = np.asarray(vectors, dtype=np.float64)

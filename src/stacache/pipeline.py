@@ -4,7 +4,9 @@ Frames arrive one at a time and are processed in fixed-size chunks: queries
 of a chunk attend over the policy's cached tokens plus the chunk itself,
 then the policy updates its cache. Every (layer, head) pair is an
 independent channel with its own cache state; a chunk's stats row sums over
-channels. Replays are deterministic for a given trace and policy, apart
+channels. Under `stac` the channels share one voxel store, which keeps
+their cells apart and takes a chunk's evictees from every channel in one
+insertion. Replays are deterministic for a given trace and policy, apart
 from wall-clock fields.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .attention import attend
 from .errors import ConfigError, InvariantViolation, TraceFormatError
-from .spatial import VoxelStore
+from .spatial import EVENTS, VoxelStore
 from .temporal import TemporalCache
 from .tokens import CacheConfig, FrameTokens, TokenBlock, validate_config
 from .traceio import TraceHeader, TraceRecord, read_trace
@@ -112,17 +114,23 @@ class _VerbatimChannel:
     `window=None` keeps every frame (the `full` policy). Rows live in one
     append-only key/value buffer, reference first, so a step attends over a
     prefix slice in arrival order; a window moves its last frames down
-    behind the reference after each step. The buffer doubles when full
-    rather than being sized from the header, so a header that declares an
-    absurd frame count cannot turn into an allocation.
+    behind the reference after each step. A window's buffer is sized once,
+    for the reference, the window and one chunk; a header that claims
+    fewer frames only shrinks it. The `full` buffer doubles when full
+    instead, so a header that declares an absurd frame count cannot turn
+    into an allocation.
     """
 
-    def __init__(self, d_h: int, window: Optional[int], tokens_per_frame: int):
+    def __init__(self, d_h: int, window: Optional[int], tokens_per_frame: int,
+                 chunk_size: int, frame_count: int):
         self.d_h = d_h
         self.window = window
         self.tokens_per_frame = tokens_per_frame
-        self.keys = np.empty((0, d_h))
-        self.values = np.empty((0, d_h))
+        rows = 0
+        if window is not None:
+            rows = (1 + min(window, frame_count) + chunk_size) * tokens_per_frame
+        self.keys = np.empty((rows, d_h))
+        self.values = np.empty((rows, d_h))
         self.ref_len = 0
         self.cached = 0
 
@@ -174,9 +182,15 @@ class _VerbatimChannel:
 
 
 class _StacChannel:
-    """The compressed scheme: temporal working cache + spatial voxel store."""
+    """The compressed scheme: temporal working cache + spatial voxel store.
 
-    def __init__(self, config: CacheConfig, budget: BudgetSplit, d_h: int, tokens_per_frame: int):
+    The channel owns its temporal cache and is `channel` in the replay's
+    shared voxel store. A step ends with the chunk's evicted rows; the
+    replayer inserts every channel's at once, then calls `_audit_store`.
+    """
+
+    def __init__(self, config: CacheConfig, budget: BudgetSplit, d_h: int, tokens_per_frame: int,
+                 store: VoxelStore, channel: int):
         self.config = config
         self.budget = budget
         self.d_h = d_h
@@ -187,14 +201,8 @@ class _StacChannel:
             gamma=config.gamma,
             quantize=config.half_precision,
         )
-        self.store = VoxelStore(
-            voxel_size=config.voxel_size,
-            merge_lambda=config.merge_lambda,
-            g_cap=config.g_cap,
-            e_cap=config.e_cap,
-            knn_radius_mult=config.knn_radius_mult,
-            quantize=config.half_precision,
-        )
+        self.store = store
+        self.channel = channel
         self.frames_seen = 0
 
     def register(self, frame: FrameTokens) -> None:
@@ -205,8 +213,7 @@ class _StacChannel:
         n = self.tokens_per_frame
         members = self.cache.blocks()
         anchors = members[-1]  # as attended; selection replaces the block
-        retrieved = self.store.retrieve(vis_positions, self.budget.retrieve_tokens)
-        events_before = dict(self.store.events)
+        retrieved = self.store.retrieve(vis_positions, self.budget.retrieve_tokens, self.channel)
 
         # Key set in snapshot order (reference, window, anchors), then the
         # retrieved rows, then the chunk; each part is one block of rows.
@@ -219,13 +226,12 @@ class _StacChannel:
         counts[temp_len : temp_len + spat_len] = retrieved.counts
         res = attend(chunk_q, keys, values, counts, self.d_h)
 
-        spatial_tokens = self.store.token_count
+        spatial_tokens = int(self.store.token_counts[self.channel])
         self.cache.update_scores(res.mass[:temp_len])
         base = temp_len + spat_len
         initial_scores = [res.mass[base + i * n : base + (i + 1) * n] for i in range(len(frames))]
         expelled = self.cache.ingest_frames(frames, initial_scores)
         evicted = self.cache.select_anchors(expelled)
-        self.store.insert_block(evicted)
         self.frames_seen += len(frames)
 
         audits = 0
@@ -235,25 +241,25 @@ class _StacChannel:
                 anchors, expelled, evicted,
             )
 
+        # Only outputs, scalars and the evicted rows outlive the step: the
+        # key set and the attention intermediates are freed before any
+        # other channel attends.
         spat_mass = float(res.mass[temp_len : temp_len + spat_len].sum())
-        events_delta = {
-            k: self.store.events[k] - events_before[k] for k in self.store.events
-        }
-        events_delta["evicted"] = len(evicted)
         returned_g = int((retrieved.frames == -1).sum())
-        return _step_result(
+        result = _step_result(
             outputs=res.outputs,
             temporal=temp_len,
             spatial=spatial_tokens,
             in_flight=chunk_q.shape[0],
             temporal_end=self.cache.member_count,
-            spatial_end=self.store.token_count,
+            spatial_end=spatial_tokens,
             audits=audits,
-            events=events_delta,
             retrieval=(self.budget.retrieve_tokens, returned_g, spat_len - returned_g),
             spat_mass=spat_mass,
             score_sums=self._score_sums(),
         )
+        result["evicted"] = evicted
+        return result
 
     def _score_sums(self) -> dict:
         # Sequential float sums over each group's scores in member order.
@@ -266,6 +272,7 @@ class _StacChannel:
         }
 
     def _audit(self, mass, n_queries, attended, chunk_lo, prev_anchors, expelled, evicted) -> int:
+        """The checks that do not depend on the voxel store, before insertion."""
         _check_mass(mass, n_queries)
         # chunk causality: everything attended from the cache predates the chunk
         for block in attended:
@@ -302,18 +309,30 @@ class _StacChannel:
             )
         if any((b.scores < 0.0).any() for b in members):
             raise InvariantViolation("negative score in temporal cache")
-        for code, cell in self.store.cells.items():
-            if len(cell.long_term) > self.store.g_cap:
+        return 6
+
+    def _audit_store(self) -> int:
+        """The voxel-store checks, after the chunk's insertion.
+
+        Only cells the insertion touched can have changed, so only this
+        channel's touched cells are checked against the caps. Conservation
+        is per channel: tokens produced equal the temporal members plus the
+        channel's count mass in the store.
+        """
+        store = self.store
+        for code in store.touched[self.channel]:
+            cell = store.cells[code]
+            if len(cell.long_term) > store.g_cap:
                 raise InvariantViolation(f"voxel {code} long-term over cap")
-            if len(cell.buffer) >= self.store.e_cap:
+            if len(cell.buffer) >= store.e_cap:
                 raise InvariantViolation(f"voxel {code} buffer not drained at cap")
-        accounted = self.cache.member_count + self.store.count_mass
+        accounted = self.cache.member_count + int(store.count_masses[self.channel])
         produced = self.frames_seen * self.tokens_per_frame
         if accounted != produced:
             raise InvariantViolation(
                 f"token conservation broken: {accounted} accounted vs {produced} produced"
             )
-        return 8
+        return 2
 
 
 def _id_codes(blocks: list[TokenBlock]) -> np.ndarray:
@@ -419,9 +438,20 @@ class StreamReplayer:
         self.chunk_size = chunk_size
         self.audit = audit
         self.stats_sink = stats_sink
-        self.channels = [
-            self._make_channel() for _ in range(header.layers * header.heads)
-        ]
+        n_channels = header.layers * header.heads
+        self.store: Optional[VoxelStore] = None
+        if policy.kind == "stac":
+            config = policy.config
+            self.store = VoxelStore(
+                voxel_size=config.voxel_size,
+                merge_lambda=config.merge_lambda,
+                g_cap=config.g_cap,
+                e_cap=config.e_cap,
+                knn_radius_mult=config.knn_radius_mult,
+                quantize=config.half_precision,
+                channels=n_channels,
+            )
+        self.channels = [self._make_channel(ci) for ci in range(n_channels)]
         self.outputs: Optional[dict[int, np.ndarray]] = {} if collect_outputs else None
         self.rows: list[dict] = []
         self._pending: list[TraceRecord] = []
@@ -436,13 +466,14 @@ class StreamReplayer:
         self._t0 = time.perf_counter()
         self._finished = False
 
-    def _make_channel(self):
+    def _make_channel(self, channel: int):
         h = self.header
-        if self.policy.kind == "full":
-            return _VerbatimChannel(h.d_h, None, h.tokens_per_frame)
-        if self.policy.kind == "window":
-            return _VerbatimChannel(h.d_h, self.policy.window, h.tokens_per_frame)
-        return _StacChannel(self.policy.config, self.budget, h.d_h, h.tokens_per_frame)
+        if self.policy.kind != "stac":
+            window = self.policy.window if self.policy.kind == "window" else None
+            return _VerbatimChannel(h.d_h, window, h.tokens_per_frame, self.chunk_size,
+                                    h.frame_count)
+        return _StacChannel(self.policy.config, self.budget, h.d_h, h.tokens_per_frame,
+                            self.store, channel)
 
     def feed(self, record: TraceRecord) -> Optional[dict]:
         """Accept the next frame; returns a chunk row when one completes."""
@@ -480,6 +511,8 @@ class StreamReplayer:
             for li in range(h.layers)
             for hi in range(h.heads)
         ]
+        if self.store is not None:
+            self._insert_evicted(results)
 
         if self.outputs is not None:
             n, d = h.tokens_per_frame, h.d_h
@@ -495,6 +528,20 @@ class StreamReplayer:
             self.stats_sink(row)
         self._pending = []
         return row
+
+    def _insert_evicted(self, results: list[dict]) -> None:
+        """One insertion of every channel's evictees, then the store audits."""
+        store = self.store
+        sizes = [len(r["evicted"]) for r in results]
+        evicted = TokenBlock.concat([r.pop("evicted") for r in results])
+        before = store.channel_events.copy()
+        store.insert_evicted(evicted, np.repeat(np.arange(len(sizes)), sizes))
+        delta = (store.channel_events - before).tolist()
+        for ci, (channel, r) in enumerate(zip(self.channels, results)):
+            r["events"] = dict(zip(EVENTS, delta[ci]), evicted=sizes[ci])
+            r["spatial_end"] = int(store.token_counts[ci])
+            if self.audit:
+                r["audits"] += channel._audit_store()
 
     def _build_row(self, results: list[dict], frame_lo: int, frame_hi: int, t0: float) -> dict:
         temporal = sum(r["temporal"] for r in results)
@@ -551,10 +598,10 @@ class StreamReplayer:
         channels = h.layers * h.heads
         full_tokens = self._frames_seen * h.tokens_per_frame * channels
         elapsed = time.perf_counter() - self._t0
-        half_sats = 0
+        half_sats = 0 if self.store is None else self.store.half_saturations
         for ch in self.channels:
             if isinstance(ch, _StacChannel):
-                half_sats += ch.cache.half_saturations + ch.store.half_saturations
+                half_sats += ch.cache.half_saturations
         summary = {
             "type": "summary",
             "policy": self.policy.label(),

@@ -109,9 +109,9 @@ def test_c03_fusion_recurrences_match_independent_replay():
                 else float(rng.uniform(0.0, 2.0))
             count = int(rng.integers(1, 4))
             token = _evictee(key, val, home, score, 0, i, count)
-            assert store.insert_block(token) == [mirror.insert(key, val, score, count)]
+            assert store.insert_evicted(token) == [mirror.insert(key, val, score, count)]
             inserted += count
-        cell = store.cells[morton_encode((0, 0, 0))]
+        cell = store.cells[(0, morton_encode((0, 0, 0)))]
         assert len(cell.long_term) == len(mirror.long_term)
         assert len(cell.buffer) == len(mirror.buffer)
         for got, ref in zip(store.block(cell.long_term).rows, mirror.long_term):
@@ -218,8 +218,8 @@ def test_c05_selection_mechanisms_match_bruteforce():
                 if c > best_cos:
                     best_i, best_cos = j, c
             token = _evictee(key, val, home, float(rng.uniform(0, 1)), 0, i)
-            (event,) = store.insert_block(token)
-            cell = store.cells[morton_encode((0, 0, 0))]
+            (event,) = store.insert_evicted(token)
+            cell = store.cells[(0, morton_encode((0, 0, 0)))]
             if best_i >= 0 and best_cos > lam:
                 assert event == "fused"
                 assert store.count[reps[best_i]] == snap[best_i][1] + 1
@@ -236,19 +236,19 @@ def test_c05_selection_mechanisms_match_bruteforce():
                            knn_radius_mult=2.0)
         for i in range(43):
             key, val = rng.normal(size=3), rng.normal(size=3)
-            cell = store.cells.get(morton_encode((0, 0, 0)))
+            cell = store.cells.get((0, morton_encode((0, 0, 0))))
             reps = list(cell.long_term) if cell is not None else []
             snap = [(store.token[r], store.data[r, :3].copy(), store.weight[r], store.count[r])
                     for r in reps]
             count = int(rng.integers(1, 4))
             token = _evictee(key, val, home, 0.0, 0, i, count)
-            assert store.insert_block(token) == ["aggregated"]
+            assert store.insert_evicted(token) == ["aggregated"]
             if len(snap) < 3:
                 continue
             vi = min(range(3), key=lambda j: (snap[j][2], j))
             rest = [j for j in range(3) if j != vi]
             bi = max(rest, key=lambda j: py_cosine(snap[j][1], snap[vi][1]))
-            left = store.cells[morton_encode((0, 0, 0))].long_term
+            left = store.cells[(0, morton_encode((0, 0, 0)))].long_term
             assert [store.token[r] for r in left[:-1]] == [snap[j][0] for j in rest]
             heir = left[rest.index(bi)]
             assert store.count[heir] == snap[bi][3] + snap[vi][3]
@@ -264,7 +264,7 @@ def test_c05_selection_mechanisms_match_bruteforce():
         for i in range(60):
             key, val = rng.normal(size=3), rng.normal(size=3)
             score = float(rng.uniform(0, 1))
-            store.insert_block(_evictee(key, val, rng.uniform(-0.3, 0.3, size=3), score, 0, i))
+            store.insert_evicted(_evictee(key, val, rng.uniform(-0.3, 0.3, size=3), score, 0, i))
         for _ in range(20):
             visible = rng.uniform(-0.3, 0.3, size=(int(rng.integers(1, 6)), 3))
             quota = int(rng.integers(1, 50))

@@ -1,7 +1,5 @@
 """Numeric primitive checks, mostly against plain-Python oracles."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,41 +8,10 @@ from stacache import (
     DimensionError,
     HALF_MAX,
     attend,
-    cosine,
     half_roundtrip,
     weighted_mean,
 )
-from oracles import py_cosine, py_softmax
-
-
-def test_cosine_known_value():
-    assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-9)
-
-
-def test_cosine_matches_oracle_and_stays_clipped():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        n = rng.integers(1, 24)
-        a = rng.normal(size=n)
-        b = rng.normal(size=n)
-        c = cosine(a, b)
-        assert -1.0 <= c <= 1.0
-        assert c == pytest.approx(py_cosine(a, b), abs=1e-12)
-
-
-def test_cosine_scale_invariant():
-    rng = np.random.default_rng(14)
-    a = rng.normal(size=9)
-    b = rng.normal(size=9)
-    assert cosine(a, 3.7 * b) == pytest.approx(cosine(a, b), abs=1e-12)
-    assert cosine(a, a) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_zero_norm_raises():
-    with pytest.raises(DegenerateVectorError):
-        cosine([0.0, 0.0], [1.0, 2.0])
-    with pytest.raises(DegenerateVectorError):
-        cosine([1.0, 2.0], np.zeros(2))
+from oracles import py_softmax
 
 
 def _row_softmax(logits, mask):

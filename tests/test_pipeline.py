@@ -1,6 +1,7 @@
 """Replay harness: policies vs oracles, budgets, stats rows, determinism."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,3 +318,80 @@ def test_audit_catches_token_evicted_earlier_coming_back():
 
     with pytest.raises(InvariantViolation, match="re-entered"):
         _leaky_replay(leak)
+
+
+def _breached_replay(plant):
+    """Replay stac on two channels; plant(store) runs after each insertion."""
+    header, records = _trace(seed=3, frames=40, tokens=6, heads=2, d_h=4, motion="revisit")
+    replayer = StreamReplayer(header, Policy.stac(), audit=True)
+    store = replayer.store
+    original = store.insert_evicted
+
+    def insert(block, channels=None):
+        events = original(block, channels)
+        plant(store)
+        return events
+
+    store.insert_evicted = insert
+    for record in records:
+        replayer.feed(record)
+
+
+def test_audit_catches_a_cap_breach_in_a_touched_cell():
+    # the audit checks only the cells the chunk's insertion touched, and a
+    # breach there is caught on that very chunk
+    def overfill(store):
+        for code in store.touched[1]:
+            cell = store.cells[code]
+            if cell.long_term:
+                cell.long_term.extend(cell.long_term[:1] * store.g_cap)
+                return
+
+    with pytest.raises(InvariantViolation, match="long-term over cap"):
+        _breached_replay(overfill)
+
+    def undrained(store):
+        if store.touched[0]:
+            cell = store.cells[store.touched[0][-1]]
+            cell.buffer.extend([0] * (store.e_cap - len(cell.buffer)))
+
+    with pytest.raises(InvariantViolation, match="buffer not drained"):
+        _breached_replay(undrained)
+
+
+def test_audit_conservation_is_per_channel():
+    # count mass moved from one channel to another keeps the sum over
+    # channels, but breaks each channel's conservation
+    def shift(store):
+        store.count_masses[0] += 1
+        store.count_masses[1] -= 1
+
+    with pytest.raises(InvariantViolation, match="conservation"):
+        _breached_replay(shift)
+
+
+def test_window_buffer_is_sized_once_from_the_policy():
+    # reference + window + one chunk of rows, allocated at construction and
+    # never grown; a header claiming fewer frames than the window shrinks it
+    header, records = _trace(seed=4, frames=30, tokens=5, heads=2, d_h=4)
+    replayer = StreamReplayer(header, Policy.sliding(3), chunk_size=4)
+    buffers = [(ch.keys, ch.values) for ch in replayer.channels]
+    assert all(k.shape == v.shape == ((1 + 3 + 4) * 5, 4) for k, v in buffers)
+    for record in records:
+        replayer.feed(record)
+    replayer.finish()
+    for ch, (k, v) in zip(replayer.channels, buffers):
+        assert ch.keys is k and ch.values is v
+    # a header that under-claims its frames sizes the buffer short; it then
+    # grows, and the replay is unchanged
+    honest = run_stream((header, records), Policy.sliding(9), chunk_size=4,
+                        collect_outputs=True)
+    short = StreamReplayer(replace(header, frame_count=2), Policy.sliding(9), chunk_size=4,
+                           collect_outputs=True)
+    assert short.channels[0].keys.shape[0] == (1 + 2 + 4) * 5
+    for record in records:
+        short.feed(record)
+    stats = short.finish()
+    assert stats.canonical_lines() == honest.canonical_lines()
+    for f, out in honest.outputs.items():
+        assert np.array_equal(stats.outputs[f], out)

@@ -44,14 +44,14 @@ class VoxelStoreAgainstMirror(RuleBasedStateMachine):
         key, value = rng.normal(size=D), rng.normal(size=D)
         block = TokenBlock.build(key[None, :], value[None, :], HOME[None, :], scores=[score],
                                  tokens=[self.inserted], counts=count)
-        assert self.store.insert_block(block) == [self.mirror.insert(key, value, score, count)]
+        assert self.store.insert_evicted(block) == [self.mirror.insert(key, value, score, count)]
         self.inserted += count
 
     @invariant()
     def same_contents(self):
         store, mirror = self.store, self.mirror
         assert store.count_mass == self.inserted == mirror.count_mass()
-        cell = store.cells.get(morton_encode((0, 0, 0)))
+        cell = store.cells.get((0, morton_encode((0, 0, 0))))
         if cell is None:
             assert not mirror.long_term and not mirror.buffer
             return

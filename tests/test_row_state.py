@@ -2,10 +2,12 @@
 
 The reference below is the previous stac path, kept as test-local code: a
 temporal cache and a voxel store that hold one Python object per token, and
-a channel step that stacks those objects into its key set. The channel
-under test keeps the same state as rows of arrays. Every replay must give
-the same attention outputs, bit for bit, and the same canonical stats
-stream, byte for byte.
+a channel step that stacks those objects into its key set and routes its
+evictees one at a time into a store of its own. The channels under test
+keep the same state as rows of arrays and share one voxel store, which
+takes every channel's evictees of a chunk in one batched insertion. Every
+replay must give the same attention outputs, bit for bit, and the same
+canonical stats stream, byte for byte.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ from stacache import CacheConfig, Policy, StreamReplayer, TokenId, synth_trace
 from stacache.attention import attend
 from stacache.kernel import HALF_MAX, half_roundtrip, weighted_mean
 from stacache.pipeline import _StacChannel, _step_result
-from stacache.spatial import VoxelCell, _safe_cos, morton_encode, voxel_of
+from stacache.spatial import VoxelCell, morton_encode, voxel_of
+
+
+def _safe_cos(a, b):
+    # the scalar cosine: two np.linalg.norm calls and one np.dot, clipped;
+    # a zero-norm key scores -1 against everything
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return -1.0
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 @dataclass
@@ -320,6 +331,8 @@ def _replay(header, records, config, chunk_size, reference):
     replayer = StreamReplayer(header, Policy.stac(config), chunk_size=chunk_size,
                               audit=True, collect_outputs=True)
     if reference:
+        # each reference channel routes into a store of its own
+        replayer.store = None
         replayer.channels = [
             _RefChannel(config, replayer.budget, header.d_h, header.tokens_per_frame)
             for _ in replayer.channels
@@ -329,8 +342,19 @@ def _replay(header, records, config, chunk_size, reference):
     return replayer.finish()
 
 
+def _trace(frames, tokens, d_h, motion, layers=1, heads=2, zero_keys=False):
+    header, records = synth_trace(seed=frames + tokens, frames=frames, tokens_per_frame=tokens,
+                                  layers=layers, heads=heads, d_h=d_h, motion=motion)
+    if zero_keys:
+        # every third frame brings two zero keys, which must score -1
+        # against everything
+        for record in records[1::3]:
+            record.data[:, :, 1, :2] = 0.0
+    return header, records
+
+
 CASES = [
-    # (config, chunk size, trace: frames, tokens per frame, d_h, motion)
+    # (config, chunk size, trace: frames, tokens per frame, d_h, motion[, options])
     pytest.param(CacheConfig(), 4, (45, 8, 4, "revisit"), id="defaults"),
     pytest.param(CacheConfig(half_precision=True), 4, (45, 8, 4, "revisit"), id="quantized"),
     pytest.param(CacheConfig(g_cap=1, e_cap=1), 3, (44, 8, 4, "orbit"), id="g1-e1-chunk3"),
@@ -341,14 +365,25 @@ CASES = [
     pytest.param(CacheConfig(g_cap=2, e_cap=3, merge_lambda=0.2, voxel_size=0.1), 3,
                  (42, 6, 3, "revisit"), id="partial-last-chunk"),
     pytest.param(CacheConfig(), 4, (30, 1, 4, "revisit"), id="positionless-only"),
+    pytest.param(CacheConfig(), 4, (45, 16, 4, "revisit", {"layers": 2, "heads": 3}),
+                 id="six-channels"),
+    # eight voxels (one per octant) take each channel's whole eviction, far
+    # over 2 * e_cap rows a chunk per cell: a buffer aggregates several times
+    # within one insertion, and aggregates past the second re-merge
+    pytest.param(CacheConfig(g_cap=2, e_cap=2, merge_lambda=0.99, voxel_size=50.0), 4,
+                 (40, 12, 4, "revisit", {"layers": 2, "heads": 2}), id="one-cell-many-waves"),
+    pytest.param(CacheConfig(g_cap=1, e_cap=2, merge_lambda=0.9, voxel_size=50.0), 3,
+                 (40, 12, 4, "orbit", {"layers": 2, "heads": 2}), id="one-cell-g1-fold"),
+    pytest.param(CacheConfig(g_cap=2, e_cap=3, merge_lambda=0.5, voxel_size=0.5,
+                             half_precision=True), 4,
+                 (45, 12, 4, "revisit", {"layers": 2, "heads": 2, "zero_keys": True}),
+                 id="zero-keys-quantized"),
 ]
 
 
 @pytest.mark.parametrize("config, chunk_size, geometry", CASES)
 def test_row_state_replays_bit_identical_to_object_channel(config, chunk_size, geometry):
-    frames, tokens, d_h, motion = geometry
-    header, records = synth_trace(seed=frames + tokens, frames=frames, tokens_per_frame=tokens,
-                                  layers=1, heads=2, d_h=d_h, motion=motion)
+    header, records = _trace(*geometry[:4], **(geometry[4] if len(geometry) > 4 else {}))
     got = _replay(header, records, config, chunk_size, reference=False)
     want = _replay(header, records, config, chunk_size, reference=True)
     assert "\n".join(got.canonical_lines()).encode() == "\n".join(want.canonical_lines()).encode()
@@ -364,10 +399,8 @@ def test_cases_reach_every_insert_path():
     seen = set()
     partial = 0
     for case in CASES:
-        config, chunk_size, (frames, tokens, d_h, motion) = case.values
-        header, records = synth_trace(seed=frames + tokens, frames=frames,
-                                      tokens_per_frame=tokens, layers=1, heads=2, d_h=d_h,
-                                      motion=motion)
+        config, chunk_size, geometry = case.values
+        header, records = _trace(*geometry[:4], **(geometry[4] if len(geometry) > 4 else {}))
         stats = _replay(header, records, config, chunk_size, reference=False)
         seen.update(k for k, v in stats.summary["events"].items() if v > 0)
         partial += stats.rows[-1]["frame_hi"] - stats.rows[-1]["frame_lo"] + 1 < chunk_size

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from stacache import (
-    DegenerateVectorError,
     DimensionError,
     TokenBlock,
     TokenId,
@@ -37,7 +36,7 @@ def _token(key, position=None, score=0.0, frame=1, idx=0, count=1):
 
 
 def _insert(store, token):
-    (event,) = store.insert_block(token)
+    (event,) = store.insert_evicted(token)
     return event
 
 
@@ -279,11 +278,13 @@ def test_insert_block_places_rows_in_order():
         np.eye(3), np.eye(3), [[0.5, 0.5, 0.5], [9.0, 9.0, 9.0], [0.5, 0.5, 0.5]],
         mask=[True, False, True],
     )
-    assert store.insert_block(block) == ["buffered", "dropped", "aggregated"]
+    assert store.insert_evicted(block) == ["buffered", "dropped", "aggregated"]
     with pytest.raises(VoxelRangeError):
-        store.insert_block(TokenBlock.build(np.eye(3)[:1], np.eye(3)[:1], [[1e7, 0.0, 0.0]]))
+        store.insert_evicted(TokenBlock.build(np.eye(3)[:1], np.eye(3)[:1], [[1e7, 0.0, 0.0]]))
     with pytest.raises(DimensionError):
-        store.insert_block(_token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
+        store.insert_evicted(_token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
+    with pytest.raises(DimensionError):
+        store.insert_evicted(block, channels=[0, 1, 0])  # the store has one channel
 
 
 # -- retrieval ----------------------------------------------------------------
@@ -398,10 +399,10 @@ class _Tok:
 class _ReferenceStore:
     """The straightforward insertion routine the store must match bit for bit.
 
-    Each similarity goes through kernel.cosine, each cell through voxel_of
-    and morton_encode, and fusion recomputes every mean from scratch on
-    token objects; the store's row pool must reproduce every event and
-    every bit.
+    Tokens arrive one at a time. Each similarity is two np.linalg.norm
+    calls and one np.dot, each cell goes through voxel_of and
+    morton_encode, and fusion recomputes every mean from scratch on token
+    objects; the store's row pool must reproduce every event and every bit.
     """
 
     def __init__(self, voxel_size, merge_lambda, g_cap, e_cap, quantize):
@@ -413,10 +414,11 @@ class _ReferenceStore:
 
     @staticmethod
     def _cos(a, b):
-        try:
-            return kernel.cosine(a, b)
-        except DegenerateVectorError:
+        # a zero-norm key has no direction and scores -1 against everything
+        na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+        if na == 0.0 or nb == 0.0:
             return -1.0
+        return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
     def _q(self, vec):
         if not self.quantize:
@@ -556,7 +558,7 @@ def test_insert_is_bit_identical_to_scalar_reference():
                 count=count,
             )
 
-            got = _outcome(lambda b: store.insert_block(b)[0], block)
+            got = _outcome(lambda b: store.insert_evicted(b)[0], block)
             want = _outcome(ref.insert, token)
             assert got == want, (case, i)
             seen_events.add(got)
@@ -564,8 +566,8 @@ def test_insert_is_bit_identical_to_scalar_reference():
             assert store.token_count == len(held)
             assert store.count_mass == sum(store.count[r] for r in held) + store.dropped_count_mass
 
-        assert set(store.cells) == set(ref.cells)
-        for code, cell in store.cells.items():
+        assert set(store.cells) == {(0, code) for code in ref.cells}
+        for (_, code), cell in store.cells.items():
             long_term, buffer = ref.cells[code]
             assert [_row_bits(store, r) for r in cell.long_term] == [_bits(t) for t in long_term]
             assert [_row_bits(store, r) for r in cell.buffer] == [_bits(t) for t in buffer]
@@ -580,3 +582,141 @@ def test_nan_key_is_buffered_not_fused():
     store.aggregate(next(iter(store.cells)))
     event = _insert(store, _token([np.nan, 0.0], position=[0.5, 0.5, 0.5], idx=1))
     assert event == "buffered"
+
+
+def _random_rows(rng, n, d, voxel_size, spread, quantize_tiny=False):
+    """n evictee rows over a few voxels: repeats, zero keys and tiny keys."""
+    keys = rng.normal(size=(n, d)) + 2.0 * (np.arange(n) % 2)[:, None]
+    for i in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            keys[i] = 0.0
+        elif kind < 0.25 and i:
+            keys[i] = keys[int(rng.integers(i))]  # cos = 1 with a twin
+        elif kind < 0.3 and quantize_tiny:
+            keys[i] *= 1e-9  # flushes to zero under quantization
+    positions = rng.uniform(-spread, spread, size=(n, 3)) * voxel_size
+    mask = rng.random(n) > 0.05
+    return keys, positions, mask
+
+
+def test_batched_insert_is_bit_identical_to_scalar_reference():
+    # Blocks of many rows, a few cells each, so one call routes well over
+    # 2 * e_cap rows into some cells: their buffers aggregate more than once
+    # and re-merge (or fold, at g_cap=1) within one call's waves.
+    rng = np.random.default_rng(48)
+    seen = set()
+    re_merged = 0
+    for case in range(60):
+        voxel_size = float(rng.choice([0.5, 1.0]))
+        params = dict(
+            voxel_size=voxel_size,
+            merge_lambda=float(rng.uniform(-0.3, 0.99)),
+            g_cap=int(rng.integers(1, 4)),
+            e_cap=int(rng.integers(1, 4)),
+            quantize=bool(rng.random() < 0.4),
+        )
+        store = VoxelStore(knn_radius_mult=2.0, **params)
+        ref = _ReferenceStore(**params)
+        d = int(rng.integers(2, 6))
+        serial = 0
+        for _ in range(4):
+            n = int(rng.integers(1, 60))
+            keys, positions, mask = _random_rows(rng, n, d, voxel_size, 1.5, params["quantize"])
+            scores = rng.choice([0.0, 0.5, 1.0], size=n)
+            counts = rng.integers(1, 4, size=n)
+            block = TokenBlock.build(keys, keys * 3.0 - 1.0, positions, mask=mask, scores=scores,
+                                     frames=1, tokens=np.arange(serial, serial + n),
+                                     counts=counts)
+            tokens = [
+                _Tok(id=TokenId(1, serial + i), key=block.keys[i].copy(),
+                     value=block.values[i].copy(), score=float(scores[i]),
+                     position=block.positions[i].copy() if mask[i] else None,
+                     count=int(counts[i]))
+                for i in range(n)
+            ]
+            serial += n
+            got = store.insert_evicted(block)
+            assert got == [ref.insert(t) for t in tokens], case
+            seen.update(got)
+        assert set(store.cells) == {(0, code) for code in ref.cells}
+        for (_, code), cell in store.cells.items():
+            long_term, buffer = ref.cells[code]
+            assert [_row_bits(store, r) for r in cell.long_term] == [_bits(t) for t in long_term]
+            assert [_row_bits(store, r) for r in cell.buffer] == [_bits(t) for t in buffer]
+        assert store.half_saturations == ref.half_saturations
+        held = [r for c in store.cells.values() for r in (*c.long_term, *c.buffer)]
+        assert store.token_count == len(held)
+        re_merged += store.events["re_merged"]
+    assert {"fused", "buffered", "aggregated", "dropped"} <= seen
+    assert re_merged > 0
+
+
+def test_one_store_of_channels_equals_a_store_per_channel():
+    # A concatenated multi-channel block inserted into one store must give
+    # what each channel's rows give in a store of their own: the events in
+    # row order, the cells by value, weights, counts, serials and retrieval.
+    rng = np.random.default_rng(49)
+    for case in range(12):
+        channels = int(rng.integers(2, 5))
+        params = dict(voxel_size=0.5, merge_lambda=float(rng.uniform(0.0, 0.95)),
+                      g_cap=int(rng.integers(1, 4)), e_cap=int(rng.integers(1, 4)),
+                      knn_radius_mult=2.0, quantize=bool(case % 3 == 0))
+        one = VoxelStore(channels=channels, **params)
+        own = [VoxelStore(**params) for _ in range(channels)]
+        d, serial = 4, 0
+        for _ in range(5):
+            blocks = []
+            for c in range(channels):
+                n = int(rng.integers(0, 50))
+                keys, positions, mask = _random_rows(rng, n, d, 0.5, 2.0)
+                blocks.append(TokenBlock.build(
+                    keys, -keys, positions, mask=mask, scores=rng.choice([0.0, 1.0], size=n),
+                    frames=2, tokens=np.arange(serial, serial + n), counts=rng.integers(1, 3, n)))
+                serial += n
+            sizes = [len(b) for b in blocks]
+            got = one.insert_evicted(TokenBlock.concat(blocks),
+                                     np.repeat(np.arange(channels), sizes))
+            want = [e for store, b in zip(own, blocks) for e in store.insert_evicted(b)]
+            assert got == want, case
+            for c, store in enumerate(own):
+                assert one.touched[c] == [(c, code) for _, code in store.touched[0]]
+        for c, store in enumerate(own):
+            assert one.token_counts[c] == store.token_count
+            assert one.count_masses[c] == store.count_mass
+            assert one.channel_events[c].tolist() == store.channel_events[0].tolist()
+            mine = {code: cell for (ch, code), cell in one.cells.items() if ch == c}
+            assert list(mine) == [code for _, code in store.cells]
+            for (_, code), cell in store.cells.items():
+                assert [_row_bits(one, r) for r in mine[code].long_term] == \
+                    [_row_bits(store, r) for r in cell.long_term]
+                assert [_row_bits(one, r) for r in mine[code].buffer] == \
+                    [_row_bits(store, r) for r in cell.buffer]
+            for _ in range(5):
+                visible = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 4)), 3))
+                quota = int(rng.integers(1, 40))
+                a, b = one.retrieve(visible, quota, c), store.retrieve(visible, quota)
+                assert a.ids() == b.ids()
+                assert a.rows.tobytes() == b.rows.tobytes()
+                assert np.array_equal(a.counts, b.counts)
+        assert one.half_saturations == sum(s.half_saturations for s in own)
+
+
+def test_vecdot_matches_per_row_dot_bit_for_bit():
+    # The batched cosines rest on np.vecdot giving each row the bits of one
+    # ndarray.dot, broadcast operands and rows gathered from a strided pool
+    # included; einsum or a matmul against a column would not.
+    rng = np.random.default_rng(50)
+    for d in (3, 4, 7, 32, 64, 67):
+        pool = rng.normal(size=(40, 2 * d + 3)) * rng.uniform(0.01, 100.0)
+        keys = pool[:, :d]
+        for _ in range(200):
+            reps = keys[rng.integers(0, 40, size=(5, 3))]
+            incoming = rng.normal(size=(5, d))
+            dots = np.vecdot(reps, incoming[:, None, :])
+            for i in range(5):
+                for j in range(3):
+                    assert dots[i, j] == reps[i, j].dot(incoming[i])
+            squares = np.vecdot(incoming, incoming)
+            for i in range(5):
+                assert squares[i] == incoming[i].dot(incoming[i])
