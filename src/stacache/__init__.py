@@ -7,7 +7,7 @@ and replays recorded q/k/v traces to measure what the compression does to
 memory growth and attention outputs.
 """
 
-from .attention import AttentionResult, attend
+from .attention import AttentionResult, Workspace, attend
 from .errors import (
     ConfigError,
     DegenerateVectorError,
@@ -68,6 +68,7 @@ __all__ = [
     "VoxelCoord",
     "VoxelRangeError",
     "VoxelStore",
+    "Workspace",
     "allocate_budget",
     "attend",
     "compare",

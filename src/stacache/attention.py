@@ -11,6 +11,7 @@ set of n duplicated keys would have received.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,12 +24,34 @@ class AttentionResult:
     mass: np.ndarray     # (n_keys,) attention mass received per key
 
 
+class Workspace:
+    """A reusable float64 buffer for `attend`'s Q x K weights.
+
+    One workspace serves a sequence of calls that never overlap; it must
+    not be shared between threads. It grows geometrically, so a key set
+    that grows by a chunk per call reallocates O(log t) times, and it never
+    shrinks: a smaller call uses a prefix, and the slack pages it never
+    touches stay non-resident.
+    """
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0)
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        """A C-contiguous (rows, cols) view over the buffer's prefix."""
+        size = rows * cols
+        if size > self._buf.size:
+            self._buf = np.empty(max(size, 2 * self._buf.size))
+        return self._buf[:size].reshape(rows, cols)
+
+
 def attend(
     queries: np.ndarray,
     keys: np.ndarray,
     values: np.ndarray,
     counts: np.ndarray,
     d_h: int,
+    workspace: Optional[Workspace] = None,
 ) -> AttentionResult:
     """Scaled dot-product attention with a count-duplication bias.
 
@@ -40,7 +63,10 @@ def attend(
     The logits, shifted logits and weights share one Q x K buffer: every
     step after the product writes in place, with the same IEEE operations
     in the same order as the allocating form, so the results are
-    bit-identical to it.
+    bit-identical to it. With a `workspace` that buffer is the workspace's
+    and the call allocates only O(Q + K); without one it is allocated
+    afresh. The outputs and mass are always fresh arrays, so a later call
+    through the same workspace leaves them unchanged.
     """
     queries = np.asarray(queries, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
@@ -63,7 +89,8 @@ def attend(
     if not (np.isfinite(counts).all() and (counts >= 1.0).all()):
         raise DimensionError("counts must all be finite and >= 1")
 
-    w = queries @ keys.T
+    out = None if workspace is None else workspace.matrix(queries.shape[0], keys.shape[0])
+    w = np.matmul(queries, keys.T, out=out)
     np.divide(w, np.sqrt(float(d_h)), out=w)
     np.add(w, np.log(counts)[None, :], out=w)
     np.subtract(w, w.max(axis=1, keepdims=True), out=w)

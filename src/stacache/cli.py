@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--knn-mult", type=float, default=None, help="retrieval radius in voxel sizes")
         p.add_argument("--budget-mult", type=float, default=None, help="budget in frame multiples")
         p.add_argument("--window-frames", type=int, default=None, help="temporal window frames")
-        p.add_argument("--chunk", type=int, default=None, help="frames per attention chunk")
+        p.add_argument("--chunk", type=int, default=None, help="frames per attention chunk, for every policy")
         p.add_argument("--split", type=_split_arg, default=None,
                        metavar="W,A,R", help="budget fractions window,anchor,retrieve")
         p.add_argument("--half", action="store_true", help="round cache contents through float16")
@@ -197,7 +197,8 @@ def cmd_synth(args) -> int:
 
 
 def _replay_once(args, policy: Policy, sink) -> ReplayStats:
-    return run_stream(args.trace, policy, audit=not args.no_audit, stats_sink=sink)
+    return run_stream(args.trace, policy, chunk_size=args.chunk, audit=not args.no_audit,
+                      stats_sink=sink)
 
 
 def cmd_replay(args) -> int:
@@ -235,7 +236,8 @@ def cmd_replay(args) -> int:
 def cmd_compare(args) -> int:
     policy_a = _policy_from_spec(args.a, args)
     policy_b = _policy_from_spec(args.b, args)
-    report = compare(args.trace, policy_a, policy_b, audit=not args.no_audit)
+    report = compare(args.trace, policy_a, policy_b, chunk_size=args.chunk,
+                     audit=not args.no_audit)
     text = _dumps(report, indent=2)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as f:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .attention import attend
+from .attention import Workspace, attend
 from .errors import ConfigError, InvariantViolation, TraceFormatError
 from .spatial import EVENTS, VoxelStore
 from .temporal import TemporalCache
@@ -122,7 +122,7 @@ class _VerbatimChannel:
     """
 
     def __init__(self, d_h: int, window: Optional[int], tokens_per_frame: int,
-                 chunk_size: int, frame_count: int):
+                 chunk_size: int, frame_count: int, workspace: Workspace):
         self.d_h = d_h
         self.window = window
         self.tokens_per_frame = tokens_per_frame
@@ -133,6 +133,7 @@ class _VerbatimChannel:
         self.values = np.empty((rows, d_h))
         self.ref_len = 0
         self.cached = 0
+        self.workspace = workspace
 
     def register(self, frame: FrameTokens) -> None:
         self.ref_len = self._append([frame])
@@ -158,7 +159,8 @@ class _VerbatimChannel:
         chunk_q = np.concatenate([f.queries for f in frames])
         cache_len = self.cached
         end = self._append(frames)
-        res = attend(chunk_q, self.keys[:end], self.values[:end], np.ones(end), self.d_h)
+        res = attend(chunk_q, self.keys[:end], self.values[:end], np.ones(end), self.d_h,
+                     workspace=self.workspace)
         audits = 0
         if audit:
             _check_mass(res.mass, chunk_q.shape[0])
@@ -190,7 +192,7 @@ class _StacChannel:
     """
 
     def __init__(self, config: CacheConfig, budget: BudgetSplit, d_h: int, tokens_per_frame: int,
-                 store: VoxelStore, channel: int):
+                 store: VoxelStore, channel: int, workspace: Workspace):
         self.config = config
         self.budget = budget
         self.d_h = d_h
@@ -203,6 +205,7 @@ class _StacChannel:
         )
         self.store = store
         self.channel = channel
+        self.workspace = workspace
         self.frames_seen = 0
 
     def register(self, frame: FrameTokens) -> None:
@@ -224,7 +227,7 @@ class _StacChannel:
         temp_len, spat_len = sum(len(b) for b in members), len(retrieved)
         counts = np.ones(keys.shape[0])
         counts[temp_len : temp_len + spat_len] = retrieved.counts
-        res = attend(chunk_q, keys, values, counts, self.d_h)
+        res = attend(chunk_q, keys, values, counts, self.d_h, workspace=self.workspace)
 
         spatial_tokens = int(self.store.token_counts[self.channel])
         self.cache.update_scores(res.mass[:temp_len])
@@ -242,8 +245,9 @@ class _StacChannel:
             )
 
         # Only outputs, scalars and the evicted rows outlive the step: the
-        # key set and the attention intermediates are freed before any
-        # other channel attends.
+        # key set is freed before any other channel attends, and the
+        # attention weights stay in the replay's workspace for the next
+        # channel to overwrite.
         spat_mass = float(res.mass[temp_len : temp_len + spat_len].sum())
         returned_g = int((retrieved.frames == -1).sum())
         result = _step_result(
@@ -451,6 +455,12 @@ class StreamReplayer:
                 quantize=config.half_precision,
                 channels=n_channels,
             )
+        # Channel steps run one after another, so they all attend through one
+        # workspace; one per channel would pin C copies of the largest Q x K
+        # (C x 31.6 MB under `full` at K of about 15k). It lives as long as
+        # the replayer, not the process, and replays in other threads have
+        # their own.
+        self.workspace = Workspace()
         self.channels = [self._make_channel(ci) for ci in range(n_channels)]
         self.outputs: Optional[dict[int, np.ndarray]] = {} if collect_outputs else None
         self.rows: list[dict] = []
@@ -471,9 +481,9 @@ class StreamReplayer:
         if self.policy.kind != "stac":
             window = self.policy.window if self.policy.kind == "window" else None
             return _VerbatimChannel(h.d_h, window, h.tokens_per_frame, self.chunk_size,
-                                    h.frame_count)
+                                    h.frame_count, self.workspace)
         return _StacChannel(self.policy.config, self.budget, h.d_h, h.tokens_per_frame,
-                            self.store, channel)
+                            self.store, channel, self.workspace)
 
     def feed(self, record: TraceRecord) -> Optional[dict]:
         """Accept the next frame; returns a chunk row when one completes."""

@@ -1,9 +1,11 @@
 """Attention engine against a triple-loop oracle, plus the count bias."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from stacache import DimensionError, EmptySupportError, attend
+from stacache import DimensionError, EmptySupportError, Workspace, attend
 from oracles import naive_attend
 
 
@@ -83,16 +85,45 @@ def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale
     v = rng.normal(size=(n_k, d))
     counts = np.floor(rng.uniform(1.0, count_hi + 1.0, size=n_k))
     inputs = [a.copy() for a in (q, k, v, counts)]
-    res = attend(q, k, v, counts, d)
     ref_out, ref_mass = _allocating_attend(q, k, v, counts, d)
-    assert np.array_equal(res.outputs, ref_out)
-    assert np.array_equal(res.mass, ref_mass)
+    # Through one workspace: sized to this case, then grown past it by a
+    # K = 16384 call and used as a prefix, then after a K = 1 call.
+    workspace = Workspace()
+    results = [attend(q, k, v, counts, d), attend(q, k, v, counts, d, workspace=workspace)]
+    kept = [(r.outputs.copy(), r.mass.copy()) for r in results]
+    for big_q, big_k in ((n_q + 1, 16384), (1, 1)):
+        attend(rng.normal(size=(big_q, d)), rng.normal(size=(big_k, d)),
+               rng.normal(size=(big_k, d)), np.ones(big_k), d, workspace=workspace)
+        results.append(attend(q, k, v, counts, d, workspace=workspace))
+        kept.append((results[-1].outputs.copy(), results[-1].mass.copy()))
+    for res, (out, mass) in zip(results, kept):
+        assert np.array_equal(res.outputs, ref_out)
+        assert np.array_equal(res.mass, ref_mass)
+        # outputs and mass never alias the workspace: later calls leave them be
+        assert np.array_equal(res.outputs, out)
+        assert np.array_equal(res.mass, mass)
     # the in-place steps work on their own buffer, never the caller's arrays
     for before, after in zip(inputs, (q, k, v, counts)):
         assert np.array_equal(before, after)
     if scale > 1.0:
         logits = q @ k.T / np.sqrt(float(d))
         assert np.abs(logits).max() > 500.0
+
+
+def test_attend_through_a_warm_workspace_allocates_no_q_by_k_array():
+    rng = np.random.default_rng(25)
+    n_q, n_k, d = 256, 4096, 32
+    q, k, v = rng.normal(size=(n_q, d)), rng.normal(size=(n_k, d)), rng.normal(size=(n_k, d))
+    counts = np.ones(n_k)
+    workspace = Workspace()
+    attend(q, k, v, counts, d, workspace=workspace)
+    tracemalloc.start()
+    try:
+        attend(q, k, v, counts, d, workspace=workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_q * n_k * 8 / 4
 
 
 def test_count_bias_equals_duplication():

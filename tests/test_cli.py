@@ -45,6 +45,7 @@ def test_replay_streams_chunk_rows_then_summary(tmp_path, capsys):
     assert all(r["type"] == "chunk" for r in rows[:-1])
     assert rows[-1]["type"] == "summary"
     assert rows[-1]["policy"] == "full"
+    assert rows[-1]["chunk_size"] == 3
     assert len(rows) == 4  # frames 1..9 in chunks of 3, plus summary
 
 
@@ -192,6 +193,16 @@ def test_compare_reports_overall_divergence(tmp_path, capsys):
     assert report["policy_b"] == "window:2"
     assert 0.0 <= report["overall"]["mean_cosine"] <= 1.0
     assert len(report["per_frame"]) == 11  # frame 0 is register-only
+
+
+def test_compare_chunk_flag_sets_both_replays(tmp_path, capsys):
+    path = _synth(tmp_path, frames=12, capsys=capsys)
+    code = main(["compare", "--trace", path, "--a", "full", "--b", "window:2", "--chunk", "2"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    for summary in (report["summary_a"], report["summary_b"]):
+        assert summary["chunk_size"] == 2
+        assert summary["chunks"] == 6  # frames 1..11 in chunks of 2
 
 
 def test_compare_report_out_writes_file(tmp_path, capsys):
