@@ -92,7 +92,12 @@ def attend(
     out = None if workspace is None else workspace.matrix(queries.shape[0], keys.shape[0])
     w = np.matmul(queries, keys.T, out=out)
     np.divide(w, np.sqrt(float(d_h)), out=w)
-    np.add(w, np.log(counts)[None, :], out=w)
+    bias = np.log(counts)
+    # With every count 1 the bias is all zeros. Adding it changes no bit
+    # that survives: x + 0.0 differs from x only by turning -0.0 into
+    # +0.0, and the max shift and exp map both to the same weight.
+    if bias.any():
+        np.add(w, bias[None, :], out=w)
     np.subtract(w, w.max(axis=1, keepdims=True), out=w)
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)

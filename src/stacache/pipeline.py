@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
@@ -108,6 +109,21 @@ def allocate_budget(config: CacheConfig, tokens_per_frame: int) -> BudgetSplit:
 # -- per-channel policy implementations ------------------------------------
 
 
+def _mapped_rows(rows: int, d_h: int) -> np.ndarray:
+    """An uninitialised (rows, d_h) float64 array in an anonymous mapping.
+
+    The array owns its mapping, so dropping its last view unmaps the pages
+    at once. A heap buffer this large may come from malloc's arena (after
+    large frees have raised its mmap threshold), and then freeing it leaves
+    the pages resident for the next allocation. Untouched pages of a
+    mapping are never resident. mmap cannot map zero bytes, so an empty
+    array stays on the heap.
+    """
+    if rows == 0:
+        return np.empty((0, d_h))
+    return np.frombuffer(mmap.mmap(-1, rows * d_h * 8), dtype=np.float64).reshape(rows, d_h)
+
+
 class _VerbatimChannel:
     """Baseline: the reference frame plus the last `window` frames, verbatim.
 
@@ -118,7 +134,8 @@ class _VerbatimChannel:
     for the reference, the window and one chunk; a header that claims
     fewer frames only shrinks it. The `full` buffer doubles when full
     instead, so a header that declares an absurd frame count cannot turn
-    into an allocation.
+    into an allocation. Every buffer is a memory mapping of its own
+    (`_mapped_rows`), so an outgrown one goes back to the OS when dropped.
     """
 
     def __init__(self, d_h: int, window: Optional[int], tokens_per_frame: int,
@@ -129,8 +146,8 @@ class _VerbatimChannel:
         rows = 0
         if window is not None:
             rows = (1 + min(window, frame_count) + chunk_size) * tokens_per_frame
-        self.keys = np.empty((rows, d_h))
-        self.values = np.empty((rows, d_h))
+        self.keys = _mapped_rows(rows, d_h)
+        self.values = _mapped_rows(rows, d_h)
         self.ref_len = 0
         self.cached = 0
         self.workspace = workspace
@@ -144,7 +161,7 @@ class _VerbatimChannel:
         end = self.cached + sum(f.token_count for f in frames)
         if end > self.keys.shape[0]:
             rows = max(end, 2 * self.keys.shape[0])
-            keys, values = np.empty((rows, self.d_h)), np.empty((rows, self.d_h))
+            keys, values = _mapped_rows(rows, self.d_h), _mapped_rows(rows, self.d_h)
             keys[: self.cached] = self.keys[: self.cached]
             values[: self.cached] = self.values[: self.cached]
             self.keys, self.values = keys, values
@@ -666,16 +683,22 @@ def run_stream(
 ) -> ReplayStats:
     """Replay a whole trace (path, or header+records) under one policy."""
     header, records = _open_source(trace)
-    replayer = StreamReplayer(
-        header,
-        policy,
-        chunk_size=chunk_size,
-        audit=audit,
-        collect_outputs=collect_outputs,
-        stats_sink=stats_sink,
-    )
-    for record in records:
-        replayer.feed(record)
+    try:
+        replayer = StreamReplayer(
+            header,
+            policy,
+            chunk_size=chunk_size,
+            audit=audit,
+            collect_outputs=collect_outputs,
+            stats_sink=stats_sink,
+        )
+        for record in records:
+            replayer.feed(record)
+    finally:
+        # a trace opened here is closed here, also when the replayer cannot
+        # be built or a record fails; a caller's records stay the caller's
+        if isinstance(trace, str):
+            records.close()
     return replayer.finish()
 
 

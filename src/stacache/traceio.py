@@ -175,22 +175,23 @@ def _record_to_json(record: TraceRecord) -> str:
 
 def _record_from_json(obj: dict, index: int, header: TraceHeader) -> TraceRecord:
     shape, _ = _expected_shapes(header)
+    n = header.tokens_per_frame
     try:
-        data = np.asarray(obj["data"], dtype=np.float64)
+        frame_idx = obj["frame_idx"]
         raw_pos = obj["positions"]
-        frame_idx = int(obj["frame_idx"])
-    except (KeyError, TypeError, ValueError) as e:
+        data = np.asarray(obj["data"], dtype=np.float64)
+        if not isinstance(raw_pos, list) or len(raw_pos) != n:
+            raise TraceFormatError(f"record {index}: positions must be a list of {n} entries")
+        mask = np.array([p is not None for p in raw_pos], dtype=bool)
+        pos = np.array([(0.0, 0.0, 0.0) if p is None else p for p in raw_pos], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise TraceFormatError(f"record {index}: malformed record object ({e})") from e
+    if not isinstance(frame_idx, int) or isinstance(frame_idx, bool):
+        raise TraceFormatError(f"record {index}: frame_idx must be an int, got {frame_idx!r}")
     if data.shape != shape:
         raise TraceFormatError(f"record {index}: data shape {data.shape}, expected {shape}")
-    n = header.tokens_per_frame
-    if len(raw_pos) != n:
-        raise TraceFormatError(f"record {index}: {len(raw_pos)} positions, expected {n}")
-    mask = np.array([p is not None for p in raw_pos], dtype=bool)
-    pos = np.zeros((n, 3), dtype=np.float64)
-    for i, p in enumerate(raw_pos):
-        if p is not None:
-            pos[i] = np.asarray(p, dtype=np.float64)
+    if pos.shape != (n, 3):
+        raise TraceFormatError(f"record {index}: positions must be null or 3 numbers each")
     _check_finite(data, pos, mask, index)
     return TraceRecord(frame_idx, data, pos, mask)
 
@@ -231,34 +232,35 @@ def read_trace(path: str) -> tuple[TraceHeader, Iterator[TraceRecord]]:
 
     The iterator checks payload sizes, detects truncation, and requires
     frame indices to run exactly 0 .. frame_count-1. Binary or text is
-    sniffed from the first bytes of the file.
+    sniffed from the first bytes of the file. The iterator owns the open
+    file: it closes it when exhausted, on a format error, and on `close()`,
+    whether or not a record has been read yet.
     """
     f = open(path, "rb")
     try:
         size = os.fstat(f.fileno()).st_size
         head = f.read(len(MAGIC))
         if head == MAGIC:
-            line = f.readline()
-            header = _parse_header_obj(_load_json_line(line, "header"))
-            _check_fits(header, size)
-            return header, _iter_binary(f, header)
-        if head[:1] == b"{":
-            f.close()
-            tf = open(path, "r", encoding="utf-8")
+            header = _parse_header_obj(_load_json_line(f.readline(), "header"))
+            records = _iter_binary(f, header)
+        elif head[:1] == b"{":
+            f.seek(0)
+            # undecodable bytes become U+FFFD and then fail as bad JSON
+            tf = io.TextIOWrapper(f, encoding="utf-8", errors="replace")
             obj = _load_json_line(tf.readline(), "header")
-            if obj.get("magic") != MAGIC.decode():
-                tf.close()
+            if obj.pop("magic", None) != MAGIC.decode():
                 raise TraceFormatError("text trace missing magic field")
-            obj.pop("magic")
-            try:
-                header = _parse_header_obj(obj)
-                _check_fits(header, size)
-            except TraceFormatError:
-                tf.close()
-                raise
-            return header, _iter_text(tf, header)
-        raise TraceFormatError(f"bad magic {head!r}")
-    except Exception:
+            header = _parse_header_obj(obj)
+            records = _iter_text(tf, header)
+        else:
+            raise TraceFormatError(f"bad magic {head!r}")
+        _check_fits(header, size)
+        # Run the generator to its priming yield, inside its try: from here
+        # on its close(), explicit or by garbage collection, closes the file.
+        # An unstarted generator's close() would skip its finally.
+        next(records)
+        return header, records
+    except BaseException:
         f.close()
         raise
 
@@ -266,9 +268,11 @@ def read_trace(path: str) -> tuple[TraceHeader, Iterator[TraceRecord]]:
 def _load_json_line(line, what: str) -> dict:
     if isinstance(line, bytes):
         line = line.decode("utf-8", errors="replace")
+    # ValueError also covers an int literal past the digit limit, and deep
+    # nesting raises RecursionError
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise TraceFormatError(f"unparseable {what} line ({e})") from e
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{what} line is not an object")
@@ -287,6 +291,7 @@ def _parse_header_obj(obj: dict) -> TraceHeader:
 def _iter_binary(f: io.BufferedReader, header: TraceHeader) -> Iterator[TraceRecord]:
     _, expected = _expected_shapes(header)
     try:
+        yield None  # the priming yield, see read_trace
         for index in range(header.frame_count):
             prefix = f.read(8)
             if len(prefix) < 8:
@@ -311,8 +316,9 @@ def _iter_binary(f: io.BufferedReader, header: TraceHeader) -> Iterator[TraceRec
         f.close()
 
 
-def _iter_text(f, header: TraceHeader) -> Iterator[TraceRecord]:
+def _iter_text(f: io.TextIOWrapper, header: TraceHeader) -> Iterator[TraceRecord]:
     try:
+        yield None  # the priming yield, see read_trace
         for index in range(header.frame_count):
             line = f.readline()
             if not line.strip():

@@ -76,6 +76,7 @@ def _allocating_attend(q, k, v, counts, d_h):
         (256, 1056, 32, 50, 1.0),
         (7, 16384, 16, 1e6, 1.0),
         (33, 513, 32, 1e6, 16.0),  # logits around +-1e3
+        (5, 40, 4, 1, 1.0),
     ],
 )
 def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale):
@@ -84,6 +85,15 @@ def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale
     k = rng.normal(size=(n_k, d)) * scale
     v = rng.normal(size=(n_k, d))
     counts = np.floor(rng.uniform(1.0, count_hi + 1.0, size=n_k))
+    if count_hi == 1:
+        # All counts are 1, so attend skips the zero bias. Plant a -0.0
+        # logit, which the allocating form's + ln(1) turns into +0.0: the
+        # product -5e-324 underflows to -0.0 when scaled by 1/sqrt(d_h).
+        # (q = -1, k = 0 would not do: matmul sums from +0.0.)
+        q[0], k[0] = 0.0, 0.0
+        q[0, 0], k[0, 0] = -1.0, 5e-324
+        logit = (q @ k.T / np.sqrt(float(d)))[0, 0]
+        assert logit == 0.0 and np.signbit(logit) and not np.log(counts).any()
     inputs = [a.copy() for a in (q, k, v, counts)]
     ref_out, ref_mass = _allocating_attend(q, k, v, counts, d)
     # Through one workspace: sized to this case, then grown past it by a

@@ -114,6 +114,25 @@ def test_absurd_frame_count_is_trace_error(tmp_path, capsys):
         assert "truncated at record 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("position", [["a", "b", "c"], [1.0, 2.0], 5])
+def test_malformed_text_position_is_trace_error(tmp_path, capsys, position):
+    # these escaped as a ValueError or TypeError traceback (exit 1)
+    header, records = synth_trace(seed=1, frames=3, tokens_per_frame=4, d_h=4)
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), header, records, text=True)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    if isinstance(position, list):
+        record["positions"][1] = position
+    else:
+        record["positions"] = position
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["replay", "--trace", str(path), "--policy", "full", "--chunk", "1"])
+    assert code == 2
+    assert "trace error: record 1" in capsys.readouterr().err
+
+
 def test_absurd_channel_count_is_trace_error(tmp_path, capsys):
     # 2^31 x 2^31 channels used to wrap the expected record size to 33
     # bytes; the replayer then tried to build 2^62 channels

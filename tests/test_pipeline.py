@@ -1,6 +1,9 @@
 """Replay harness: policies vs oracles, budgets, stats rows, determinism."""
 
+import mmap
 import threading
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -395,3 +398,45 @@ def test_window_buffer_is_sized_once_from_the_policy():
     assert stats.canonical_lines() == honest.canonical_lines()
     for f, out in honest.outputs.items():
         assert np.array_equal(stats.outputs[f], out)
+
+
+def _mapping(a) -> mmap.mmap:
+    """The anonymous mapping under an array, found through its bases."""
+    while not isinstance(a, mmap.mmap):
+        a = a.obj if isinstance(a, memoryview) else a.base
+    return a
+
+
+def test_full_history_growth_unmaps_the_outgrown_buffers():
+    header, records = _trace(seed=4, frames=23, tokens=5, heads=2, d_h=6)
+    replayer = StreamReplayer(header, Policy.full(), chunk_size=4)
+    # mmap cannot map zero bytes: the empty starting buffer is a heap array
+    assert all(ch.keys.shape == (0, 6) for ch in replayer.channels)
+    replayer.feed(records[0])
+    grown = 0
+    for record in records[1:]:
+        old = [(ch.keys, ch.values) for ch in replayer.channels]
+        refs = [weakref.ref(_mapping(b)) for pair in old for b in pair]
+        replayer.feed(record)
+        if replayer.channels[0].keys is not old[0][0]:
+            grown += 1
+            del old
+            assert all(ref() is None for ref in refs)
+    replayer.finish()
+    assert grown >= 3
+
+
+def test_full_history_is_not_heap_memory():
+    # The key and value histories reach 4,800 rows of 2 KiB each (9.8 MB
+    # apiece), in mappings of 8,192 rows. One-frame chunks keep the Q x K
+    # workspace at 16 x 4,800 x 8 B = 0.6 MB, and outputs are not
+    # collected, so a history on the heap would dominate the traced peak.
+    header, records = _trace(seed=1, frames=300, tokens=16, d_h=256)
+    history = header.frame_count * header.tokens_per_frame * header.d_h * 8
+    tracemalloc.start()
+    try:
+        run_stream((header, records), Policy.full(), chunk_size=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < history / 2

@@ -1,6 +1,7 @@
 """Trace container round-trips, validation errors, and the synthesizer."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,15 +105,50 @@ def test_bad_magic_raises(tmp_path):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize("line", [b'{"a": ' + b"[" * 100_000, b'{"a": ' + b"1" * 5000 + b"}"],
+                         ids=["deep-nesting", "long-int"])
+def test_json_the_parser_refuses_is_trace_error(tmp_path, line):
+    # json.loads raises RecursionError and a digit-limit ValueError here
+    header, records = _small_trace(frames=2)
+    text = tmp_path / "t.jsonl"
+    write_trace(str(text), header, records, text=True)
+    lines = text.read_bytes().splitlines()
+    binary = tmp_path / "t.kvtrace"
+    binary.write_bytes(MAGIC + line + b"\n")
+    with pytest.raises(TraceFormatError, match="unparseable header"):
+        read_trace(str(binary))
+    text.write_bytes(line + b"\n")
+    with pytest.raises(TraceFormatError, match="unparseable header"):
+        read_trace(str(text))
+    text.write_bytes(b"\n".join([lines[0], line, lines[2]]) + b"\n")
+    _, it = read_trace(str(text))
+    with pytest.raises(TraceFormatError, match="unparseable record"):
+        list(it)
+
+
+@pytest.mark.parametrize("frame_idx", ["Infinity", "1.0", '"1"', "true"])
+def test_text_frame_index_must_be_an_int(tmp_path, frame_idx):
+    # int() used to take all but the first (OverflowError) as frame 1
+    header, records = _small_trace(frames=2)
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), header, records, text=True)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace('"frame_idx": 1', '"frame_idx": ' + frame_idx, 1)
+    path.write_text("\n".join(lines) + "\n")
+    _, it = read_trace(str(path))
+    with pytest.raises(TraceFormatError, match="record 1"):
+        list(it)
+
+
 def test_version_mismatch_raises(tmp_path):
     header, records = _small_trace(frames=2)
     path = str(tmp_path / "t.jsonl")
     write_trace(path, header, records, text=True)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     obj = json.loads(lines[0])
     obj["version"] = 99
     lines[0] = json.dumps(obj)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceFormatError, match="version"):
         read_trace(str(path))
 
@@ -121,8 +157,8 @@ def test_truncation_reports_record_index(tmp_path):
     header, records = _small_trace(frames=4)
     path = str(tmp_path / "t.kvtrace")
     write_trace(path, header, records)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) - 40])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) - 40])
     h, it = read_trace(path)
     with pytest.raises(TraceFormatError, match="record 3"):
         list(it)
@@ -133,12 +169,12 @@ def test_shape_mismatch_detected(tmp_path):
     header, records = _small_trace(frames=3)
     path = str(tmp_path / "t.kvtrace")
     write_trace(path, header, records)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     nl = blob.index(b"\n")
     obj = json.loads(blob[8:nl])
     obj["d_h"] += 1
     new = MAGIC + json.dumps(obj).encode() + b"\n" + blob[nl + 1 :]
-    open(path, "wb").write(new)
+    Path(path).write_bytes(new)
     h, it = read_trace(path)
     with pytest.raises(TraceFormatError, match="record 0"):
         list(it)
