@@ -182,10 +182,6 @@ class VoxelStore:
     # -- sizing -----------------------------------------------------------
 
     @property
-    def cell_count(self) -> int:
-        return len(self.cells)
-
-    @property
     def token_count(self) -> int:
         return int(self.token_counts.sum())
 

@@ -173,17 +173,33 @@ def _record_to_json(record: TraceRecord) -> str:
     )
 
 
+def _json_numbers(value, what: str, index: int) -> np.ndarray:
+    """A parsed JSON array as float64, where every leaf must be a number.
+
+    np.asarray(..., dtype=np.float64) would read "1.5" and true as numbers,
+    so each leaf's Python type is checked first: int or float, not bool.
+    """
+    leaves = np.asarray(value, dtype=object)
+    # flat, because .flat and astype stop at 32 dimensions and a line may nest 64
+    flat = leaves.reshape(-1)
+    if not set(map(type, flat)) <= {int, float}:
+        raise TraceFormatError(f"record {index}: a {what} entry is not a number")
+    return flat.astype(np.float64).reshape(leaves.shape)
+
+
 def _record_from_json(obj: dict, index: int, header: TraceHeader) -> TraceRecord:
     shape, _ = _expected_shapes(header)
     n = header.tokens_per_frame
     try:
         frame_idx = obj["frame_idx"]
         raw_pos = obj["positions"]
-        data = np.asarray(obj["data"], dtype=np.float64)
+        data = _json_numbers(obj["data"], "q/k/v", index)
         if not isinstance(raw_pos, list) or len(raw_pos) != n:
             raise TraceFormatError(f"record {index}: positions must be a list of {n} entries")
         mask = np.array([p is not None for p in raw_pos], dtype=bool)
-        pos = np.array([(0.0, 0.0, 0.0) if p is None else p for p in raw_pos], dtype=np.float64)
+        pos = _json_numbers(
+            [(0.0, 0.0, 0.0) if p is None else p for p in raw_pos], "position", index
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise TraceFormatError(f"record {index}: malformed record object ({e})") from e
     if not isinstance(frame_idx, int) or isinstance(frame_idx, bool):
@@ -362,6 +378,11 @@ def synth_trace(
     (EPOCH_FRAMES frames per epoch): the same place looks different on a
     later visit, which is what makes discarded history observable in the
     attention outputs.
+
+    The bytes are a contract, pinned by tests/test_synth.py, so the draw
+    order must not change: first the camera path, then for each frame the
+    uniform offsets followed by one normal block in (layer, head, token,
+    q/k/v, dim) order.
     """
     if frames < 1 or tokens_per_frame < 1 or layers < 1 or heads < 1 or d_h < 1:
         raise DimensionError("frames, tokens_per_frame, layers, heads, d_h must be >= 1")
@@ -375,17 +396,22 @@ def synth_trace(
     rng = np.random.default_rng(seed)
     centers = _camera_path(motion, frames, rng)
     n, d = tokens_per_frame, d_h
-    archetypes: dict[tuple, np.ndarray] = {}
 
     def archetype(kind: int, layer: int, head: int, region: tuple) -> np.ndarray:
-        key = (kind, layer, head, region)
-        vec = archetypes.get(key)
-        if vec is None:
-            bias = 1 << 20
-            entropy = [seed, kind, layer, head] + [r + bias for r in region]
-            vec = np.random.default_rng(entropy).standard_normal(d)
-            archetypes[key] = vec
-        return vec
+        bias = 1 << 20
+        entropy = [seed, kind, layer, head] + [r + bias for r in region]
+        return np.random.default_rng(entropy).standard_normal(d)
+
+    families: dict[tuple, np.ndarray] = {}
+
+    def family(kind: int, region: tuple) -> np.ndarray:
+        # every channel's archetype for one (kind, region): shape (L, H, d)
+        fam = families.get((kind, region))
+        if fam is None:
+            fam = np.array([[archetype(kind, l, h, region) for h in range(heads)]
+                            for l in range(layers)])
+            families[(kind, region)] = fam
+        return fam
 
     cam_region = (0, 0, 0)  # pose tokens share one global archetype family
     records: list[TraceRecord] = []
@@ -396,28 +422,33 @@ def synth_trace(
             offs = rng.uniform(-VIEW_RADIUS, VIEW_RADIUS, size=(n - 1, 3))
             positions[1:] = centers[t] + offs
             mask[1:] = True
-        regions = [
-            tuple(int(math.floor(x / REGION_SIZE)) for x in positions[j])
-            for j in range(n)
-        ]
+        # One draw for the whole frame. C order is the order of the per-token
+        # draws it replaces (layer, head, token, q/k/v), so the stream, and
+        # with it every trace byte, stays the same.
+        noise = rng.standard_normal((layers, heads, n, 3, d)) * cluster_spread
         epoch = t // EPOCH_FRAMES
+        ak = np.empty((layers, heads, n, d))
+        av = np.empty((layers, heads, n, d))
+        # pose token: no position, no drift
+        ak[:, :, 0] = family(3, cam_region)
+        av[:, :, 0] = family(4, cam_region)
+        if n > 1:
+            cells, inverse = np.unique(
+                np.floor(positions[1:] / REGION_SIZE).astype(np.int64),
+                axis=0, return_inverse=True,
+            )
+            regions = [tuple(map(int, c)) for c in cells]
+            keys = np.stack([family(0, r) for r in regions], axis=2)
+            values = np.stack(
+                [family(1, r) + value_drift * family(2, (*r, epoch)) for r in regions], axis=2
+            )
+            inverse = inverse.reshape(-1)  # its shape has varied between numpy versions
+            ak[:, :, 1:] = keys[:, :, inverse]
+            av[:, :, 1:] = values[:, :, inverse]
         data = np.empty((layers, heads, 3, n, d))
-        for l in range(layers):
-            for h in range(heads):
-                for j in range(n):
-                    if mask[j]:
-                        ak = archetype(0, l, h, regions[j])
-                        av = archetype(1, l, h, regions[j]) + value_drift * archetype(
-                            2, l, h, (*regions[j], epoch)
-                        )
-                        aq = ak
-                    else:
-                        aq = ak = archetype(3, l, h, cam_region)
-                        av = archetype(4, l, h, cam_region)
-                    noise = rng.standard_normal((3, d)) * cluster_spread
-                    data[l, h, 0, j] = aq + noise[0]
-                    data[l, h, 1, j] = ak + noise[1]
-                    data[l, h, 2, j] = av + noise[2]
+        data[:, :, 0] = ak + noise[:, :, :, 0]
+        data[:, :, 1] = ak + noise[:, :, :, 1]
+        data[:, :, 2] = av + noise[:, :, :, 2]
         records.append(TraceRecord(t, data, positions, mask))
 
     placed = np.concatenate([r.positions[r.position_mask] for r in records]) if n > 1 else None
@@ -441,9 +472,11 @@ def synth_trace(
 def _camera_path(motion: str, frames: int, rng: np.random.Generator) -> np.ndarray:
     centers = np.zeros((frames, 3))
     if motion == "random_walk":
+        # one draw for every step: the same stream as one draw a step
+        steps = rng.normal(0.0, WALK_STEP, size=(frames, 3))
         pos = np.zeros(3)
         for t in range(frames):
-            pos = pos + rng.normal(0.0, WALK_STEP, size=3)
+            pos = pos + steps[t]
             # reflect into [-WALK_BOX, WALK_BOX] so the scene stays bounded
             pos = WALK_BOX - np.abs((pos + WALK_BOX) % (4 * WALK_BOX) - 2 * WALK_BOX)
             centers[t] = pos

@@ -133,6 +133,21 @@ def test_malformed_text_position_is_trace_error(tmp_path, capsys, position):
     assert "trace error: record 1" in capsys.readouterr().err
 
 
+def test_quoted_text_value_is_trace_error(tmp_path, capsys):
+    # a quoted q/k/v value used to replay as the number it spells
+    header, records = synth_trace(seed=1, frames=3, tokens_per_frame=4, d_h=4)
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), header, records, text=True)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["data"][0][0][1][2][3] = " 1.5 "
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["replay", "--trace", str(path), "--policy", "full", "--chunk", "1"])
+    assert code == 2
+    assert "trace error: record 1" in capsys.readouterr().err
+
+
 def test_absurd_channel_count_is_trace_error(tmp_path, capsys):
     # 2^31 x 2^31 channels used to wrap the expected record size to 33
     # bytes; the replayer then tried to build 2^62 channels

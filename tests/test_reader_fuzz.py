@@ -2,6 +2,7 @@
 as TraceFormatError, within memory bounded by the file's size."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -40,10 +41,18 @@ def _with_header_field(blob: bytes, header_end: int, text: bool, field: str, val
     return blob[:start] + json.dumps(obj).encode() + b"\n" + blob[header_end:]
 
 
+# a JSON number in a record line: frame_idx, a q/k/v value or a coordinate
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
 @st.composite
-def damage(draw, blob: bytes, header_end: int, text: bool) -> bytes:
-    """Absurd header fields, byte flips in the header and the records, and
-    a truncation, each drawn or not."""
+def damage(draw, blob: bytes, header_end: int, text: bool) -> tuple[bytes, bool]:
+    """Absurd header fields, byte flips in the header and the records, a
+    quoted number in a text record, and a truncation, each drawn or not.
+
+    Returns the damaged file and whether it must fail to read: a quoted
+    number is a string, never a number, whatever else is damaged.
+    """
     for field in draw(st.lists(st.sampled_from(HEADER_FIELDS), max_size=2)):
         blob = _with_header_field(blob, header_end, text, field, draw(ABSURD))
         header_end = blob.index(b"\n") + 1
@@ -54,9 +63,15 @@ def damage(draw, blob: bytes, header_end: int, text: bool) -> bytes:
         lo, hi = (0, header_end) if in_header else (header_end, len(out))
         if hi > lo:
             out[lo + at % (hi - lo)] ^= mask
+    numbers = list(NUMBER.finditer(out, header_end)) if text else []
+    quoted = bool(numbers) and draw(st.booleans())
+    if quoted:
+        m = numbers[draw(st.integers(0, len(numbers) - 1))]
+        out[m.start():m.end()] = b'"' + m.group() + b'"'
     if draw(st.booleans()):
+        # cutting only the final newline leaves every record, quote included
         del out[draw(st.integers(0, len(out))):]
-    return bytes(out)
+    return bytes(out), quoted
 
 
 def _read_everything(path: str) -> int:
@@ -78,8 +93,9 @@ def test_damaged_trace_reads_finite_or_fails_as_trace_error(tmp_path_factory, te
     path = tmp_path_factory.mktemp("fuzz") / "t"
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(damaged=damage(blob, header_end, text))
-    def check(damaged):
+    @given(case=damage(blob, header_end, text))
+    def check(case):
+        damaged, must_fail = case
         path.write_bytes(damaged)
         tracemalloc.start()
         try:
@@ -87,6 +103,8 @@ def test_damaged_trace_reads_finite_or_fails_as_trace_error(tmp_path_factory, te
                 _read_everything(str(path))
             except TraceFormatError:
                 pass
+            else:
+                assert not must_fail, "a quoted number read as a number"
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -96,3 +114,16 @@ def test_damaged_trace_reads_finite_or_fails_as_trace_error(tmp_path_factory, te
     assert _read_everything(str(path)) == 4  # the undamaged trace reads whole
     check()
 
+
+
+def test_every_quoted_number_fails_as_trace_error(tmp_path_factory):
+    # The fuzzer's other damage usually fails a file by itself; here each
+    # number of the clean text trace is quoted alone, one file each.
+    blob, header_end = _clean_trace(tmp_path_factory, text=True)
+    path = tmp_path_factory.mktemp("quoted") / "t"
+    numbers = list(NUMBER.finditer(blob, header_end))
+    assert len(numbers) == 4 * (1 + 2 * 3 * 3 * 2 + 2 * 3)  # frame_idx, q/k/v, coordinates
+    for m in numbers:
+        path.write_bytes(blob[:m.start()] + b'"' + m.group() + b'"' + blob[m.end():])
+        with pytest.raises(TraceFormatError, match="record"):
+            _read_everything(str(path))

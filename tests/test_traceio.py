@@ -198,6 +198,65 @@ def test_non_finite_values_rejected_at_decode(tmp_path, text, where, bad):
         next(it)
 
 
+def _deeply_nested(depth):
+    leaf = 1.0
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+@pytest.mark.parametrize(
+    "where, leaf",
+    [
+        ("data", " 1.5 "),
+        ("data", "0.25"),
+        ("data", True),
+        ("data", False),
+        ("data", None),
+        ("data", {"x": 1.0}),
+        ("data", _deeply_nested(100)),
+        ("position", ["0.1", "0.2", "0.3"]),
+        ("position", [0.1, True, 0.3]),
+        ("position", [0.1, 0.2, [0.3]]),
+        ("position", "0.1 0.2 0.3"),
+    ],
+    ids=["padded-string", "string", "true", "false", "null", "object", "deep-nesting",
+         "string-position", "bool-coordinate", "nested-coordinate", "string-triple"],
+)
+def test_text_leaves_must_be_numbers(tmp_path, where, leaf):
+    # np.asarray(..., dtype=np.float64) read the strings and bools as numbers
+    header, records = _small_trace(frames=3)
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), header, records, text=True)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[3])
+    if where == "data":
+        record["data"][1][0][2][3][1] = leaf
+    else:
+        record["positions"][2] = leaf
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    _, it = read_trace(str(path))
+    assert [r.frame_idx for r in (next(it), next(it))] == [0, 1]
+    with pytest.raises(TraceFormatError, match="record 2"):
+        next(it)
+
+
+def test_text_integer_leaves_are_numbers(tmp_path):
+    header, records = _small_trace(frames=2)
+    records[1].data[0, 1, 2] = np.arange(records[1].data.shape[-1])
+    path = tmp_path / "t.jsonl"
+    write_trace(str(path), header, records, text=True)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["data"][0][1][2] = [[int(x) for x in row] for row in record["data"][0][1][2]]
+    lines[2] = json.dumps(record)
+    assert "[0, 1, 2]" in lines[2]  # JSON ints, not 0.0, 1.0, 2.0
+    path.write_text("\n".join(lines) + "\n")
+    _, it = read_trace(str(path))
+    _assert_records_equal(list(it), records)
+
+
 def test_out_of_order_frames_rejected(tmp_path):
     header, records = _small_trace(frames=3)
     records[1], records[2] = records[2], records[1]
