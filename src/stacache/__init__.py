@@ -26,7 +26,6 @@ from .pipeline import (
     StreamReplayer,
     allocate_budget,
     compare,
-    divergence_report,
     run_stream,
 )
 from .spatial import (
@@ -72,7 +71,6 @@ __all__ = [
     "allocate_budget",
     "attend",
     "compare",
-    "divergence_report",
     "half_roundtrip",
     "morton_decode",
     "morton_encode",

@@ -16,8 +16,9 @@ import json
 import math
 import mmap
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -402,14 +403,13 @@ def _step_result(
 
 @dataclass
 class ReplayStats:
-    """Everything one replay produced, minus the attention outputs unless asked."""
+    """Everything one replay produced except its attention outputs."""
 
     policy: str
     header: TraceHeader
     chunk_size: int
     rows: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    outputs: Optional[dict[int, np.ndarray]] = None  # frame -> (L, H, N, d_h)
 
     def canonical_lines(self) -> list[str]:
         """Stats stream as JSON lines with wall-clock fields stripped.
@@ -431,7 +431,9 @@ class StreamReplayer:
 
     Frame 0 registers as the reference and produces no attention output;
     chunks cover the frames after it. Call feed() per record in frame
-    order, then finish() for the stats.
+    order, then finish() for the stats. `outputs` holds the attention
+    outputs of the chunk processed last, frame -> (L, H, N, d_h); each chunk
+    replaces them, so a replay keeps O(chunk) of them.
     """
 
     def __init__(
@@ -440,7 +442,6 @@ class StreamReplayer:
         policy: Policy,
         chunk_size: Optional[int] = None,
         audit: bool = True,
-        collect_outputs: bool = False,
         stats_sink: Optional[Callable[[dict], None]] = None,
     ):
         if policy.kind == "stac":
@@ -479,7 +480,7 @@ class StreamReplayer:
         # their own.
         self.workspace = Workspace()
         self.channels = [self._make_channel(ci) for ci in range(n_channels)]
-        self.outputs: Optional[dict[int, np.ndarray]] = {} if collect_outputs else None
+        self.outputs: dict[int, np.ndarray] = {}
         self.rows: list[dict] = []
         self._pending: list[TraceRecord] = []
         self._frames_seen = 0
@@ -531,23 +532,21 @@ class StreamReplayer:
         vis = np.concatenate([r.positions[r.position_mask] for r in records]) \
             if any(r.position_mask.any() for r in records) else np.zeros((0, 3))
 
-        results = [
-            self.channels[li * h.heads + hi].step(
+        # The last chunk's outputs go before this chunk's block is made, and
+        # each step's are copied in as it returns: one block is alive at once.
+        self.outputs = {}
+        frames, n, d = len(records), h.tokens_per_frame, h.d_h
+        out = np.empty((frames, h.layers, h.heads, n, d))
+        results = []
+        for li, hi in np.ndindex(h.layers, h.heads):
+            res = self.channels[li * h.heads + hi].step(
                 [r.channel(li, hi) for r in records], vis, self.audit
             )
-            for li in range(h.layers)
-            for hi in range(h.heads)
-        ]
+            out[:, li, hi] = res.pop("outputs").reshape(frames, n, d)
+            results.append(res)
         if self.store is not None:
             self._insert_evicted(results)
-
-        if self.outputs is not None:
-            n, d = h.tokens_per_frame, h.d_h
-            for fi, record in enumerate(records):
-                out = np.empty((h.layers, h.heads, n, d))
-                for ci, res in enumerate(results):
-                    out[ci // h.heads, ci % h.heads] = res["outputs"][fi * n : (fi + 1) * n]
-                self.outputs[record.frame_idx] = out
+        self.outputs = {r.frame_idx: o for r, o in zip(records, out)}
 
         row = self._build_row(results, frame_lo, frame_hi, t0)
         self.rows.append(row)
@@ -659,18 +658,25 @@ class StreamReplayer:
             chunk_size=self.chunk_size,
             rows=self.rows,
             summary=summary,
-            outputs=self.outputs,
         )
 
 
 TraceSource = Union[str, tuple[TraceHeader, Iterable[TraceRecord]]]
 
 
-def _open_source(trace: TraceSource) -> tuple[TraceHeader, Iterable[TraceRecord]]:
-    if isinstance(trace, str):
-        return read_trace(trace)
-    header, records = trace
-    return header, records
+@contextmanager
+def _opened(trace: TraceSource) -> Iterator[tuple[TraceHeader, Iterable[TraceRecord]]]:
+    """The trace's header and records. A trace opened here is closed on every
+    exit, also when a replayer cannot be built or a record fails; a caller's
+    records stay the caller's."""
+    if not isinstance(trace, str):
+        yield trace
+        return
+    header, records = read_trace(trace)
+    try:
+        yield header, records
+    finally:
+        records.close()
 
 
 def run_stream(
@@ -678,27 +684,15 @@ def run_stream(
     policy: Policy,
     chunk_size: Optional[int] = None,
     audit: bool = True,
-    collect_outputs: bool = False,
     stats_sink: Optional[Callable[[dict], None]] = None,
 ) -> ReplayStats:
     """Replay a whole trace (path, or header+records) under one policy."""
-    header, records = _open_source(trace)
-    try:
+    with _opened(trace) as (header, records):
         replayer = StreamReplayer(
-            header,
-            policy,
-            chunk_size=chunk_size,
-            audit=audit,
-            collect_outputs=collect_outputs,
-            stats_sink=stats_sink,
+            header, policy, chunk_size=chunk_size, audit=audit, stats_sink=stats_sink
         )
         for record in records:
             replayer.feed(record)
-    finally:
-        # a trace opened here is closed here, also when the replayer cannot
-        # be built or a record fails; a caller's records stay the caller's
-        if isinstance(trace, str):
-            records.close()
     return replayer.finish()
 
 
@@ -733,36 +727,68 @@ def _frame_rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return num / den
 
 
-def divergence_report(stats_a: ReplayStats, stats_b: ReplayStats) -> dict:
-    """Per-frame and aggregate attention-output divergence of b against a."""
-    if stats_a.outputs is None or stats_b.outputs is None:
-        raise ConfigError("divergence needs replays run with collect_outputs=True")
-    frames_a, frames_b = set(stats_a.outputs), set(stats_b.outputs)
-    if frames_a != frames_b:
-        raise ConfigError("replays cover different frames; use the same trace and chunking")
-    h = stats_a.header
-    per_frame = []
-    chan_cos = np.zeros((h.layers, h.heads))
-    chan_rel = np.zeros((h.layers, h.heads))
-    for f in sorted(frames_a):
-        a, b = stats_a.outputs[f], stats_b.outputs[f]
-        per_frame.append(
-            {"frame": f, "cosine": _frame_cosine(a, b), "rel_l2": _frame_rel_l2(a, b)}
-        )
-        for li in range(h.layers):
-            for hi in range(h.heads):
-                chan_cos[li, hi] += _frame_cosine(a[li, hi], b[li, hi])
-                chan_rel[li, hi] += _frame_rel_l2(a[li, hi], b[li, hi])
+def divergence_report(a: StreamReplayer, b: StreamReplayer) -> tuple[list[dict], np.ndarray]:
+    """Output divergence of b against a over the chunk both processed last.
+
+    Returns one row per frame, in frame order, and a (frames, 2, L, H) array
+    of each channel's cosine and relative L2. The outputs stay in place.
+    """
+    h = a.header
+    rows, channels = [], np.empty((len(a.outputs), 2, h.layers, h.heads))
+    for i, (f, x) in enumerate(a.outputs.items()):
+        y = b.outputs[f]
+        rows.append({"frame": f, "cosine": _frame_cosine(x, y), "rel_l2": _frame_rel_l2(x, y)})
+        for li, hi in np.ndindex(h.layers, h.heads):
+            channels[i, 0, li, hi] = _frame_cosine(x[li, hi], y[li, hi])
+            channels[i, 1, li, hi] = _frame_rel_l2(x[li, hi], y[li, hi])
+    return rows, channels
+
+
+def compare(
+    trace: TraceSource,
+    policy_a: Policy,
+    policy_b: Policy,
+    chunk_size: Optional[int] = None,
+    audit: bool = True,
+) -> dict:
+    """Replay under two policies in one pass and report their output divergence.
+
+    Each record goes to both replayers, which share chunk boundaries, and
+    each chunk's divergence is taken as soon as both have processed it. So
+    the trace is read once and each side holds one chunk of outputs.
+    """
+    if chunk_size is None:
+        sizes = {
+            p.config.chunk_size for p in (policy_a, policy_b) if p.kind == "stac"
+        }
+        if len(sizes) > 1:
+            raise ConfigError(f"policies disagree on chunk_size {sorted(sizes)}; pass one explicitly")
+        chunk_size = sizes.pop() if sizes else 4
+    with _opened(trace) as (header, records):
+        a, b = (StreamReplayer(header, p, chunk_size=chunk_size, audit=audit)
+                for p in (policy_a, policy_b))
+        per_frame: list[dict] = []
+        sums = np.zeros((2, header.layers, header.heads))  # per channel: cosine, rel L2
+
+        def fold() -> None:
+            rows, channels = divergence_report(a, b)
+            per_frame.extend(rows)
+            for c in channels:  # frame by frame, so each sum adds in frame order
+                sums[:] += c
+
+        for record in records:
+            a.feed(record)
+            if b.feed(record) is not None:
+                fold()
+    partial = bool(b._pending)
+    stats_a, stats_b = a.finish(), b.finish()
+    if partial:
+        fold()
     n = max(1, len(per_frame))
     per_channel = [
-        {
-            "layer": li,
-            "head": hi,
-            "mean_cosine": chan_cos[li, hi] / n,
-            "mean_rel_l2": chan_rel[li, hi] / n,
-        }
-        for li in range(h.layers)
-        for hi in range(h.heads)
+        {"layer": li, "head": hi,
+         "mean_cosine": sums[0, li, hi] / n, "mean_rel_l2": sums[1, li, hi] / n}
+        for li, hi in np.ndindex(header.layers, header.heads)
     ]
     return {
         "type": "divergence",
@@ -778,32 +804,3 @@ def divergence_report(stats_a: ReplayStats, stats_b: ReplayStats) -> dict:
         "summary_a": stats_a.summary,
         "summary_b": stats_b.summary,
     }
-
-
-def compare(
-    trace: TraceSource,
-    policy_a: Policy,
-    policy_b: Policy,
-    chunk_size: Optional[int] = None,
-    audit: bool = True,
-) -> dict:
-    """Replay under two policies and report their output divergence.
-
-    Both replays use identical chunk boundaries (required for the outputs
-    to be comparable); with a path or a reusable record list the trace is
-    simply traversed twice.
-    """
-    if chunk_size is None:
-        sizes = {
-            p.config.chunk_size for p in (policy_a, policy_b) if p.kind == "stac"
-        }
-        if len(sizes) > 1:
-            raise ConfigError(f"policies disagree on chunk_size {sorted(sizes)}; pass one explicitly")
-        chunk_size = sizes.pop() if sizes else 4
-    if not isinstance(trace, str):
-        header, records = trace
-        if not isinstance(records, (list, tuple)):
-            trace = (header, list(records))  # the trace is traversed twice
-    stats_a = run_stream(trace, policy_a, chunk_size=chunk_size, audit=audit, collect_outputs=True)
-    stats_b = run_stream(trace, policy_b, chunk_size=chunk_size, audit=audit, collect_outputs=True)
-    return divergence_report(stats_a, stats_b)

@@ -2,9 +2,18 @@
 
 Everything here is written with plain Python loops and math.* so that a
 bug in the library's vectorized numpy path cannot hide in a shared helper.
+The replay helpers at the end are the exception: they collect every
+frame's output from whole replays, and the divergence reference works on
+those with the library's own per-frame metrics, so that `compare` can be
+held to its bytes.
 """
 
 import math
+
+import numpy as np
+
+from stacache import StreamReplayer
+from stacache.pipeline import _frame_cosine, _frame_rel_l2
 
 
 def py_dot(a, b):
@@ -183,3 +192,75 @@ class VoxelMirror:
                 self._fuse(self.long_term[bi], self.key_mean(victim),
                            self.value_mean(victim), victim["count"], math.exp(bc))
         self.long_term.append(rep)
+
+
+def feed_all(replayer, records):
+    """Feed every record, then finish; returns the stats and every frame's
+    output, frame -> (L, H, N, d_h), copied from `replayer.outputs` after
+    each chunk."""
+    outputs = {}
+    for record in records:
+        if replayer.feed(record) is not None:
+            outputs.update(replayer.outputs)
+    stats = replayer.finish()
+    outputs.update(replayer.outputs)  # a partial last chunk, if there was one
+    return stats, outputs
+
+
+def replay_outputs(trace, policy, chunk_size):
+    """Replay (header, records) under one policy; see feed_all."""
+    header, records = trace
+    return feed_all(StreamReplayer(header, policy, chunk_size=chunk_size), records)
+
+
+def reference_divergence(replay_a, replay_b):
+    """The divergence report of b against a, taken after both whole replays
+    (each a feed_all result) have finished, over every frame at once."""
+    (stats_a, outputs_a), (stats_b, outputs_b) = replay_a, replay_b
+    assert sorted(outputs_a) == sorted(outputs_b)
+    h = stats_a.header
+    per_frame = []
+    chan_cos = np.zeros((h.layers, h.heads))
+    chan_rel = np.zeros((h.layers, h.heads))
+    for f in sorted(outputs_a):
+        a, b = outputs_a[f], outputs_b[f]
+        per_frame.append(
+            {"frame": f, "cosine": _frame_cosine(a, b), "rel_l2": _frame_rel_l2(a, b)}
+        )
+        for li in range(h.layers):
+            for hi in range(h.heads):
+                chan_cos[li, hi] += _frame_cosine(a[li, hi], b[li, hi])
+                chan_rel[li, hi] += _frame_rel_l2(a[li, hi], b[li, hi])
+    n = max(1, len(per_frame))
+    per_channel = [
+        {
+            "layer": li,
+            "head": hi,
+            "mean_cosine": chan_cos[li, hi] / n,
+            "mean_rel_l2": chan_rel[li, hi] / n,
+        }
+        for li in range(h.layers)
+        for hi in range(h.heads)
+    ]
+    return {
+        "type": "divergence",
+        "policy_a": stats_a.policy,
+        "policy_b": stats_b.policy,
+        "per_frame": per_frame,
+        "per_channel": per_channel,
+        "overall": {
+            "mean_cosine": sum(r["cosine"] for r in per_frame) / n,
+            "mean_rel_l2": sum(r["rel_l2"] for r in per_frame) / n,
+            "max_rel_l2": max((r["rel_l2"] for r in per_frame), default=0.0),
+        },
+        "summary_a": stats_a.summary,
+        "summary_b": stats_b.summary,
+    }
+
+
+def reference_compare(trace, policy_a, policy_b, chunk_size):
+    """compare() as two whole replays, one after the other, then the report."""
+    header, records = trace
+    records = list(records)  # the records are traversed twice
+    return reference_divergence(replay_outputs((header, records), policy_a, chunk_size),
+                                replay_outputs((header, records), policy_b, chunk_size))

@@ -20,7 +20,7 @@ from stacache import (
     TokenId,
     VoxelStore,
     attend,
-    divergence_report,
+    compare,
     morton_decode,
     morton_encode,
     run_stream,
@@ -42,11 +42,8 @@ def test_c01_lossless_regime_matches_full():
     # evicted, so the compressed cache must reproduce full attention
     cfg = CacheConfig(budget_multiplier=20.0, window_frac=0.2, anchor_frac=0.8,
                       retrieve_frac=0.0)
-    trace = (header, records)
-    full = run_stream(trace, Policy.full(), collect_outputs=True)
-    stac = run_stream(trace, Policy.stac(cfg), collect_outputs=True)
-    assert stac.summary["events"]["evicted"] == 0
-    report = divergence_report(full, stac)
+    report = compare((header, records), Policy.full(), Policy.stac(cfg))
+    assert report["summary_b"]["events"]["evicted"] == 0
     for row in report["per_frame"]:
         assert row["rel_l2"] <= 1e-9, row
     elapsed = time.perf_counter() - t0
@@ -332,15 +329,14 @@ def test_c08_stac_beats_window_at_matched_budget():
         header, records = synth_trace(seed=seed, frames=120, tokens_per_frame=N,
                                       d_h=16, motion="revisit")
         trace = (header, records)
-        full = run_stream(trace, Policy.full(), collect_outputs=True)
-        stac = run_stream(trace, Policy.stac(), collect_outputs=True)
+        stac = compare(trace, Policy.full(), Policy.stac())
+        stac_peak = stac["summary_b"]["peak_total_tokens"]
         # window sized up so the baseline never holds fewer tokens than stac
-        w = max(1, math.ceil(
-            (stac.summary["peak_total_tokens"] - N - cfg.chunk_size * N) / N))
-        window = run_stream(trace, Policy.sliding(w), collect_outputs=True)
-        assert window.summary["peak_total_tokens"] >= stac.summary["peak_total_tokens"]
-        d_stac = divergence_report(full, stac)["overall"]["mean_rel_l2"]
-        d_win = divergence_report(full, window)["overall"]["mean_rel_l2"]
+        w = max(1, math.ceil((stac_peak - N - cfg.chunk_size * N) / N))
+        window = compare(trace, Policy.full(), Policy.sliding(w))
+        assert window["summary_b"]["peak_total_tokens"] >= stac_peak
+        d_stac = stac["overall"]["mean_rel_l2"]
+        d_win = window["overall"]["mean_rel_l2"]
         wins += d_stac <= d_win
         details.append(f"{d_stac:.2f}/{d_win:.2f}")
     assert wins >= 9, details

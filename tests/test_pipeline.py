@@ -1,5 +1,6 @@
 """Replay harness: policies vs oracles, budgets, stats rows, determinism."""
 
+import json
 import mmap
 import threading
 import tracemalloc
@@ -16,13 +17,15 @@ from stacache import (
     Policy,
     StreamReplayer,
     TokenBlock,
+    TraceFormatError,
     allocate_budget,
     compare,
-    divergence_report,
     run_stream,
     synth_trace,
+    write_trace,
 )
-from oracles import naive_attend
+from stacache import pipeline, traceio
+from oracles import feed_all, naive_attend, reference_compare, replay_outputs
 
 
 def _trace(seed=0, frames=12, tokens=4, layers=1, heads=1, d_h=4, motion="random_walk"):
@@ -56,7 +59,7 @@ def test_allocate_budget_rejects_oversized_window():
 
 def test_full_policy_matches_offline_chunk_causal_oracle():
     header, records = _trace(frames=11, tokens=3, layers=1, heads=1, d_h=4)
-    stats = run_stream((header, records), Policy.full(), chunk_size=3, collect_outputs=True)
+    _, outputs = replay_outputs((header, records), Policy.full(), chunk_size=3)
     n, d = 3, 4
     # oracle: for the chunk holding frame f, attend over all tokens of
     # frames 0..chunk_end with no compression
@@ -70,7 +73,7 @@ def test_full_policy_matches_offline_chunk_causal_oracle():
         ref_out, _ = naive_attend(queries, keys, values, np.ones(keys.shape[0]), allowed, d)
         ref_out = np.asarray(ref_out)
         for i, r in enumerate(chunk):
-            got = stats.outputs[r.frame_idx][0, 0]
+            got = outputs[r.frame_idx][0, 0]
             assert np.allclose(got, ref_out[i * n : (i + 1) * n], atol=1e-12)
 
 
@@ -85,7 +88,7 @@ def test_full_policy_token_counts_are_exact():
 def test_window_policy_matches_manual_key_set():
     header, records = _trace(frames=10, tokens=3, d_h=4)
     window = 2
-    stats = run_stream((header, records), Policy.sliding(window), chunk_size=2, collect_outputs=True)
+    _, outputs = replay_outputs((header, records), Policy.sliding(window), chunk_size=2)
     # chunk [5, 6]: reference frame 0 + frames 3, 4 + the chunk itself
     chunk = records[5:7]
     kept = [records[0], records[3], records[4]] + chunk
@@ -95,7 +98,7 @@ def test_window_policy_matches_manual_key_set():
     allowed = np.ones((queries.shape[0], keys.shape[0]), dtype=bool)
     ref_out, _ = naive_attend(queries, keys, values, np.ones(keys.shape[0]), allowed, 4)
     ref_out = np.asarray(ref_out)
-    got = np.concatenate([stats.outputs[5][0, 0], stats.outputs[6][0, 0]])
+    got = np.concatenate([outputs[5][0, 0], outputs[6][0, 0]])
     assert np.allclose(got, ref_out, atol=1e-12)
 
 
@@ -134,14 +137,14 @@ def test_verbatim_policies_are_bit_identical_to_concatenated_key_sets(window, ch
     # compacts both with and without overlapping rows
     header, records = _trace(seed=4, frames=23, tokens=5, layers=2, heads=2, d_h=6)
     policy = Policy.full() if window is None else Policy.sliding(window)
-    stats = run_stream((header, records), policy, chunk_size=chunk_size, collect_outputs=True)
+    stats, outputs = replay_outputs((header, records), policy, chunk_size=chunk_size)
     channels = header.layers * header.heads
     for li in range(header.layers):
         for hi in range(header.heads):
             ref, counts = _reference_verbatim(records, window, chunk_size, li, hi, header.d_h)
-            assert sorted(stats.outputs) == sorted(ref)
+            assert sorted(outputs) == sorted(ref)
             for f, out in ref.items():
-                assert np.array_equal(stats.outputs[f][li, hi], out)
+                assert np.array_equal(outputs[f][li, hi], out)
     assert len(stats.rows) == len(counts)
     for row, (temporal, in_flight, end) in zip(stats.rows, counts):
         assert (row["temporal"], row["in_flight"]) == (temporal * channels, in_flight * channels)
@@ -153,11 +156,11 @@ def test_stac_lossless_regime_equals_full():
     cfg = CacheConfig(budget_multiplier=14.0, window_frac=0.3, anchor_frac=0.7,
                       retrieve_frac=0.0)
     trace = (header, records)
-    full = run_stream(trace, Policy.full(), chunk_size=4, collect_outputs=True)
-    stac = run_stream(trace, Policy.stac(cfg), chunk_size=4, collect_outputs=True)
+    _, full = replay_outputs(trace, Policy.full(), chunk_size=4)
+    stac, stac_outputs = replay_outputs(trace, Policy.stac(cfg), chunk_size=4)
     assert stac.summary["events"]["evicted"] == 0
-    for f in full.outputs:
-        assert np.allclose(stac.outputs[f], full.outputs[f], atol=1e-12)
+    for f in full:
+        assert np.allclose(stac_outputs[f], full[f], atol=1e-12)
 
 
 def test_row_schema_and_identities():
@@ -198,7 +201,7 @@ def test_threaded_replay_matches_serial():
     policies = [Policy.stac(), Policy.full(), Policy.sliding(3)]
 
     def replay(policy):
-        return run_stream((header, records), policy, chunk_size=4, collect_outputs=True)
+        return replay_outputs((header, records), policy, chunk_size=4)
 
     serial = [replay(p) for p in policies]
     threaded = [None] * len(policies)
@@ -211,12 +214,13 @@ def test_threaded_replay_matches_serial():
         t.start()
     for t in threads:
         t.join(timeout=60.0)
-    for a, b in zip(serial, threaded):
-        assert b is not None
+    for (a, a_outputs), got in zip(serial, threaded):
+        assert got is not None
+        b, b_outputs = got
         assert a.canonical_lines() == b.canonical_lines()
-        assert sorted(a.outputs) == sorted(b.outputs)
-        for f, out in a.outputs.items():
-            assert np.array_equal(out, b.outputs[f])
+        assert sorted(a_outputs) == sorted(b_outputs)
+        for f, out in a_outputs.items():
+            assert np.array_equal(out, b_outputs[f])
 
 
 def test_compare_policy_with_itself_is_exact():
@@ -229,11 +233,8 @@ def test_compare_policy_with_itself_is_exact():
 def test_smaller_window_diverges_more():
     header, records = _trace(seed=5, frames=60, tokens=8, d_h=8, motion="revisit")
     trace = (header, records)
-    full = run_stream(trace, Policy.full(), chunk_size=4, collect_outputs=True)
-    w1 = run_stream(trace, Policy.sliding(1), chunk_size=4, collect_outputs=True)
-    w8 = run_stream(trace, Policy.sliding(8), chunk_size=4, collect_outputs=True)
-    d1 = divergence_report(full, w1)["overall"]["mean_rel_l2"]
-    d8 = divergence_report(full, w8)["overall"]["mean_rel_l2"]
+    d1 = compare(trace, Policy.full(), Policy.sliding(1), chunk_size=4)["overall"]["mean_rel_l2"]
+    d8 = compare(trace, Policy.full(), Policy.sliding(8), chunk_size=4)["overall"]["mean_rel_l2"]
     assert d1 >= d8
 
 
@@ -256,15 +257,147 @@ def test_compare_rejects_conflicting_chunk_sizes():
         compare((header, records), a, b)
 
 
+REFERENCE_PAIRS = {
+    "full-stac": (Policy.full(), Policy.stac()),
+    "full-window2": (Policy.full(), Policy.sliding(2)),
+    "stac-stac_half": (Policy.stac(), Policy.stac(CacheConfig(half_precision=True))),
+    "window1-full": (Policy.sliding(1), Policy.full()),
+}
+
+
+def _report_bytes(report: dict) -> bytes:
+    """The report as compared byte for byte: sorted keys, no timing fields."""
+    timing = ("mean_chunk_ms", "total_ms")
+    for side in ("summary_a", "summary_b"):
+        report[side] = {k: v for k, v in report[side].items() if k not in timing}
+    return json.dumps(report, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("pair", REFERENCE_PAIRS)
+@pytest.mark.parametrize("chunk_size", [1, 3, 4, 7])
+def test_compare_equals_two_whole_replays(pair, chunk_size):
+    # 23 frames after the reference: chunks of 3, 4 and 7 end on a partial one
+    header, records = _trace(seed=5, frames=24, tokens=6, d_h=4, motion="revisit")
+    policy_a, policy_b = REFERENCE_PAIRS[pair]
+    want = reference_compare((header, records), policy_a, policy_b, chunk_size)
+    got = compare((header, records), policy_a, policy_b, chunk_size=chunk_size)
+    assert _report_bytes(got) == _report_bytes(want)
+
+
+@pytest.mark.parametrize("pair", REFERENCE_PAIRS)
+def test_compare_equals_two_whole_replays_on_channels_from_one_shot_records(pair):
+    header, records = _trace(seed=6, frames=17, tokens=5, layers=2, heads=2, d_h=4,
+                             motion="revisit")
+    policy_a, policy_b = REFERENCE_PAIRS[pair]
+    want = reference_compare((header, records), policy_a, policy_b, 3)
+    got = compare((header, iter(records)), policy_a, policy_b, chunk_size=3)
+    assert len(got["per_channel"]) == 4
+    assert _report_bytes(got) == _report_bytes(want)
+
+
+def test_compare_reads_a_path_trace_once(tmp_path, monkeypatch):
+    header, records = _trace(frames=9)
+    path = str(tmp_path / "t.kvtrace")
+    write_trace(path, header, records)
+    calls = []
+    read_trace = pipeline.read_trace
+    monkeypatch.setattr(pipeline, "read_trace", lambda p: calls.append(p) or read_trace(p))
+    report = compare(path, Policy.full(), Policy.sliding(1), chunk_size=3)
+    assert calls == [path]
+    want = compare((header, records), Policy.full(), Policy.sliding(1), chunk_size=3)
+    assert report["per_frame"] == want["per_frame"]
+
+
+def test_compare_takes_each_chunk_before_reading_on(monkeypatch):
+    # one pass over a one-shot iterator: a chunk's divergence is taken as
+    # soon as both policies have processed it, before the next record
+    header, records = _trace(frames=12)
+    log = []
+
+    def one_shot():
+        for record in records:
+            log.append(("pull", record.frame_idx))
+            yield record
+
+    report = pipeline.divergence_report
+
+    def spy(a, b):
+        log.append(("chunk", list(a.outputs), list(b.outputs)))
+        return report(a, b)
+
+    monkeypatch.setattr(pipeline, "divergence_report", spy)
+    compare((header, one_shot()), Policy.full(), Policy.sliding(1), chunk_size=3)
+    want = [("pull", 0)]
+    for chunk in ([1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11]):
+        want += [("pull", f) for f in chunk] + [("chunk", chunk, chunk)]
+    assert log == want
+
+
+def test_compare_rejects_a_bad_policy_before_reading_a_record():
+    header, records = _trace(frames=6)
+    pulled = []
+
+    def one_shot():
+        for record in records:
+            pulled.append(record.frame_idx)
+            yield record
+
+    with pytest.raises(ConfigError, match="gamma"):
+        compare((header, one_shot()), Policy.full(), Policy.stac(CacheConfig(gamma=1.5)),
+                chunk_size=3)
+    assert pulled == []
+
+
+def test_outputs_hold_only_the_last_chunk():
+    header, records = _trace(seed=4, frames=12, tokens=3, layers=2, heads=2, d_h=4)
+    replayer = StreamReplayer(header, Policy.sliding(2), chunk_size=3)
+    refs = {(li, hi): _reference_verbatim(records, 2, 3, li, hi, header.d_h)[0]
+            for li in range(2) for hi in range(2)}
+
+    def check(frames):
+        assert list(replayer.outputs) == frames
+        for f in frames:
+            assert replayer.outputs[f].shape == (2, 2, 3, 4)
+            for (li, hi), ref in refs.items():
+                assert np.array_equal(replayer.outputs[f][li, hi], ref[f])
+
+    assert replayer.outputs == {}
+    for record in records:
+        row = replayer.feed(record)
+        if row is not None:
+            check(list(range(row["frame_lo"], row["frame_hi"] + 1)))
+    check([7, 8, 9])
+    replayer.finish()
+    check([10, 11])  # the partial chunk finish() flushed
+
+
+def test_compare_over_a_damaged_path_fails_and_closes_it(tmp_path, monkeypatch):
+    header, records = _trace(frames=9)
+    path = tmp_path / "t.kvtrace"
+    write_trace(str(path), header, records)
+    path.write_bytes(path.read_bytes()[:-40])
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(traceio, "open", spy_open, raising=False)
+    with pytest.raises(TraceFormatError, match="truncated at record 8"):
+        compare(str(path), Policy.full(), Policy.stac(), chunk_size=3)
+    with pytest.raises(ConfigError, match="gamma"):
+        compare(str(path), Policy.full(), Policy.stac(CacheConfig(gamma=1.5)), chunk_size=3)
+    assert len(opened) == 2
+    assert all(f.closed for f in opened)
+
+
 def test_half_precision_replay_stays_close_and_counts():
     header, records = _trace(seed=6, frames=30, tokens=6, d_h=6, motion="revisit")
     trace = (header, records)
-    exact = run_stream(trace, Policy.stac(), chunk_size=4, collect_outputs=True)
-    half = run_stream(
-        trace, Policy.stac(CacheConfig(half_precision=True)), chunk_size=4, collect_outputs=True
-    )
-    assert half.summary["half_saturations"] == 0  # unit-scale data never saturates
-    rep = divergence_report(exact, half)["overall"]
+    report = compare(trace, Policy.stac(), Policy.stac(CacheConfig(half_precision=True)),
+                     chunk_size=4)
+    assert report["summary_b"]["half_saturations"] == 0  # unit-scale data never saturates
+    rep = report["overall"]
     assert rep["mean_cosine"] > 0.999
     assert rep["mean_rel_l2"] < 0.05
 
@@ -387,17 +520,14 @@ def test_window_buffer_is_sized_once_from_the_policy():
         assert ch.keys is k and ch.values is v
     # a header that under-claims its frames sizes the buffer short; it then
     # grows, and the replay is unchanged
-    honest = run_stream((header, records), Policy.sliding(9), chunk_size=4,
-                        collect_outputs=True)
-    short = StreamReplayer(replace(header, frame_count=2), Policy.sliding(9), chunk_size=4,
-                           collect_outputs=True)
+    honest, honest_outputs = replay_outputs((header, records), Policy.sliding(9), chunk_size=4)
+    short = StreamReplayer(replace(header, frame_count=2), Policy.sliding(9), chunk_size=4)
     assert short.channels[0].keys.shape[0] == (1 + 2 + 4) * 5
-    for record in records:
-        short.feed(record)
-    stats = short.finish()
+    stats, outputs = feed_all(short, records)
     assert stats.canonical_lines() == honest.canonical_lines()
-    for f, out in honest.outputs.items():
-        assert np.array_equal(stats.outputs[f], out)
+    assert sorted(outputs) == sorted(honest_outputs)
+    for f, out in honest_outputs.items():
+        assert np.array_equal(outputs[f], out)
 
 
 def _mapping(a) -> mmap.mmap:

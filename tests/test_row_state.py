@@ -25,6 +25,7 @@ from stacache.attention import attend
 from stacache.kernel import HALF_MAX, half_roundtrip, weighted_mean
 from stacache.pipeline import _StacChannel, _step_result
 from stacache.spatial import VoxelCell, morton_encode, voxel_of
+from oracles import feed_all
 
 
 def _safe_cos(a, b):
@@ -328,8 +329,7 @@ class _RefChannel(_StacChannel):
 
 
 def _replay(header, records, config, chunk_size, reference):
-    replayer = StreamReplayer(header, Policy.stac(config), chunk_size=chunk_size,
-                              audit=True, collect_outputs=True)
+    replayer = StreamReplayer(header, Policy.stac(config), chunk_size=chunk_size, audit=True)
     if reference:
         # each reference channel routes into a store of its own
         replayer.store = None
@@ -337,9 +337,7 @@ def _replay(header, records, config, chunk_size, reference):
             _RefChannel(config, replayer.budget, header.d_h, header.tokens_per_frame)
             for _ in replayer.channels
         ]
-    for record in records:
-        replayer.feed(record)
-    return replayer.finish()
+    return feed_all(replayer, records)
 
 
 def _trace(frames, tokens, d_h, motion, layers=1, heads=2, zero_keys=False):
@@ -384,12 +382,12 @@ CASES = [
 @pytest.mark.parametrize("config, chunk_size, geometry", CASES)
 def test_row_state_replays_bit_identical_to_object_channel(config, chunk_size, geometry):
     header, records = _trace(*geometry[:4], **(geometry[4] if len(geometry) > 4 else {}))
-    got = _replay(header, records, config, chunk_size, reference=False)
-    want = _replay(header, records, config, chunk_size, reference=True)
+    got, got_outputs = _replay(header, records, config, chunk_size, reference=False)
+    want, want_outputs = _replay(header, records, config, chunk_size, reference=True)
     assert "\n".join(got.canonical_lines()).encode() == "\n".join(want.canonical_lines()).encode()
-    assert sorted(got.outputs) == sorted(want.outputs)
-    for f, out in want.outputs.items():
-        assert np.array_equal(got.outputs[f], out), f
+    assert sorted(got_outputs) == sorted(want_outputs)
+    for f, out in want_outputs.items():
+        assert np.array_equal(got_outputs[f], out), f
     assert got.summary["events"]["evicted"] > 0
 
 
@@ -401,7 +399,7 @@ def test_cases_reach_every_insert_path():
     for case in CASES:
         config, chunk_size, geometry = case.values
         header, records = _trace(*geometry[:4], **(geometry[4] if len(geometry) > 4 else {}))
-        stats = _replay(header, records, config, chunk_size, reference=False)
+        stats, _ = _replay(header, records, config, chunk_size, reference=False)
         seen.update(k for k, v in stats.summary["events"].items() if v > 0)
         partial += stats.rows[-1]["frame_hi"] - stats.rows[-1]["frame_lo"] + 1 < chunk_size
     assert {"fused", "buffered", "aggregated", "re_merged", "dropped"} <= seen
