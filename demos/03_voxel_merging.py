@@ -58,7 +58,7 @@ print("entry after fusion: count =", store.count[rep], " weight Z =", round(stor
 for i in range(8):
     store.insert_evicted(evicted(10 + i, rng.normal(size=4), rng.uniform(-0.1, 0.1, size=3)))
 visible = np.array([[0.0, 0.0, 0.0]])
-got = store.retrieve(visible, quota=4)
+(got,) = store.retrieve(visible, quota=4)  # one block per channel
 print("\nretrieved near the origin:")
 for token_id, count in zip(got.ids(), got.counts):
     kind = "merged" if token_id.frame_idx == -1 else "buffered"

@@ -93,11 +93,15 @@ def attend(
     w = np.matmul(queries, keys.T, out=out)
     np.divide(w, np.sqrt(float(d_h)), out=w)
     bias = np.log(counts)
-    # With every count 1 the bias is all zeros. Adding it changes no bit
-    # that survives: x + 0.0 differs from x only by turning -0.0 into
-    # +0.0, and the max shift and exp map both to the same weight.
-    if bias.any():
-        np.add(w, bias[None, :], out=w)
+    # A count of 1 has a zero bias, and adding it changes no bit that
+    # survives: x + 0.0 differs from x only by turning -0.0 into +0.0, and
+    # the max shift and exp map both to the same weight. So the add covers
+    # only the span of columns from the first count above 1 to the last,
+    # and nothing when every count is 1.
+    hot = np.flatnonzero(bias)
+    if hot.size:
+        span = slice(hot[0], hot[-1] + 1)
+        np.add(w[:, span], bias[span], out=w[:, span])
     np.subtract(w, w.max(axis=1, keepdims=True), out=w)
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)

@@ -173,7 +173,8 @@ class _VerbatimChannel:
             row += f.token_count
         return end
 
-    def step(self, frames: list[FrameTokens], vis_positions: np.ndarray, audit: bool) -> dict:
+    def step(self, frames: list[FrameTokens], retrieved: Optional[TokenBlock], audit: bool) -> dict:
+        # retrieved is always None: these policies keep no voxel store
         chunk_q = np.concatenate([f.queries for f in frames])
         cache_len = self.cached
         end = self._append(frames)
@@ -205,8 +206,10 @@ class _StacChannel:
     """The compressed scheme: temporal working cache + spatial voxel store.
 
     The channel owns its temporal cache and is `channel` in the replay's
-    shared voxel store. A step ends with the chunk's evicted rows; the
-    replayer inserts every channel's at once, then calls `_audit_store`.
+    shared voxel store. The replayer retrieves every channel's rows from
+    the store once per chunk and hands each step its own. A step ends with
+    the chunk's evicted rows; the replayer inserts every channel's at once,
+    then calls `_audit_store`.
     """
 
     def __init__(self, config: CacheConfig, budget: BudgetSplit, d_h: int, tokens_per_frame: int,
@@ -230,11 +233,10 @@ class _StacChannel:
         self.cache.register_reference(frame)
         self.frames_seen = 1
 
-    def step(self, frames: list[FrameTokens], vis_positions: np.ndarray, audit: bool) -> dict:
+    def step(self, frames: list[FrameTokens], retrieved: TokenBlock, audit: bool) -> dict:
         n = self.tokens_per_frame
         members = self.cache.blocks()
         anchors = members[-1]  # as attended; selection replaces the block
-        retrieved = self.store.retrieve(vis_positions, self.budget.retrieve_tokens, self.channel)
 
         # Key set in snapshot order (reference, window, anchors), then the
         # retrieved rows, then the chunk; each part is one block of rows.
@@ -342,12 +344,11 @@ class _StacChannel:
         channel's count mass in the store.
         """
         store = self.store
-        for code in store.touched[self.channel]:
-            cell = store.cells[code]
-            if len(cell.long_term) > store.g_cap:
-                raise InvariantViolation(f"voxel {code} long-term over cap")
-            if len(cell.buffer) >= store.e_cap:
-                raise InvariantViolation(f"voxel {code} buffer not drained at cap")
+        cells = store.touched[self.channel]
+        for over, what in ((store.lt_len[cells] > store.g_cap, "long-term over cap"),
+                           (store.buf_len[cells] >= store.e_cap, "buffer not drained at cap")):
+            if over.any():
+                raise InvariantViolation(f"voxel {store.cell_keys[cells[over.argmax()]]} {what}")
         accounted = self.cache.member_count + int(store.count_masses[self.channel])
         produced = self.frames_seen * self.tokens_per_frame
         if accounted != produced:
@@ -529,8 +530,13 @@ class StreamReplayer:
         t0 = time.perf_counter()
         h = self.header
         frame_lo, frame_hi = records[0].frame_idx, records[-1].frame_idx
-        vis = np.concatenate([r.positions[r.position_mask] for r in records]) \
-            if any(r.position_mask.any() for r in records) else np.zeros((0, 3))
+        # One retrieval per chunk serves every channel: the store is the
+        # same for all of them until the chunk's insertion.
+        retrieved = [None] * len(self.channels)
+        if self.store is not None:
+            vis = np.concatenate([r.positions[r.position_mask] for r in records]) \
+                if any(r.position_mask.any() for r in records) else np.zeros((0, 3))
+            retrieved = self.store.retrieve(vis, self.budget.retrieve_tokens)
 
         # The last chunk's outputs go before this chunk's block is made, and
         # each step's are copied in as it returns: one block is alive at once.
@@ -538,10 +544,10 @@ class StreamReplayer:
         frames, n, d = len(records), h.tokens_per_frame, h.d_h
         out = np.empty((frames, h.layers, h.heads, n, d))
         results = []
-        for li, hi in np.ndindex(h.layers, h.heads):
-            res = self.channels[li * h.heads + hi].step(
-                [r.channel(li, hi) for r in records], vis, self.audit
-            )
+        for ci, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
+            res = self.channels[ci].step([r.channel(li, hi) for r in records], retrieved[ci],
+                                         self.audit)
+            retrieved[ci] = None  # spent: each channel's rows go as its step ends
             out[:, li, hi] = res.pop("outputs").reshape(frames, n, d)
             results.append(res)
         if self.store is not None:

@@ -12,13 +12,12 @@ a replay, with a separate set of cells per channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, VoxelRangeError
-from .kernel import HALF_MAX, half_roundtrip, weighted_mean
+from .errors import DegenerateVectorError, DimensionError, VoxelRangeError
+from .kernel import HALF_MAX, half_roundtrip
 from .tokens import TokenBlock
 
 # Routing events, in the order of the per-channel event counters. Every
@@ -30,6 +29,10 @@ FUSED, BUFFERED, AGGREGATED, RE_MERGED, DROPPED = range(len(EVENTS))
 # Signed voxel indices live in [-2^20, 2^20); the Morton bias shifts them
 # into 21 unsigned bits per axis, 63 bits total.
 COORD_LIMIT = 1 << 20
+
+# Cells per block of retrieval's distance pass, which bounds its (cells, V)
+# temporaries however many cells the store holds.
+_DISTANCE_BLOCK = 256
 
 
 class VoxelCoord(NamedTuple):
@@ -98,31 +101,57 @@ def morton_decode(code: int) -> VoxelCoord:
     )
 
 
-@dataclass
-class VoxelCell:
-    """Per-voxel dual store: pool rows of merged long-term entries plus an
-    arrival buffer, each list oldest first."""
 
-    coord: VoxelCoord
-    long_term: list[int] = field(default_factory=list)
-    buffer: list[int] = field(default_factory=list)
+
+class VoxelCell:
+    """One voxel cell as its store's tables hold it: the pool rows of its
+    merged long-term entries and of its arrival buffer, each oldest first.
+    Reads go to the tables, so the view stays current."""
+
+    __slots__ = ("store", "index")
+
+    def __init__(self, store: "VoxelStore", index: int):
+        self.store = store
+        self.index = index
+
+    @property
+    def coord(self) -> VoxelCoord:
+        return morton_decode(self.store.cell_keys[self.index][1])
+
+    @property
+    def long_term(self) -> list[int]:
+        store, i = self.store, self.index
+        return store.lt_rows[i, : store.lt_len[i]].tolist()
+
+    @property
+    def buffer(self) -> list[int]:
+        store, i = self.store, self.index
+        return store.buf_rows[i, : store.buf_len[i]].tolist()
+
+
+_NO_CELLS = np.empty(0, dtype=np.int64)
 
 
 class VoxelStore:
     """The voxel cells of every (layer, head) channel, plus event counters.
 
-    A cell is keyed by (channel, Morton code) and holds two lists of rows
-    of one shared pool. Every long-term and buffered entry is one row of
-    `data`, laid out like a TokenBlock row as [key | value | position],
+    A cell is keyed by (channel, Morton code) and numbered in creation
+    order. Per cell number the store keeps the cell's channel and center
+    and two index tables into one shared row pool: `lt_rows`, the
+    long-term rows (cells x g_cap), and `buf_rows`, the buffered rows
+    (cells x e_cap), each oldest first with -1 in unused slots, plus their
+    lengths `lt_len` and `buf_len`; `cells` reads them back per key as
+    `VoxelCell` views. Every long-term and buffered entry is one row
+    of `data`, laid out like a TokenBlock row as [key | value | position],
     with parallel ndarray columns: merge weight, count, score, birth frame
     and token index (-1 and a per-channel serial for merged rows), an
     arrival sequence number and the key norm. Channels never share a cell,
     so each channel behaves as if it had a store of its own; token counts,
-    count mass, event counters, merged serials and cell centers are kept
-    per channel. The pool grows on demand and reuses freed rows.
-    Deterministic by construction: every argmax/argmin is resolved by list
-    order (first wins), and retrieval breaks ranking ties by the arrival
-    sequence number.
+    count mass, event counters and merged serials are kept per channel.
+    The pool grows on demand and reuses freed rows.
+    Deterministic by construction: every argmax/argmin is resolved by table
+    order (first wins), every live row has its own arrival sequence number,
+    and retrieval breaks ranking ties by it.
     """
 
     def __init__(
@@ -149,22 +178,27 @@ class VoxelStore:
         self.quantize = quantize
         self.channels = int(channels)
         self.half_saturations = 0
-        self.cells: dict[tuple[int, int], VoxelCell] = {}
+        self.cell_keys: list[tuple[int, int]] = []  # by cell number
         # per channel: event counts (columns in EVENTS order), held tokens,
         # and the source-token count mass held plus dropped
         self.channel_events = np.zeros((self.channels, len(EVENTS)), dtype=np.int64)
         self.token_counts = np.zeros(self.channels, dtype=np.int64)
         self.count_masses = np.zeros(self.channels, dtype=np.int64)
         self.dropped_count_mass = 0  # summed counts of dropped tokens
-        # per channel: the keys of the cells the last insert_evicted touched
-        self.touched: list[list[tuple[int, int]]] = [[] for _ in range(self.channels)]
+        # per channel: the numbers of the cells the last insert_evicted touched
+        self.touched: list[np.ndarray] = [_NO_CELLS] * self.channels
         self._merged_serials = [0] * self.channels
         self._seq = 0  # store-wide arrival order, used as the final ranking tie-break
-        self._centers = [np.empty((0, 3)) for _ in range(self.channels)]  # creation order
-        self._center_keys: list[list[tuple[int, int]]] = [[] for _ in range(self.channels)]
-        # (channel, ix, iy, iz) -> (cell key, cell), so a revisited cell
-        # costs one tuple lookup instead of an encode
-        self._by_coord: dict[tuple, tuple[tuple[int, int], VoxelCell]] = {}
+        # (channel, ix, iy, iz) -> cell number, so a revisited cell costs one
+        # tuple lookup instead of an encode
+        self._by_coord: dict[tuple, int] = {}
+        # the cell tables, by cell number; they grow on demand
+        self.cell_channel = np.empty(0, dtype=np.int64)
+        self._centers = np.empty((0, 3))
+        self.lt_rows = np.empty((0, self.g_cap), dtype=np.int64)
+        self.lt_len = np.empty(0, dtype=np.int64)
+        self.buf_rows = np.empty((0, self.e_cap), dtype=np.int64)
+        self.buf_len = np.empty(0, dtype=np.int64)
         # the row pool; its width is fixed by the first block inserted
         self.d_h = 0
         self.data = np.empty((0, 0))
@@ -195,10 +229,16 @@ class VoxelStore:
         """Event counts summed over the channels."""
         return dict(zip(EVENTS, self.channel_events.sum(axis=0).tolist()))
 
+    @property
+    def cells(self) -> dict[tuple[int, int], VoxelCell]:
+        """Every cell by key, in creation order, as a view of its table
+        rows. Built on each access: the store keeps no views of itself."""
+        return {key: VoxelCell(self, i) for i, key in enumerate(self.cell_keys)}
+
     def occupancy(self) -> dict[str, int]:
-        g = sum(len(c.long_term) for c in self.cells.values())
-        e = sum(len(c.buffer) for c in self.cells.values())
-        return {"cells": len(self.cells), "g_tokens": g, "e_tokens": e}
+        n = len(self.cell_keys)
+        return {"cells": n, "g_tokens": int(self.lt_len[:n].sum()),
+                "e_tokens": int(self.buf_len[:n].sum())}
 
     def block(self, rows) -> TokenBlock:
         """Copies of the given pool rows as a TokenBlock, in the given order."""
@@ -222,14 +262,15 @@ class VoxelStore:
         is that of routing the rows one at a time in row order, bit for
         bit. Rows of different cells never interact, so they are routed in
         waves: wave k takes the k-th row of every touched (channel, voxel)
-        cell, and a wave's cosines, fusions and buffer writes are batched.
+        cell, and a wave's cosines, fusions, buffer writes and
+        aggregations are batched.
         Per row:
         "fused": merged into a sufficiently similar long-term entry.
         "buffered": parked in the voxel buffer.
         "aggregated": the park filled the buffer and collapsed it.
         "dropped": the token has no position and cannot be placed.
         """
-        self.touched = [[] for _ in range(self.channels)]
+        self.touched = [_NO_CELLS] * self.channels
         n = len(block)
         if n == 0:
             return []
@@ -263,7 +304,7 @@ class VoxelStore:
         self.dropped_count_mass += int(block.counts[dropped].sum())
         base = self._seq
         serials = list(self._merged_serials)
-        merged: list[tuple[int, int, int]] = []  # (row index, channel, pool row)
+        merged: list[tuple] = []  # per wave: (row indices, channels, representatives)
         try:
             if placed.size:
                 self._route(block, channels, placed, voxels.astype(np.int64), events, merged)
@@ -272,12 +313,18 @@ class VoxelStore:
             # 2i + 1), past every number handed out before: the order of
             # routing row by row.
             self._seq = base + 2 * n
-            # Merged serials follow row order per channel, as row-by-row
-            # routing assigns them; one folded away already needs none.
-            for marker, (_, ch, r) in sorted(enumerate(merged), key=lambda m: m[1][0]):
-                if self.frame[r] == -1 and self.token[r] == -2 - marker:
-                    self.token[r] = serials[ch]
-                serials[ch] += 1
+            if merged:
+                # Merged serials follow row order per channel, as row-by-row
+                # routing assigns them; one folded away already needs none.
+                i, ch, r = (np.concatenate(part) for part in zip(*merged))
+                order = np.argsort(i)
+                i, r = i[order], r[order]
+                serial = []
+                for c in ch[order].tolist():
+                    serial.append(serials[c])
+                    serials[c] += 1
+                live = (self.frame[r] == -1) & (self.token[r] == -2 - i)
+                self.token[r[live]] = np.array(serial)[live]
             done = events >= 0
             np.add.at(self.channel_events, (channels[done], events[done]), 1)
         return [EVENTS[e] for e in events.tolist()]
@@ -296,33 +343,24 @@ class VoxelStore:
         group = np.cumsum(new_cell) - 1
         rank = np.arange(m) - starts[group]
 
-        # Look up or create each cell once, in order of first appearance,
-        # and tabulate its long-term rows, padded with -1 to g_cap.
-        cells: list = [None] * starts.size
-        keys: list = [None] * starts.size
-        long_terms: list = [None] * starts.size
-        cell_coords = cell_rows[starts].tolist()
-        for g in np.argsort(order[starts], kind="stable").tolist():
-            coord = tuple(cell_coords[g])
-            entry = self._by_coord.get(coord)
-            if entry is None:
-                c = coord[0]
-                key = (c, morton_encode(coord[1:]))
-                cell = VoxelCell(VoxelCoord(*coord[1:]))
-                self.cells[key] = cell
-                self._by_coord[coord] = (key, cell)
-                self._add_center(c, key, coord[1:])
-            else:
-                key, cell = entry
-            cells[g], keys[g], long_terms[g] = cell, key, cell.long_term
-            self.touched[key[0]].append(key)
-        pad = [-1] * self.g_cap
-        table = np.array([(lt + pad)[: self.g_cap] for lt in long_terms], dtype=np.int64)
+        # Number each cell, in order of first appearance; new ones are
+        # appended to the tables.
+        appearance = np.argsort(order[starts], kind="stable")
+        coords = [tuple(c) for c in cell_rows[starts[appearance]].tolist()]
+        found = [self._by_coord.get(c, -1) for c in coords]
+        if -1 in found:
+            self._add_cells([c for c, i in zip(coords, found) if i < 0])
+            found = [self._by_coord[c] for c in coords]
+        touched = np.array(found, dtype=np.int64)
+        cell_of = np.empty(starts.size, dtype=np.int64)
+        cell_of[appearance] = touched
+        touched_chan = self.cell_channel[touched]
+        self.touched = [touched[touched_chan == c] for c in range(self.channels)]
 
         # Waves are contiguous runs of the placed rows sorted by rank, row
         # order within a wave.
         by_wave = np.argsort(rank * m + order)
-        group = group[by_wave]
+        cell = cell_of[group[by_wave]]
         by_wave = order[by_wave]
         chan = chan[by_wave]
         rows = placed[by_wave]
@@ -331,12 +369,14 @@ class VoxelStore:
         wave_events = np.full(m, FUSED)
         lo = 0
         for hi in np.cumsum(np.bincount(rank)).tolist():
-            fused = self._fuse_wave(table[group[lo:hi]], block, rows[lo:hi], inc_norm[lo:hi])
+            fused = self._fuse_wave(self.lt_rows[cell[lo:hi]], block, rows[lo:hi],
+                                    inc_norm[lo:hi])
             if fused.all():
                 lo = hi
                 continue
-            # The rest park in their cells' buffers; a buffer that fills
-            # collapses at once, before its cell's next row arrives.
+            # The rest park in their cells' buffers with one scatter; a
+            # buffer that fills collapses at once, before its cell's next
+            # row arrives.
             rest = np.flatnonzero(~fused) + lo
             lo = hi
             new = self._alloc(rest.size)
@@ -351,19 +391,26 @@ class VoxelStore:
             self._key_norm[new] = inc_norm[rest]
             self.token_counts += np.bincount(chan[rest], minlength=self.channels)
             wave_events[rest] = BUFFERED
-            for r, g, j in zip(new.tolist(), group[rest].tolist(), rest.tolist()):
-                cell = cells[g]
-                cell.buffer.append(r)
-                if len(cell.buffer) < self.e_cap:
-                    continue
-                self._seq = int(arrival[j]) + 1
-                self.aggregate(keys[g])
-                wave_events[j] = AGGREGATED
-                long_term = cell.long_term
-                self.token[long_term[-1]] = -2 - len(merged)
-                merged.append((int(rows[j]), keys[g][0], long_term[-1]))
-                table[g] = -1
-                table[g, : len(long_term)] = long_term
+            at = cell[rest]
+            slot = self.buf_len[at]
+            if slot.max() >= self.buf_rows.shape[1]:
+                # only a buffer whose aggregation failed outgrows e_cap
+                self.buf_rows = np.pad(self.buf_rows, ((0, 0), (0, self.buf_rows.shape[1])),
+                                       constant_values=-1)
+            self.buf_rows[at, slot] = new
+            slot += 1
+            self.buf_len[at] = slot
+            full = slot >= self.e_cap
+            if not full.any():
+                continue
+            j = rest[full]
+            reps = self.aggregate(at[full])
+            wave_events[j] = AGGREGATED
+            # Each representative arrives right after the row that filled
+            # its buffer; its serial waits for insert_evicted.
+            self.seq[reps] = arrival[j] + 1
+            self.token[reps] = -2 - rows[j]
+            merged.append((rows[j], chan[j], reps))
         events[rows] = wave_events
 
     def _fuse_wave(self, reps: np.ndarray, block: TokenBlock, rows: np.ndarray,
@@ -389,85 +436,157 @@ class VoxelStore:
                        best_cos[hit])
         return fused
 
-    def aggregate(self, code: tuple[int, int]) -> None:
-        """Collapse a full buffer into one representative around its pivot.
+    def aggregate(self, cells) -> np.ndarray:
+        """Collapse the buffer of each given cell into one representative
+        around its pivot; returns the representatives' pool rows.
 
         The pivot is the highest-score buffered row (earliest arrival on
         ties); every member, pivot included, contributes with weight
         exp(cos(pivot_key, member_key)). The representative inherits the
-        pivot's score and a count/weight summed over the members.
+        pivot's score and a count/weight summed over the members. cells are
+        distinct cell numbers, and the outcome is that of aggregating them
+        one at a time in the given order, bit for bit: every cosine is one
+        pair's, every weight one math.exp, every sum runs over the buffer
+        axis alone, and freed rows join the free list in that order.
         """
-        cell = self.cells[code]
-        if not cell.buffer:
+        cells = np.asarray(cells, dtype=np.int64)
+        lens = self.buf_len[cells]
+        if not lens.all():
             raise DimensionError("aggregate called on an empty buffer")
-        members = cell.buffer
-        scores = self.score[members].tolist()
-        p = max(range(len(members)), key=scores.__getitem__)  # first max wins ties
-        d = self.d_h
-        rows = self.data[members]
-        norms = self._key_norm[members]
-        cos = _cosines(rows[:, :d], rows[p, :d], norms, norms[p]).tolist()
-        # the pivot's own weight is e^1 by definition; exponentiating its
-        # self-cosine would admit rounding noise below 1.0
-        omegas = np.array([math.e if j == p else math.exp(c) for j, c in enumerate(cos)])
-        mean = weighted_mean(rows, omegas)
+        k, d = cells.size, self.d_h
+        means = np.empty((k, self.data.shape[1]))
+        z = np.empty(k)
+        counts = np.empty(k, dtype=np.int64)
+        scores = np.empty(k)
+        # Buffers of one length collapse together; in a replay every buffer
+        # collapses at e_cap rows, so this is one pass. Nothing is written
+        # before every weight has passed its check.
+        lengths = sorted(set(lens.tolist()))
+        for n in lengths:
+            sel = slice(None) if len(lengths) == 1 else np.flatnonzero(lens == n)
+            members = self.buf_rows[cells[sel], :n]
+            pick = np.arange(len(members)), self.score[members].argmax(axis=1)  # first max wins
+            rows = self.data[members]
+            norms = self._key_norm[members]
+            keys = rows[:, :, :d]
+            cos = _cosines(keys, keys[pick][:, None], norms, norms[pick][:, None])
+            omegas = np.array([math.exp(c) for c in cos.ravel().tolist()]).reshape(cos.shape)
+            # the pivot's own weight is e^1 by definition; exponentiating
+            # its self-cosine would admit rounding noise below 1.0
+            omegas[pick] = math.e
+            if not (omegas > 0.0).all():
+                raise DegenerateVectorError("weights must be strictly positive")
+            total = omegas.sum(axis=1)
+            z[sel] = total
+            means[sel] = (omegas[:, :, None] * rows).sum(axis=1) / total[:, None]
+            counts[sel] = self.count[members].sum(axis=1)
+            scores[sel] = self.score[members[pick]]
         if self.quantize:
-            mean[: 2 * d] = self._quantized(mean[: 2 * d])
-        count = int(self.count[members].sum())
-        channel = code[0]
-        self._free.extend(members)
-        cell.buffer = []
-        self.token_counts[channel] -= len(members)
-        r = int(self._alloc(1)[0])
-        self.data[r] = mean
-        self.weight[r] = float(omegas.sum())
-        self.count[r] = count
-        self.score[r] = scores[p]
-        self.frame[r] = -1
-        self.token[r] = self._merged_serials[channel]
-        self._merged_serials[channel] += 1
-        key = mean[:d]
-        self._key_norm[r] = math.sqrt(key.dot(key))
-        self._admit(cell, r, code)
+            means[:, : 2 * d] = self._quantized(means[:, : 2 * d])
 
-    def re_merge(self, code: tuple[int, int]) -> None:
-        """Free a long-term slot by folding the lightest entry into a peer.
+        # Freeing a buffer and then taking one row hands back its last row.
+        last = lens - 1
+        reps = self.buf_rows[cells, last]
+        freed = self.buf_rows[cells]
+        channel = self.cell_channel[cells]
+        self.data[reps] = means
+        self.weight[reps] = z
+        self.count[reps] = counts
+        self.score[reps] = scores
+        self.frame[reps] = -1
+        serials, tokens = self._merged_serials, []
+        for c in channel.tolist():
+            tokens.append(serials[c])
+            serials[c] += 1
+        self.token[reps] = tokens
+        keys = means[:, :d]
+        self._key_norm[reps] = np.sqrt(np.vecdot(keys, keys))
+        self.buf_rows[cells] = -1
+        self.buf_len[cells] = 0
+        np.add.at(self.token_counts, channel, 1 - lens)  # members out, representative in
+
+        # Long-term insertion; a cell at capacity frees a slot first. With
+        # g_cap=1 the sole resident folds into the newcomer instead, since
+        # there is no peer to re-merge with.
+        victims = np.full(k, -1, dtype=np.int64)
+        at_cap = self.lt_len[cells] >= self.g_cap
+        if at_cap.any():
+            capped = cells[at_cap]
+            if self.g_cap == 1:
+                slot = self.lt_len[capped] - 1
+                old = self.lt_rows[capped, slot]
+                self.lt_rows[capped, slot] = -1
+                self.lt_len[capped] = slot
+                r = reps[at_cap]
+                cos = _cosines(self._keys[r], self._keys[old], self._key_norm[r],
+                               self._key_norm[old])
+                self._fold(r, old, cos, channel[at_cap])
+                victims[at_cap] = old
+            else:
+                victims[at_cap] = self.re_merge(capped)
+                # taken back off the free list, to rejoin it after each
+                # victim's own cell's members below
+                del self._free[-capped.size :]
+        slot = self.lt_len[cells]
+        self.lt_rows[cells, slot] = reps
+        self.lt_len[cells] = slot + 1
+        self.seq[reps] = self._seq + np.arange(k)
+        self._seq += k
+        freed[np.arange(k), last] = victims
+        keep = (np.arange(freed.shape[1]) < lens[:, None]) & (freed >= 0)
+        self._free.extend(freed[keep].tolist())
+        return reps
+
+    def re_merge(self, cells) -> np.ndarray:
+        """Free a long-term slot in each given cell by folding its lightest
+        entry into a peer; returns the freed pool rows.
 
         Victim is the minimum-weight entry (earliest on ties); it fuses
         into its most key-similar remaining neighbor regardless of the
-        merge threshold.
+        merge threshold. cells are distinct cell numbers, and the outcome
+        is that of re-merging them one at a time in the given order.
         """
-        cell = self.cells[code]
-        long_term = cell.long_term
-        if len(long_term) < 2:
+        cells = np.asarray(cells, dtype=np.int64)
+        held = self.lt_len[cells]
+        if (held < 2).any():
             raise DimensionError("re_merge needs at least two long-term entries")
-        weights = self.weight[long_term].tolist()
-        victim = long_term.pop(min(range(len(weights)), key=lambda i: (weights[i], i)))
-        cos = _cosines(self._keys[long_term], self._keys[victim],
-                       self._key_norm[long_term], self._key_norm[victim]).tolist()
-        best, best_cos = long_term[0], -2.0
-        for r, c in zip(long_term, cos):
-            if c > best_cos:
-                best, best_cos = r, c
-        self._fold(best, victim, best_cos, code[0])
+        k, g = cells.size, self.g_cap
+        table = self.lt_rows[cells]
+        weights = np.where(table >= 0, self.weight[table], np.inf)
+        pick = np.arange(k), weights.argmin(axis=1)  # first min wins
+        victims = table[pick]
+        rest = table[np.arange(g) != pick[1][:, None]].reshape(k, g - 1)
+        cos = _cosines(self._keys[rest], self._keys[victims][:, None],
+                       self._key_norm[rest], self._key_norm[victims][:, None])
+        # The first peer that beats -2 takes the victim, so a NaN cosine
+        # never wins and an all-NaN cell folds into its first peer at -2.
+        np.fmax(cos, -2.0, out=cos)
+        cos[rest < 0] = -np.inf
+        best = np.arange(k), cos.argmax(axis=1)
+        self.lt_rows[cells, : g - 1] = rest
+        self.lt_rows[cells, g - 1] = -1
+        self.lt_len[cells] = held - 1
+        self._fold(rest[best], victims, cos[best], self.cell_channel[cells])
+        self._free.extend(victims.tolist())
+        return victims
 
     # -- retrieval ----------------------------------------------------------
 
-    def retrieve(self, visible_positions: np.ndarray, quota: int, channel: int = 0) -> TokenBlock:
-        """One channel's entries from voxels near the visible ones, best first.
+    def retrieve(self, visible_positions: np.ndarray, quota: int) -> list[TokenBlock]:
+        """Every channel's entries from voxels near the visible ones, best
+        first: one block per channel, of copies of at most quota rows.
 
         Neighborhood: the channel's cells whose center lies within
         knn_radius_mult * voxel_size of some visible voxel's center.
         Ranking: long-term entries before buffered ones, then nearer home
-        voxel, then larger merge weight, then earlier arrival. Returns
-        copies of at most quota rows.
+        voxel, then larger merge weight, then earlier arrival. Every live
+        row has its own arrival number, so the ranking is a total order and
+        the candidates can be gathered in any order.
         """
-        keys = self._center_keys[channel]
-        if quota <= 0 or not keys:
-            return self.block([])
+        n_cells = len(self.cell_keys)
         vis = np.asarray(visible_positions, dtype=np.float64)
-        if vis.size == 0:
-            return self.block([])
+        if quota <= 0 or not n_cells or vis.size == 0:
+            return [self.block([]) for _ in range(self.channels)]
         if vis.ndim != 2 or vis.shape[1] != 3:
             raise DimensionError(f"visible_positions must be (V, 3), got {vis.shape}")
         # Only the nearest visible voxel counts, so the visible voxels need
@@ -476,37 +595,50 @@ class VoxelStore:
         coords = coords[np.lexsort(coords.T)]
         coords = coords[np.r_[True, (coords[1:] != coords[:-1]).any(axis=1)]]
         vis_centers = (coords + 0.5) * self.voxel_size
-        centers = self._centers[channel][: len(keys)]
         # Squared distances summed x, y, z left to right, the order of
         # ((c - v) ** 2).sum(axis=-1); sqrt is monotone, so the root of the
-        # minimum is the minimum of the roots.
-        sq = (centers[:, :1] - vis_centers[:, 0]) ** 2
-        sq += (centers[:, 1:2] - vis_centers[:, 1]) ** 2
-        sq += (centers[:, 2:] - vis_centers[:, 2]) ** 2
-        dmin = np.sqrt(sq.min(axis=1))
-        radius = self.knn_radius_mult * self.voxel_size
-        rows: list[int] = []
-        tier: list[int] = []
-        dist: list[float] = []
-        for cell_i in np.flatnonzero(dmin <= radius + 1e-12).tolist():
-            cell = self.cells[keys[cell_i]]
-            long_term, buffer = cell.long_term, cell.buffer
-            rows += long_term + buffer
-            tier += [0] * len(long_term) + [1] * len(buffer)
-            dist += [dmin[cell_i]] * (len(long_term) + len(buffer))
-        rows = np.array(rows, dtype=np.int64)
-        order = np.lexsort((self.seq[rows], -self.weight[rows], np.array(dist), np.array(tier)))
-        return self.block(rows[order[:quota]])
+        # minimum is the minimum of the roots. Every cell's distance is its
+        # own, so blocks of cells bound the (cells, V) temporaries.
+        dmin = np.empty(n_cells)
+        for lo in range(0, n_cells, _DISTANCE_BLOCK):
+            centers = self._centers[lo : min(lo + _DISTANCE_BLOCK, n_cells)]
+            sq = (centers[:, :1] - vis_centers[:, 0]) ** 2
+            sq += (centers[:, 1:2] - vis_centers[:, 1]) ** 2
+            sq += (centers[:, 2:] - vis_centers[:, 2]) ** 2
+            sq.min(axis=1, out=dmin[lo : lo + len(centers)])
+        np.sqrt(dmin, out=dmin)
+        near = np.flatnonzero(dmin <= self.knn_radius_mult * self.voxel_size + 1e-12)
+        table = np.concatenate([self.lt_rows[near], self.buf_rows[near]], axis=1)
+        held = table >= 0
+        rows = table[held]
+        tier = np.broadcast_to(np.arange(table.shape[1]) >= self.g_cap, table.shape)[held]
+        cell = np.broadcast_to(near[:, None], table.shape)[held]
+        chan = self.cell_channel[cell]
+        order = np.lexsort((self.seq[rows], -self.weight[rows], dmin[cell], tier, chan))
+        rows = rows[order]
+        bounds = np.searchsorted(chan[order], np.arange(self.channels + 1)).tolist()
+        return [self.block(rows[a : min(b, a + quota)]) for a, b in zip(bounds, bounds[1:])]
 
     # -- helpers ----------------------------------------------------------
 
-    def _add_center(self, channel: int, key: tuple[int, int], coord: tuple) -> None:
-        keys = self._center_keys[channel]
-        n = len(keys)
-        if n == len(self._centers[channel]):
-            self._centers[channel] = _grown(self._centers[channel], max(16, 2 * n))
-        self._centers[channel][n] = [(c + 0.5) * self.voxel_size for c in coord]
-        keys.append(key)
+    def _add_cells(self, coords: list[tuple]) -> None:
+        # New cells (channel, ix, iy, iz), numbered on from the last one.
+        start = len(self.cell_keys)
+        end = start + len(coords)
+        if end > len(self.lt_len):
+            size = max(16, 2 * len(self.lt_len), end)
+            for name in ("cell_channel", "_centers", "lt_rows", "lt_len", "buf_rows", "buf_len"):
+                setattr(self, name, _grown(getattr(self, name), size))
+        for i, coord in enumerate(coords, start):
+            self.cell_keys.append((coord[0], morton_encode(coord[1:])))
+            self._by_coord[coord] = i
+        c = np.array(coords, dtype=np.int64)
+        self.cell_channel[start:end] = c[:, 0]
+        self._centers[start:end] = (c[:, 1:] + 0.5) * self.voxel_size
+        self.lt_rows[start:end] = -1
+        self.lt_len[start:end] = 0
+        self.buf_rows[start:end] = -1
+        self.buf_len[start:end] = 0
 
     def _alloc(self, k: int) -> np.ndarray:
         # k pool rows: freed ones first, latest freed first, then new ones.
@@ -525,31 +657,14 @@ class VoxelStore:
         for name in ("weight", "count", "score", "frame", "token", "seq", "_key_norm"):
             setattr(self, name, _grown(getattr(self, name), size))
 
-    def _admit(self, cell: VoxelCell, r: int, code: tuple[int, int]) -> None:
-        # Long-term insertion; at capacity a slot is freed first. With
-        # g_cap=1 the sole resident folds into the newcomer instead, since
-        # there is no peer to re-merge with.
-        channel = code[0]
-        if len(cell.long_term) >= self.g_cap:
-            if self.g_cap == 1:
-                old = cell.long_term.pop()
-                cos = _cosines(self._keys[r : r + 1], self._keys[old],
-                               self._key_norm[r : r + 1], self._key_norm[old])
-                self._fold(r, old, float(cos[0]), channel)
-            else:
-                self.re_merge(code)
-        cell.long_term.append(r)
-        self.token_counts[channel] += 1
-        self.seq[r] = self._seq
-        self._seq += 1
-
-    def _fold(self, r: int, old: int, cos: float, channel: int) -> None:
-        # Fuse held row old into held row r and free old's slot.
-        self._fuse(np.array([r]), self.data[old][None], self.count[old : old + 1],
-                   np.array([cos]))
-        self._free.append(old)
-        self.token_counts[channel] -= 1
-        self.channel_events[channel, RE_MERGED] += 1
+    def _fold(self, targets: np.ndarray, old: np.ndarray, cos: np.ndarray,
+              channels: np.ndarray) -> None:
+        # Fuse held rows old into the distinct held rows targets; the
+        # caller frees old's slots.
+        self._fuse(targets, self.data[old], self.count[old], cos)
+        folded = np.bincount(channels, minlength=self.channels)
+        self.token_counts -= folded
+        self.channel_events[:, RE_MERGED] += folded
 
     def _fuse(self, targets: np.ndarray, incoming: np.ndarray, counts: np.ndarray,
               cos: np.ndarray) -> None:

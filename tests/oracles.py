@@ -104,6 +104,29 @@ class FusionOracle:
         self.den += weight
 
 
+def retrieve_oracle(store, visible, quota, channel=0):
+    """The pool rows a VoxelStore must retrieve for one channel, best first:
+    every cell walked, each distance taken on its own, one Python sort on
+    (tier, distance, -weight, arrival)."""
+    vis_coords = np.unique(np.floor(np.asarray(visible) / store.voxel_size).astype(np.int64), axis=0)
+    vis_centers = (vis_coords + 0.5) * store.voxel_size
+    radius = store.knn_radius_mult * store.voxel_size
+    ranked = []
+    for (c, _), cell in store.cells.items():
+        if c != channel:
+            continue
+        center = (np.asarray(cell.coord, dtype=np.float64) + 0.5) * store.voxel_size
+        dmin = float(np.sqrt(((center[None, :] - vis_centers) ** 2).sum(axis=1)).min())
+        if dmin > radius + 1e-12:
+            continue
+        for r in cell.long_term:
+            ranked.append((0, dmin, -store.weight[r], store.seq[r], r))
+        for r in cell.buffer:
+            ranked.append((1, dmin, -store.weight[r], store.seq[r], r))
+    ranked.sort(key=lambda r: r[:4])
+    return [r[4] for r in ranked[:quota]]
+
+
 class VoxelMirror:
     """Plain-Python replay of single-voxel routing and fusion.
 

@@ -28,7 +28,7 @@ from stacache import (
     voxel_of,
     write_trace,
 )
-from oracles import VoxelMirror, geometric_closed_form, py_cosine
+from oracles import VoxelMirror, geometric_closed_form, py_cosine, retrieve_oracle
 
 N = 16  # tokens per frame for the replay-level criteria
 
@@ -152,24 +152,6 @@ def _anchor_oracle(candidates, budget):
     return ranked[:budget], ranked[budget:]
 
 
-def _retrieve_oracle(store, visible, quota):
-    vis_coords = np.unique(np.floor(np.asarray(visible) / store.voxel_size).astype(np.int64), axis=0)
-    vis_centers = (vis_coords + 0.5) * store.voxel_size
-    radius = store.knn_radius_mult * store.voxel_size
-    ranked = []
-    for cell in store.cells.values():
-        center = (np.asarray(cell.coord, dtype=np.float64) + 0.5) * store.voxel_size
-        dmin = float(np.sqrt(((center[None, :] - vis_centers) ** 2).sum(axis=1)).min())
-        if dmin > radius + 1e-12:
-            continue
-        for r in cell.long_term:
-            ranked.append((0, dmin, -store.weight[r], store.seq[r], r))
-        for r in cell.buffer:
-            ranked.append((1, dmin, -store.weight[r], store.seq[r], r))
-    ranked.sort(key=lambda r: r[:4])
-    return [r[4] for r in ranked[:quota]]
-
-
 def test_c05_selection_mechanisms_match_bruteforce():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
@@ -265,8 +247,8 @@ def test_c05_selection_mechanisms_match_bruteforce():
         for _ in range(20):
             visible = rng.uniform(-0.3, 0.3, size=(int(rng.integers(1, 6)), 3))
             quota = int(rng.integers(1, 50))
-            got = store.retrieve(visible, quota)
-            want = _retrieve_oracle(store, visible, quota)
+            (got,) = store.retrieve(visible, quota)
+            want = retrieve_oracle(store, visible, quota)
             assert got.ids() == store.block(want).ids()
 
     elapsed = time.perf_counter() - t0

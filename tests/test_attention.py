@@ -66,34 +66,47 @@ def _allocating_attend(q, k, v, counts, d_h):
     return w @ v, w.sum(axis=0)
 
 
+ATTEND_CASES = [
+    (1, 1, 4, 1, 1.0, False),
+    (1, 37, 8, 5, 1.0, False),
+    (9, 1, 8, 1e6, 1.0, False),
+    (64, 300, 32, 1e6, 1.0, False),
+    (256, 1056, 32, 50, 1.0, False),
+    (7, 16384, 16, 1e6, 1.0, False),
+    (33, 513, 32, 1e6, 16.0, False),  # logits around +-1e3
+    (5, 40, 4, 1, 1.0, False),
+    (16, 300, 8, 50, 1.0, True),
+]
+
+
 @pytest.mark.parametrize(
-    "n_q, n_k, d, count_hi, scale",
-    [
-        (1, 1, 4, 1, 1.0),
-        (1, 37, 8, 5, 1.0),
-        (9, 1, 8, 1e6, 1.0),
-        (64, 300, 32, 1e6, 1.0),
-        (256, 1056, 32, 50, 1.0),
-        (7, 16384, 16, 1e6, 1.0),
-        (33, 513, 32, 1e6, 16.0),  # logits around +-1e3
-        (5, 40, 4, 1, 1.0),
-    ],
+    "n_q, n_k, d, count_hi, scale, inner", ATTEND_CASES,
+    # a case is named by its sizes, plus "inner" for the inner-span case
+    ids=["-".join(str(x) for x in case[:5]) + ("-inner" if case[5] else "")
+         for case in ATTEND_CASES],
 )
-def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale):
+def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale, inner):
     rng = np.random.default_rng(n_q * 7919 + n_k)
     q = rng.normal(size=(n_q, d)) * scale
     k = rng.normal(size=(n_k, d)) * scale
     v = rng.normal(size=(n_k, d))
     counts = np.floor(rng.uniform(1.0, count_hi + 1.0, size=n_k))
-    if count_hi == 1:
-        # All counts are 1, so attend skips the zero bias. Plant a -0.0
-        # logit, which the allocating form's + ln(1) turns into +0.0: the
-        # product -5e-324 underflows to -0.0 when scaled by 1/sqrt(d_h).
+    if inner:
+        # Counts above 1 fill an inner span only, ends included, so attend
+        # adds the bias on that span alone; column 0 lies outside it.
+        lo, hi = n_k // 3, 2 * n_k // 3
+        counts[:lo] = counts[hi:] = 1.0
+        counts[lo] = counts[hi - 1] = 2.0
+    if count_hi == 1 or inner:
+        # Column 0 has count 1, so attend adds it no bias. Plant a -0.0
+        # logit there, which the allocating form's + ln(1) turns into +0.0:
+        # the product -5e-324 underflows to -0.0 when scaled by 1/sqrt(d_h).
         # (q = -1, k = 0 would not do: matmul sums from +0.0.)
         q[0], k[0] = 0.0, 0.0
         q[0, 0], k[0, 0] = -1.0, 5e-324
         logit = (q @ k.T / np.sqrt(float(d)))[0, 0]
-        assert logit == 0.0 and np.signbit(logit) and not np.log(counts).any()
+        assert logit == 0.0 and np.signbit(logit)
+        assert not np.log(counts[: 1 if inner else n_k]).any()
     inputs = [a.copy() for a in (q, k, v, counts)]
     ref_out, ref_mass = _allocating_attend(q, k, v, counts, d)
     # Through one workspace: sized to this case, then grown past it by a

@@ -477,19 +477,17 @@ def test_audit_catches_a_cap_breach_in_a_touched_cell():
     # the audit checks only the cells the chunk's insertion touched, and a
     # breach there is caught on that very chunk
     def overfill(store):
-        for code in store.touched[1]:
-            cell = store.cells[code]
-            if cell.long_term:
-                cell.long_term.extend(cell.long_term[:1] * store.g_cap)
+        for i in store.touched[1]:
+            if store.lt_len[i]:
+                store.lt_len[i] += store.g_cap
                 return
 
     with pytest.raises(InvariantViolation, match="long-term over cap"):
         _breached_replay(overfill)
 
     def undrained(store):
-        if store.touched[0]:
-            cell = store.cells[store.touched[0][-1]]
-            cell.buffer.extend([0] * (store.e_cap - len(cell.buffer)))
+        if store.touched[0].size:
+            store.buf_len[store.touched[0][-1]] = store.e_cap
 
     with pytest.raises(InvariantViolation, match="buffer not drained"):
         _breached_replay(undrained)

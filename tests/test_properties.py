@@ -58,6 +58,15 @@ class VoxelStoreAgainstMirror(RuleBasedStateMachine):
         assert len(cell.long_term) == len(mirror.long_term)
         assert len(cell.buffer) == len(mirror.buffer)
         assert store.token_count == len(cell.long_term) + len(cell.buffer)
+        # the cell's table rows: lengths as the mirror's lists, -1 past them
+        i = cell.index
+        assert store.lt_len[i] == len(mirror.long_term) and store.buf_len[i] == len(mirror.buffer)
+        assert (store.lt_rows[i, store.lt_len[i] :] == -1).all()
+        assert (store.buf_rows[i, store.buf_len[i] :] == -1).all()
+        # retrieval's ranking is a total order only if no two live rows
+        # share an arrival number
+        held = [r for c in store.cells.values() for r in (*c.long_term, *c.buffer)]
+        assert len(set(store.seq[held].tolist())) == len(held)
         for r, ref in zip(cell.long_term, mirror.long_term):
             assert np.allclose(store.data[r, :D], mirror.key_mean(ref), rtol=1e-6, atol=1e-6)
             assert np.allclose(store.data[r, D : 2 * D], mirror.value_mean(ref),

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import pytest
 
-from stacache import CacheConfig, Policy, StreamReplayer, TokenId, synth_trace
+from stacache import (CacheConfig, Policy, StreamReplayer, TokenBlock, TokenId, VoxelStore,
+                      synth_trace)
 from stacache.attention import attend
 from stacache.kernel import HALF_MAX, half_roundtrip, weighted_mean
 from stacache.pipeline import _StacChannel, _step_result
-from stacache.spatial import VoxelCell, morton_encode, voxel_of
+from stacache.spatial import EVENTS, VoxelCoord, morton_encode, voxel_of
 from oracles import feed_all
 
 
@@ -119,6 +120,15 @@ class _RefCache:
         return tokens, (keys, values)
 
 
+@dataclass
+class _RefCell:
+    """One voxel's long-term and buffered token objects, each oldest first."""
+
+    coord: VoxelCoord
+    long_term: list[_Token] = field(default_factory=list)
+    buffer: list[_Token] = field(default_factory=list)
+
+
 class _RefStore:
     """Voxel cells of token objects, ranked by an id(token)-keyed sequence map."""
 
@@ -127,7 +137,7 @@ class _RefStore:
         self.g_cap, self.e_cap = g_cap, e_cap
         self.knn_radius_mult, self.quantize = knn_radius_mult, quantize
         self.half_saturations = 0
-        self.cells: dict[int, VoxelCell] = {}
+        self.cells: dict[int, _RefCell] = {}
         self.events = {"fused": 0, "buffered": 0, "aggregated": 0, "re_merged": 0, "dropped": 0}
         self.serial = 0
         self.seq = 0
@@ -144,7 +154,7 @@ class _RefStore:
         code = morton_encode(coord)
         cell = self.cells.get(code)
         if cell is None:
-            cell = self.cells[code] = VoxelCell(coord)
+            cell = self.cells[code] = _RefCell(coord)
             self.center_codes.append(code)
             self.center_rows.append(tuple((c + 0.5) * self.voxel_size for c in coord))
         if cell.long_term:
@@ -278,10 +288,13 @@ class _RefChannel(_StacChannel):
     def register(self, frame):
         self.cache.register_reference(frame)
 
-    def step(self, frames, vis_positions, audit):
+    def step(self, frames, retrieved, audit):
+        # retrieved is None: this channel retrieves from its own store,
+        # near the positions its frames carry
         n = self.tokens_per_frame
         snap = self.cache.snapshot()
-        retrieved = self.store.retrieve(vis_positions, self.budget.retrieve_tokens)
+        visible = np.concatenate([f.positions[f.position_mask] for f in frames])
+        retrieved = self.store.retrieve(visible, self.budget.retrieve_tokens)
         events_before = dict(self.store.events)
         chunk_q = np.concatenate([f.queries for f in frames])
         key_blocks, value_blocks = self.cache.frame_blocks()
@@ -404,3 +417,84 @@ def test_cases_reach_every_insert_path():
         partial += stats.rows[-1]["frame_hi"] - stats.rows[-1]["frame_lo"] + 1 < chunk_size
     assert {"fused", "buffered", "aggregated", "re_merged", "dropped"} <= seen
     assert partial
+
+
+def _cell_bits(store, r):
+    d = store.d_h
+    row = store.data[r]
+    return (TokenId(int(store.frame[r]), int(store.token[r])), row[:d].tobytes(),
+            row[d : 2 * d].tobytes(), row[2 * d :].tobytes(), float(store.weight[r]).hex(),
+            int(store.count[r]), float(store.score[r]).hex())
+
+
+def _token_bits(t):
+    return (t.id, t.key.tobytes(), t.value.tobytes(), t.position.tobytes(),
+            float(t.weight).hex(), t.count, float(t.score).hex())
+
+
+@pytest.mark.parametrize("quantize", [False, True], ids=["exact", "quantized"])
+@pytest.mark.parametrize("g_cap", [1, 4])
+def test_one_wave_aggregates_cells_of_two_channels_like_objects(g_cap, quantize):
+    # Each round gives every cell of both channels exactly e_cap rows, the
+    # w-th row of each cell in wave w, so six buffers of two channels fill
+    # on one wave and collapse in one batch. Each cell's buffer holds the
+    # same keys and scores every round: two of its three scores tie for the
+    # pivot, its representatives tie on weight and on key, so re-merge
+    # picks its victim among equals and folds it into the first of equal
+    # peers. Nothing fuses (merge_lambda 1), and the values differ from
+    # round to round, so every one of those choices shows in the bits.
+    e_cap, d, channels = 3, 4, 2
+    rng = np.random.default_rng(52)
+    homes = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [-0.5, 2.5, 0.5]])
+    keys = rng.normal(size=(channels, len(homes), e_cap, d))
+    scores = np.array([np.roll([1.0, 1.0, 0.0], h) for h in range(len(homes))])
+    store = VoxelStore(voxel_size=1.0, merge_lambda=1.0, g_cap=g_cap, e_cap=e_cap,
+                       knn_radius_mult=2.0, quantize=quantize, channels=channels)
+    refs = [_RefStore(1.0, 1.0, g_cap, e_cap, 2.0, quantize) for _ in range(channels)]
+    batches = []
+    aggregate = store.aggregate
+
+    def spy(cells):
+        batches.append(store.cell_channel[cells].tolist())
+        return aggregate(cells)
+
+    store.aggregate = spy
+    serial = 0
+    for _ in range(g_cap + 3):
+        blocks = []
+        for c, ref in enumerate(refs):
+            order = [(w, h) for w in range(e_cap) for h in range(len(homes))]
+            n = len(order)
+            block = TokenBlock.build(
+                [keys[c, h, w] for w, h in order], rng.normal(size=(n, d)),
+                [homes[h] for _, h in order], scores=[scores[h, w] for w, h in order],
+                frames=1, tokens=np.arange(serial, serial + n), counts=rng.integers(1, 3, n))
+            serial += n
+            blocks.append(block)
+            for i in range(n):
+                ref.insert_evicted(_Token(
+                    TokenId(1, int(block.tokens[i])), block.keys[i].copy(),
+                    block.values[i].copy(), float(block.scores[i]),
+                    block.positions[i].copy(), int(block.counts[i])))
+        events = store.insert_evicted(TokenBlock.concat(blocks),
+                                      np.repeat(np.arange(channels), [len(b) for b in blocks]))
+        assert events.count("aggregated") == channels * len(homes)
+    # one batch a round, each of every cell of both channels
+    assert [sorted(b) for b in batches] == [[0, 0, 0, 1, 1, 1]] * (g_cap + 3)
+    assert store.events["re_merged"] > 0
+
+    for c, ref in enumerate(refs):
+        assert dict(zip(EVENTS, store.channel_events[c].tolist())) == ref.events
+        assert store.token_counts[c] == ref.token_count
+        for code, cell in ref.cells.items():
+            mine = store.cells[(c, code)]
+            assert [_cell_bits(store, r) for r in mine.long_term] == \
+                [_token_bits(t) for t in cell.long_term]
+            assert [_cell_bits(store, r) for r in mine.buffer] == \
+                [_token_bits(t) for t in cell.buffer]
+    assert store.half_saturations == sum(ref.half_saturations for ref in refs)
+    visible = np.array([[0.5, 0.5, 0.5], [0.2, 2.7, 0.1]])
+    for quota in (1, 5, 40):
+        got = store.retrieve(visible, quota)
+        for block, ref in zip(got, refs):
+            assert block.ids() == [t.id for t in ref.retrieve(visible, quota)]

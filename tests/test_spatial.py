@@ -20,7 +20,7 @@ from stacache import (
     voxel_of,
 )
 from stacache import kernel
-from oracles import morton_oracle, py_cosine, FusionOracle
+from oracles import morton_oracle, py_cosine, FusionOracle, retrieve_oracle
 
 LIMIT = 1 << 20
 
@@ -297,17 +297,17 @@ def test_retrieval_ranking_and_quota():
     a_pos = [0.5, 0.5, 0.5]
     for i in range(2):
         _insert(store, _token([1.0, 0.0], position=a_pos, idx=i))
-    store.aggregate(next(iter(store.cells)))
+    store.aggregate([next(iter(store.cells.values())).index])
     _insert(store, _token([0.0, 1.0], position=a_pos, idx=5))
     # cell B one step away holds only a buffered token
     _insert(store, _token([1.0, 1.0], position=[1.5, 0.5, 0.5], idx=7))
 
-    got = store.retrieve(np.array([[0.4, 0.4, 0.4]]), quota=10)
+    (got,) = store.retrieve(np.array([[0.4, 0.4, 0.4]]), quota=10)
     # long-term rep first, then the near buffered token, then the far one
     assert got.frames[0] == -1 and (got.frames[1:] != -1).all()
     assert got.ids()[1] == TokenId(1, 5)
     assert got.ids()[2] == TokenId(1, 7)
-    truncated = store.retrieve(np.array([[0.4, 0.4, 0.4]]), quota=2)
+    (truncated,) = store.retrieve(np.array([[0.4, 0.4, 0.4]]), quota=2)
     assert truncated.ids() == got.ids()[:2]
 
 
@@ -316,7 +316,7 @@ def test_retrieval_radius_cutoff():
     _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
     _insert(store, _token([1.0, 0.0], position=[2.5, 0.5, 0.5], idx=1))  # exactly 2.0 away
     _insert(store, _token([1.0, 0.0], position=[3.5, 0.5, 0.5], idx=2))  # 3.0 away
-    got = store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=10)
+    (got,) = store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=10)
     ids = got.tokens.tolist()
     assert ids == [0, 1]  # the boundary cell is included, the far one is not
 
@@ -330,7 +330,7 @@ def test_retrieval_prefers_heavier_equidistant_entries():
         _insert(store, _token([1.0, 0.05], position=[-0.5, 0.5, 0.5], idx=i))
     # fuse one more into the second cell to raise its weight
     _insert(store, _token([1.0, 0.04], position=[-0.5, 0.5, 0.5], idx=9))
-    got = store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=2)
+    (got,) = store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=2)
     assert got.counts[0] == 3
     assert got.counts[1] == 2
 
@@ -348,7 +348,7 @@ def test_retrieval_distance_ties_break_as_summed_squares():
         _insert(store, _token([1.0, 0.0], position=(np.array(off) + 0.5) * vs, idx=i))
     for probe in ([0.5, 0.5, 0.5], [1.5, -0.5, 2.5], [-2.5, 0.5, -1.5]):
         visible = np.array([probe]) * vs
-        got = store.retrieve(visible, quota=len(offsets))
+        (got,) = store.retrieve(visible, quota=len(offsets))
         center = (np.floor(visible / vs) + 0.5) * vs
         ranked = []
         for i, off in enumerate(offsets):
@@ -361,9 +361,9 @@ def test_retrieval_distance_ties_break_as_summed_squares():
 
 def test_retrieval_empty_cases():
     store = _store()
-    assert len(store.retrieve(np.zeros((0, 3)), quota=5)) == 0
+    assert len(store.retrieve(np.zeros((0, 3)), quota=5)[0]) == 0
     _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
-    assert len(store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=0)) == 0
+    assert len(store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=0)[0]) == 0
 
 
 def test_retrieval_is_deterministic():
@@ -373,7 +373,7 @@ def test_retrieval_is_deterministic():
         for i in range(200):
             pos = rng.uniform(0.0, 4.0, size=3)
             _insert(store, _token(rng.normal(size=4), position=pos, idx=i, score=rng.random()))
-        return store.retrieve(np.array([[1.5, 1.5, 1.5], [2.5, 2.5, 2.5]]), quota=12)
+        return store.retrieve(np.array([[1.5, 1.5, 1.5], [2.5, 2.5, 2.5]]), quota=12)[0]
 
     a, b = build(), build()
     assert a.ids() == b.ids()
@@ -579,7 +579,7 @@ def test_insert_is_bit_identical_to_scalar_reference():
 def test_nan_key_is_buffered_not_fused():
     store = _store(e_cap=4, merge_lambda=-0.5)
     _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
-    store.aggregate(next(iter(store.cells)))
+    store.aggregate([next(iter(store.cells.values())).index])
     event = _insert(store, _token([np.nan, 0.0], position=[0.5, 0.5, 0.5], idx=1))
     assert event == "buffered"
 
@@ -680,7 +680,8 @@ def test_one_store_of_channels_equals_a_store_per_channel():
             want = [e for store, b in zip(own, blocks) for e in store.insert_evicted(b)]
             assert got == want, case
             for c, store in enumerate(own):
-                assert one.touched[c] == [(c, code) for _, code in store.touched[0]]
+                assert [one.cell_keys[i] for i in one.touched[c]] == \
+                    [(c, store.cell_keys[i][1]) for i in store.touched[0]]
         for c, store in enumerate(own):
             assert one.token_counts[c] == store.token_count
             assert one.count_masses[c] == store.count_mass
@@ -692,13 +693,20 @@ def test_one_store_of_channels_equals_a_store_per_channel():
                     [_row_bits(store, r) for r in cell.long_term]
                 assert [_row_bits(one, r) for r in mine[code].buffer] == \
                     [_row_bits(store, r) for r in cell.buffer]
-            for _ in range(5):
-                visible = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 4)), 3))
-                quota = int(rng.integers(1, 40))
-                a, b = one.retrieve(visible, quota, c), store.retrieve(visible, quota)
+        # One retrieval serves every channel: each block must be what the
+        # channel's own store retrieves, and what the brute-force ranking on
+        # (tier, distance, -weight, arrival) picks.
+        for _ in range(5):
+            visible = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 4)), 3))
+            quota = int(rng.integers(1, 40))
+            got = one.retrieve(visible, quota)
+            assert len(got) == channels
+            for c, (a, store) in enumerate(zip(got, own)):
+                (b,) = store.retrieve(visible, quota)
                 assert a.ids() == b.ids()
                 assert a.rows.tobytes() == b.rows.tobytes()
                 assert np.array_equal(a.counts, b.counts)
+                assert a.ids() == one.block(retrieve_oracle(one, visible, quota, c)).ids()
         assert one.half_saturations == sum(s.half_saturations for s in own)
 
 
