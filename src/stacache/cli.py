@@ -20,7 +20,7 @@ from .errors import (
     TraceFormatError,
     VoxelRangeError,
 )
-from .pipeline import Policy, ReplayStats, compare, run_stream
+from .pipeline import DEFAULT_CHUNK_SIZE, Policy, ReplayStats, compare, run_stream
 from .tokens import CacheConfig
 from .traceio import synth_trace, write_trace
 
@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--knn-mult", type=float, default=None, help="retrieval radius in voxel sizes")
         p.add_argument("--budget-mult", type=float, default=None, help="budget in frame multiples")
         p.add_argument("--window-frames", type=int, default=None, help="temporal window frames")
-        p.add_argument("--chunk", type=int, default=None, help="frames per attention chunk, for every policy")
+        p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK_SIZE,
+                       help="frames per attention chunk, for every policy (default %(default)s)")
         p.add_argument("--split", type=_split_arg, default=None,
                        metavar="W,A,R", help="budget fractions window,anchor,retrieve")
         p.add_argument("--half", action="store_true", help="round cache contents through float16")
@@ -124,8 +125,6 @@ def _config_from_args(args) -> CacheConfig:
         cfg.budget_multiplier = args.budget_mult
     if args.window_frames is not None:
         cfg.window_frames = args.window_frames
-    if args.chunk is not None:
-        cfg.chunk_size = args.chunk
     if args.split is not None:
         cfg.window_frac, cfg.anchor_frac, cfg.retrieve_frac = args.split
     cfg.half_precision = bool(args.half)

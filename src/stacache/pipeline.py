@@ -35,6 +35,9 @@ BYTES_PER_SCALAR = 2
 
 POLICY_KINDS = ("full", "window", "stac")
 
+# Frames per attention chunk when a replay is given none, for every policy.
+DEFAULT_CHUNK_SIZE = 4
+
 
 @dataclass
 class Policy:
@@ -408,7 +411,6 @@ class ReplayStats:
 
     policy: str
     header: TraceHeader
-    chunk_size: int
     rows: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
@@ -441,7 +443,7 @@ class StreamReplayer:
         self,
         header: TraceHeader,
         policy: Policy,
-        chunk_size: Optional[int] = None,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
         audit: bool = True,
         stats_sink: Optional[Callable[[dict], None]] = None,
     ):
@@ -452,8 +454,6 @@ class StreamReplayer:
             self.budget = allocate_budget(policy.config, header.tokens_per_frame)
         else:
             self.budget = None
-        if chunk_size is None:
-            chunk_size = policy.config.chunk_size if policy.kind == "stac" else 4
         if chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         self.header = header
@@ -512,6 +512,15 @@ class StreamReplayer:
             raise TraceFormatError(
                 f"expected frame {self._frames_seen}, got {record.frame_idx}"
             )
+        h = self.header
+        n = h.tokens_per_frame
+        for name, want in (("data", (h.layers, h.heads, 3, n, h.d_h)),
+                           ("positions", (n, 3)), ("position_mask", (n,))):
+            got = getattr(record, name).shape
+            if got != want:
+                raise TraceFormatError(
+                    f"frame {record.frame_idx}: {name} has shape {got}, the header wants {want}"
+                )
         self._frames_seen += 1
         if record.frame_idx == 0:
             for li in range(self.header.layers):
@@ -661,7 +670,6 @@ class StreamReplayer:
         return ReplayStats(
             policy=self.policy.label(),
             header=h,
-            chunk_size=self.chunk_size,
             rows=self.rows,
             summary=summary,
         )
@@ -688,7 +696,7 @@ def _opened(trace: TraceSource) -> Iterator[tuple[TraceHeader, Iterable[TraceRec
 def run_stream(
     trace: TraceSource,
     policy: Policy,
-    chunk_size: Optional[int] = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     audit: bool = True,
     stats_sink: Optional[Callable[[dict], None]] = None,
 ) -> ReplayStats:
@@ -754,7 +762,7 @@ def compare(
     trace: TraceSource,
     policy_a: Policy,
     policy_b: Policy,
-    chunk_size: Optional[int] = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     audit: bool = True,
 ) -> dict:
     """Replay under two policies in one pass and report their output divergence.
@@ -763,13 +771,6 @@ def compare(
     each chunk's divergence is taken as soon as both have processed it. So
     the trace is read once and each side holds one chunk of outputs.
     """
-    if chunk_size is None:
-        sizes = {
-            p.config.chunk_size for p in (policy_a, policy_b) if p.kind == "stac"
-        }
-        if len(sizes) > 1:
-            raise ConfigError(f"policies disagree on chunk_size {sorted(sizes)}; pass one explicitly")
-        chunk_size = sizes.pop() if sizes else 4
     with _opened(trace) as (header, records):
         a, b = (StreamReplayer(header, p, chunk_size=chunk_size, audit=audit)
                 for p in (policy_a, policy_b))

@@ -41,23 +41,35 @@ class VoxelCoord(NamedTuple):
     iz: int
 
 
+def voxel_indices(positions, voxel_size: float, where=None) -> np.ndarray:
+    """Cells of the (n, 3) points, floor(p / voxel_size), as (n, 3) int64.
+
+    The first row whose index is not finite or not in [-2^20, 2^20) fails
+    with a VoxelRangeError, which names the row by where(i) when given.
+    """
+    p = np.asarray(positions, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise DimensionError(f"positions must be (n, 3), got {p.shape}")
+    if not voxel_size > 0.0:
+        raise DimensionError(f"voxel_size must be positive, got {voxel_size}")
+    with np.errstate(over="ignore"):  # a huge finite position overflows to inf: out of range
+        v = np.floor(p / voxel_size)
+    bad = ~((v >= -COORD_LIMIT) & (v < COORD_LIMIT)).all(axis=1)  # NaN compares False
+    if bad.any():
+        i = int(bad.argmax())
+        what = "not finite" if not np.isfinite(p[i]).all() else \
+            f"outside the voxel index range [-2^20, 2^20) at voxel size {voxel_size}"
+        at = f" of {where(i)}" if where is not None else ""
+        raise VoxelRangeError(f"position {p[i].tolist()}{at} is {what}")
+    return v.astype(np.int64)
+
+
 def voxel_of(position, voxel_size: float) -> VoxelCoord:
     """Integer cell containing a 3-D point: floor(p / voxel_size) per axis."""
     p = np.asarray(position, dtype=np.float64)
     if p.shape != (3,):
         raise DimensionError(f"position must have shape (3,), got {p.shape}")
-    # plain floats: this runs once per evicted token
-    x, y, z = p.tolist()
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise VoxelRangeError(f"non-finite position {p}")
-    if not voxel_size > 0.0:
-        raise DimensionError(f"voxel_size must be positive, got {voxel_size}")
-    coord = VoxelCoord(
-        math.floor(x / voxel_size), math.floor(y / voxel_size), math.floor(z / voxel_size)
-    )
-    if not (-COORD_LIMIT <= min(coord) and max(coord) < COORD_LIMIT):
-        raise VoxelRangeError(f"voxel index {coord} outside [-2^20, 2^20)")
-    return coord
+    return VoxelCoord(*voxel_indices(p[None], voxel_size).tolist()[0])
 
 
 def _part1by2(v: int) -> int:
@@ -290,11 +302,9 @@ class VoxelStore:
             if not ((channels >= 0) & (channels < self.channels)).all():
                 raise DimensionError(f"channel outside [0, {self.channels})")
         placed = np.flatnonzero(block.mask)
-        voxels = np.floor(block.positions[placed] / self.voxel_size)
-        if not np.isfinite(voxels).all():
-            raise VoxelRangeError(f"non-finite position in {block.positions[placed]}")
-        if not ((voxels >= -COORD_LIMIT) & (voxels < COORD_LIMIT)).all():
-            raise VoxelRangeError("voxel index outside [-2^20, 2^20)")
+        voxels = voxel_indices(block.positions[placed], self.voxel_size, lambda i: (
+            f"channel {channels[placed[i]]}, (frame {block.frames[placed[i]]}, "
+            f"token {block.tokens[placed[i]]})"))
 
         # Every row's count is accounted, whatever its event.
         np.add.at(self.count_masses, channels, block.counts)
@@ -307,7 +317,7 @@ class VoxelStore:
         merged: list[tuple] = []  # per wave: (row indices, channels, representatives)
         try:
             if placed.size:
-                self._route(block, channels, placed, voxels.astype(np.int64), events, merged)
+                self._route(block, channels, placed, voxels, events, merged)
         finally:
             # Row i arrives as 2i (its representative, if it aggregates, as
             # 2i + 1), past every number handed out before: the order of
@@ -583,15 +593,14 @@ class VoxelStore:
         row has its own arrival number, so the ranking is a total order and
         the candidates can be gathered in any order.
         """
+        # Checked before any way out: a bad position fails the chunk that
+        # brings it, whatever the store holds.
+        coords = voxel_indices(visible_positions, self.voxel_size, lambda i: f"visible row {i}")
         n_cells = len(self.cell_keys)
-        vis = np.asarray(visible_positions, dtype=np.float64)
-        if quota <= 0 or not n_cells or vis.size == 0:
+        if quota <= 0 or not n_cells or not len(coords):
             return [self.block([]) for _ in range(self.channels)]
-        if vis.ndim != 2 or vis.shape[1] != 3:
-            raise DimensionError(f"visible_positions must be (V, 3), got {vis.shape}")
         # Only the nearest visible voxel counts, so the visible voxels need
         # no particular order; duplicates are dropped after a lexsort.
-        coords = np.floor(vis / self.voxel_size).astype(np.int64)
         coords = coords[np.lexsort(coords.T)]
         coords = coords[np.r_[True, (coords[1:] != coords[:-1]).any(axis=1)]]
         vis_centers = (coords + 0.5) * self.voxel_size

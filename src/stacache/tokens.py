@@ -147,7 +147,6 @@ class CacheConfig:
     anchor_frac: float = 0.25
     retrieve_frac: float = 0.25
     window_frames: int = 4           # frames kept verbatim in the window
-    chunk_size: int = 4              # frames ingested per attention step
     half_precision: bool = False     # quantize cache contents through float16
 
     def splits(self) -> tuple[float, float, float]:
@@ -179,8 +178,6 @@ def validate_config(config: CacheConfig) -> list[str]:
         problems.append(f"budget fractions must sum to 1, got sum {sum(fracs)!r}")
     if c.window_frames < 1:
         problems.append(f"window_frames must be >= 1, got {c.window_frames}")
-    if c.chunk_size < 1:
-        problems.append(f"chunk_size must be >= 1, got {c.chunk_size}")
     # The window must fit inside its budget share: window_frames * N tokens
     # against window_frac * budget_multiplier * N, with N cancelling.
     if not problems and c.window_frames > c.window_frac * c.budget_multiplier + 1e-12:

@@ -28,6 +28,7 @@ from stacache import (
     voxel_of,
     write_trace,
 )
+from stacache.pipeline import DEFAULT_CHUNK_SIZE
 from oracles import VoxelMirror, geometric_closed_form, py_cosine, retrieve_oracle
 
 N = 16  # tokens per frame for the replay-level criteria
@@ -288,7 +289,7 @@ def test_c07_memory_growth_shape():
     cfg = CacheConfig()
     cells = {voxel_of(r.positions[j], cfg.voxel_size)
              for r in records for j in range(N) if r.position_mask[j]}
-    bound = N + int(cfg.budget_multiplier * N) + cfg.chunk_size * N \
+    bound = N + int(cfg.budget_multiplier * N) + DEFAULT_CHUNK_SIZE * N \
         + len(cells) * (cfg.g_cap + cfg.e_cap)
     late = [row["total"] for row in stac.rows if row["frame_hi"] >= 50]
     assert max(late) <= bound
@@ -314,7 +315,7 @@ def test_c08_stac_beats_window_at_matched_budget():
         stac = compare(trace, Policy.full(), Policy.stac())
         stac_peak = stac["summary_b"]["peak_total_tokens"]
         # window sized up so the baseline never holds fewer tokens than stac
-        w = max(1, math.ceil((stac_peak - N - cfg.chunk_size * N) / N))
+        w = max(1, math.ceil((stac_peak - N - DEFAULT_CHUNK_SIZE * N) / N))
         window = compare(trace, Policy.full(), Policy.sliding(w))
         assert window["summary_b"]["peak_total_tokens"] >= stac_peak
         d_stac = stac["overall"]["mean_rel_l2"]
@@ -346,7 +347,8 @@ def test_c09_replays_are_byte_identical(tmp_path):
 
 def test_c10_audits_never_fire_across_battery():
     # every run in this file already executes with audit=True; this battery
-    # adds the corner configurations and asserts the audits actually ran
+    # adds the corner configurations and a chunk size of 3, and asserts the
+    # audits actually ran
     t0 = time.perf_counter()
     configs = [
         CacheConfig(),
@@ -355,16 +357,17 @@ def test_c10_audits_never_fire_across_battery():
         CacheConfig(g_cap=1, e_cap=1),
         CacheConfig(half_precision=True),
         CacheConfig(window_frac=0.75, anchor_frac=0.0, retrieve_frac=0.25),
-        CacheConfig(chunk_size=3),
         CacheConfig(voxel_size=0.02, knn_radius_mult=3.0),
         CacheConfig(budget_multiplier=6.0, window_frames=2),
     ]
+    cases = [(cfg, DEFAULT_CHUNK_SIZE) for cfg in configs] + [(CacheConfig(), 3)]
     audits = 0
     for motion in ("random_walk", "orbit", "revisit"):
         header, records = synth_trace(seed=10, frames=30, tokens_per_frame=8,
                                       d_h=8, motion=motion)
-        for cfg in configs:
-            stats = run_stream((header, records), Policy.stac(cfg), audit=True)
+        for cfg, chunk_size in cases:
+            stats = run_stream((header, records), Policy.stac(cfg), chunk_size=chunk_size,
+                               audit=True)
             assert stats.summary["audits_checked"] > 0
             audits += stats.summary["audits_checked"]
     elapsed = time.perf_counter() - t0

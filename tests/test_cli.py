@@ -186,8 +186,8 @@ def test_non_finite_trace_is_trace_error(tmp_path, capsys):
 
 
 def test_out_of_range_position_is_trace_error(tmp_path, capsys):
-    # 1e7 / voxel 0.05 is far past the 2^20 voxel index range; it only
-    # surfaces when an evicted token is placed in the voxel store
+    # 1e7 / voxel 0.05 is far past the 2^20 voxel index range; the first
+    # chunk fails when the voxel store indexes its visible positions
     def far_away(record):
         record.positions[record.position_mask] = 1e7
 
@@ -203,6 +203,9 @@ def test_invalid_config_is_config_error(tmp_path, capsys):
     code = main(["replay", "--trace", path, "--policy", "stac", "--gamma", "1.5"])
     assert code == 3
     assert "config error" in capsys.readouterr().err
+    code = main(["compare", "--trace", path, "--a", "full", "--b", "stac", "--chunk", "0"])
+    assert code == 3
+    assert "chunk_size" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one():

@@ -2,6 +2,7 @@
 
 import json
 import mmap
+import re
 import threading
 import tracemalloc
 import weakref
@@ -194,6 +195,40 @@ def test_replays_are_deterministic():
     assert all("wall_ms" not in line for line in a.canonical_lines())
 
 
+def _canonical_summary(summary: dict) -> dict:
+    return {k: v for k, v in summary.items() if k not in ("mean_chunk_ms", "total_ms")}
+
+
+def test_audits_off_change_nothing_but_the_audit_count():
+    trace = _trace(seed=3, frames=41, tokens=16, layers=1, heads=2, d_h=8, motion="revisit")
+    for policy in (Policy.stac(), Policy.full(), Policy.sliding(4)):
+        on = run_stream(trace, policy, audit=True)
+        off = run_stream(trace, policy, audit=False)
+        assert on.canonical_lines()[:-1] == off.canonical_lines()[:-1], policy.label()
+        assert on.summary["audits_checked"] > 0 and off.summary["audits_checked"] == 0
+        assert _canonical_summary(on.summary) == \
+            _canonical_summary(off.summary) | {"audits_checked": on.summary["audits_checked"]}
+    on = compare(trace, Policy.full(), Policy.stac(), audit=True)
+    off = compare(trace, Policy.full(), Policy.stac(), audit=False)
+    for side in ("summary_a", "summary_b"):
+        a, b = _canonical_summary(on.pop(side)), _canonical_summary(off.pop(side))
+        assert a["audits_checked"] > 0 and b["audits_checked"] == 0
+        assert a == b | {"audits_checked": a["audits_checked"]}
+    assert on == off
+
+
+@pytest.mark.parametrize("field", ["data", "positions", "position_mask"])
+def test_feed_rejects_a_record_shaped_unlike_the_header(field):
+    header, records = _trace(frames=6, tokens=8, layers=1, heads=2)
+    cut = records[3]
+    column = getattr(cut, field)
+    short = column[:, :, :, :5] if field == "data" else column[:5]
+    records[3] = replace(cut, **{field: short})
+    needle = re.escape(f"frame 3: {field} has shape {short.shape}")
+    with pytest.raises(TraceFormatError, match=needle):
+        run_stream((header, records), Policy.full())
+
+
 def test_threaded_replay_matches_serial():
     # Replays share no mutable state: three policies replayed at once from
     # caller threads give the serial replays' rows and output bits.
@@ -247,14 +282,9 @@ def test_invalid_config_is_rejected_up_front():
             (header, records),
             Policy.stac(CacheConfig(window_frac=0.9, anchor_frac=0.2, retrieve_frac=0.2)),
         )
-
-
-def test_compare_rejects_conflicting_chunk_sizes():
-    header, records = _trace(frames=6)
-    a = Policy.stac(CacheConfig(chunk_size=2))
-    b = Policy.stac(CacheConfig(chunk_size=3))
-    with pytest.raises(ConfigError, match="chunk_size"):
-        compare((header, records), a, b)
+    for policy in (Policy.full(), Policy.sliding(2), Policy.stac()):
+        with pytest.raises(ConfigError, match="chunk_size"):
+            run_stream((header, records), policy, chunk_size=0)
 
 
 REFERENCE_PAIRS = {

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -364,6 +365,41 @@ def test_retrieval_empty_cases():
     assert len(store.retrieve(np.zeros((0, 3)), quota=5)[0]) == 0
     _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
     assert len(store.retrieve(np.array([[0.5, 0.5, 0.5]]), quota=0)[0]) == 0
+
+
+def test_retrieval_rejects_bad_visible_positions_without_warning():
+    # a NaN or far visible position fails the chunk that brings it, also when
+    # the store is empty or the quota is zero, and never as a numpy warning
+    empty, store = _store(), _store()
+    _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
+    for bad in ([np.nan, 0.5, 0.5], [1e300, 0.0, 0.0], [0.0, -np.inf, 0.0], [1e308, 0.0, 0.0]):
+        visible = np.array([[0.5, 0.5, 0.5], bad])
+        for s, quota in ((store, 10), (store, 0), (empty, 10)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(VoxelRangeError, match="visible row 1"):
+                    s.retrieve(visible, quota)
+
+
+def test_voxel_range_error_names_the_bad_row():
+    store = _store(channels=2)
+    good = [0.5, 0.5, 0.5]
+    positions = [good] * 28 + [[0.5, 1e7, 0.5]] + [[np.nan, 0.0, 0.0]]
+    block = TokenBlock.build(np.ones((30, 2)), np.ones((30, 2)), positions,
+                             frames=np.arange(30) // 10 + 5, tokens=np.arange(30) % 10)
+    channels = np.arange(30) % 2
+    with pytest.raises(VoxelRangeError) as e:
+        store.insert_evicted(block, channels)
+    msg = str(e.value)
+    assert "channel 0, (frame 7, token 8)" in msg and "10000000.0" in msg and "outside" in msg
+    assert msg.count("[") == 2  # the row's position and the index range, no other rows
+    block.positions[28] = good
+    with pytest.raises(VoxelRangeError) as e:
+        store.insert_evicted(block, channels)
+    msg = str(e.value)
+    assert "not finite" in msg and "channel 1, (frame 7, token 9)" in msg and "nan" in msg
+    assert msg.count("[") == 1
+    assert store.token_count == 0
 
 
 def test_retrieval_is_deterministic():

@@ -21,7 +21,6 @@ def test_default_config_values():
     assert c.budget_multiplier == 8.0
     assert c.splits() == (0.5, 0.25, 0.25)
     assert c.window_frames == 4
-    assert c.chunk_size == 4
     assert c.half_precision is False
 
 
@@ -40,7 +39,6 @@ def test_default_config_values():
         ("knn_radius_mult", 0.0, "knn_radius_mult"),
         ("budget_multiplier", 0.0, "budget_multiplier"),
         ("window_frames", 0, "window_frames"),
-        ("chunk_size", 0, "chunk_size"),
     ],
 )
 def test_invalid_fields_are_reported(field, value, needle):
