@@ -2,9 +2,10 @@
 The spatial voxel cache
 =======================
 
-Tokens evicted from the temporal cache land in a uniform voxel grid keyed
-by Morton codes. Each cell holds a handful of merged long-term entries
-plus a small arrival buffer; three mechanisms keep it bounded:
+Tokens evicted from the temporal cache land in a uniform voxel grid; each
+cell is labelled by the Morton code of its voxel. Each cell holds a
+handful of merged long-term entries plus a small arrival buffer; three
+mechanisms keep it bounded:
 
   one-to-one fusion    an arrival joins its most similar long-term entry
                        when cosine exceeds the merge threshold
@@ -16,13 +17,14 @@ plus a small arrival buffer; three mechanisms keep it bounded:
 
 import numpy as np
 
-from stacache import TokenBlock, VoxelStore, morton_decode, morton_encode, voxel_of
+from stacache import TokenBlock, VoxelCoord, VoxelStore, morton_decode, morton_encode
+from stacache.spatial import EVENTS, voxel_indices
 
 rng = np.random.default_rng(2)
 
-# Morton codes order voxels along a space-filling curve: nearby cells
-# usually share high bits, which keeps cell lookups cache-friendly
-coord = voxel_of(np.array([0.26, 0.01, -0.07]), voxel_size=0.05)
+# a point's voxel is floor(p / voxel_size) per axis; the Morton code, which
+# interleaves the bits of the three indices, is the cell's label
+coord = VoxelCoord(*voxel_indices([[0.26, 0.01, -0.07]], voxel_size=0.05)[0].tolist())
 code = morton_encode(coord)
 print("position (0.26, 0.01, -0.07) -> voxel", coord, "-> code", code)
 print("decode round-trips:", morton_decode(code) == coord)
@@ -44,8 +46,7 @@ print("  ", store.insert_evicted(evicted(0, [1, 0, 0, 0], home, score=1.0)))
 print("  ", store.insert_evicted(evicted(1, [0, 1, 0, 0], home)))
 print("  ", store.insert_evicted(evicted(2, [0, 0, 1, 0], home)))
 
-cell = next(iter(store.cells.values()))
-rep = cell.long_term[0]  # a row of the store's pool
+rep = store.lt_rows[0, 0]  # cell 0's first long-term entry, a row of the store's pool
 print("aggregated entry: count =", store.count[rep], " weight Z =", round(store.weight[rep], 4))
 
 # a similar arrival now fuses one-to-one instead of buffering
@@ -63,4 +64,7 @@ print("\nretrieved near the origin:")
 for token_id, count in zip(got.ids(), got.counts):
     kind = "merged" if token_id.frame_idx == -1 else "buffered"
     print(f"  {kind:8s} count={count}  id={tuple(token_id)}")
-print("store occupancy:", store.occupancy(), "events:", store.events)
+cells = len(store.cell_keys)  # the store's tables hold one row per cell
+print(f"store: {cells} cells, {store.lt_len[:cells].sum()} merged and "
+      f"{store.buf_len[:cells].sum()} buffered entries")
+print("events:", dict(zip(EVENTS, store.channel_events.sum(0).tolist())))

@@ -18,7 +18,7 @@ from .errors import (
     TraceFormatError,
     VoxelRangeError,
 )
-from .kernel import HALF_MAX, half_roundtrip, weighted_mean
+from .kernel import HALF_MAX, half_roundtrip
 from .pipeline import (
     BudgetSplit,
     Policy,
@@ -28,14 +28,7 @@ from .pipeline import (
     compare,
     run_stream,
 )
-from .spatial import (
-    VoxelCell,
-    VoxelCoord,
-    VoxelStore,
-    morton_decode,
-    morton_encode,
-    voxel_of,
-)
+from .spatial import VoxelCoord, VoxelStore, morton_decode, morton_encode
 from .temporal import TemporalCache
 from .tokens import CacheConfig, FrameTokens, TokenBlock, TokenId, validate_config
 from .traceio import TraceHeader, TraceRecord, read_trace, synth_trace, write_trace
@@ -63,7 +56,6 @@ __all__ = [
     "TraceFormatError",
     "TraceHeader",
     "TraceRecord",
-    "VoxelCell",
     "VoxelCoord",
     "VoxelRangeError",
     "VoxelStore",
@@ -78,7 +70,5 @@ __all__ = [
     "run_stream",
     "synth_trace",
     "validate_config",
-    "voxel_of",
-    "weighted_mean",
     "write_trace",
 ]

@@ -367,6 +367,16 @@ def _id_codes(blocks: list[TokenBlock]) -> np.ndarray:
     return np.concatenate([(b.frames << 32) | b.tokens for b in blocks])
 
 
+def _visible_token(records: list[TraceRecord], i: int) -> str:
+    # The frame and token of row i of the chunk's visible positions, which
+    # are the records' masked positions concatenated in record order.
+    for r in records:
+        tokens = np.flatnonzero(r.position_mask)
+        if i < tokens.size:
+            return f"frame {r.frame_idx}, token {tokens[i]}"
+        i -= tokens.size
+
+
 def _check_mass(mass: np.ndarray, n_queries: int) -> None:
     total = float(mass.sum())
     # written so that a NaN total fails the check
@@ -488,10 +498,7 @@ class StreamReplayer:
         self._peak_total = 0
         self._final_total = 0
         self._audits_checked = 0
-        self._event_totals = {
-            "evicted": 0, "fused": 0, "buffered": 0, "aggregated": 0,
-            "re_merged": 0, "dropped": 0,
-        }
+        self._event_totals = dict.fromkeys(("evicted", *EVENTS), 0)
         self._t0 = time.perf_counter()
         self._finished = False
 
@@ -545,7 +552,8 @@ class StreamReplayer:
         if self.store is not None:
             vis = np.concatenate([r.positions[r.position_mask] for r in records]) \
                 if any(r.position_mask.any() for r in records) else np.zeros((0, 3))
-            retrieved = self.store.retrieve(vis, self.budget.retrieve_tokens)
+            retrieved = self.store.retrieve(vis, self.budget.retrieve_tokens,
+                                            where=lambda i: _visible_token(records, i))
 
         # The last chunk's outputs go before this chunk's block is made, and
         # each step's are copied in as it returns: one block is alive at once.

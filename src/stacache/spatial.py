@@ -4,9 +4,10 @@ Evicted tokens land in the voxel containing their 3-D position. Each voxel
 keeps a small long-term list of merged representatives plus a short buffer
 of recent arrivals; one-to-one fusion, buffer aggregation, and re-merge keep
 both under fixed caps, so occupied space bounds memory no matter how long
-the stream runs. Cells are addressed by Morton code so nearby voxels get
-nearby keys in the table. One store serves every (layer, head) channel of
-a replay, with a separate set of cells per channel.
+the stream runs. Cells are numbered in creation order and found by their
+(channel, voxel) coordinates; a cell's Morton code is its label. One store
+serves every (layer, head) channel of a replay, with a separate set of
+cells per channel.
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ def voxel_indices(positions, voxel_size: float, where=None) -> np.ndarray:
     return v.astype(np.int64)
 
 
-def voxel_of(position, voxel_size: float) -> VoxelCoord:
-    """Integer cell containing a 3-D point: floor(p / voxel_size) per axis."""
-    p = np.asarray(position, dtype=np.float64)
-    if p.shape != (3,):
-        raise DimensionError(f"position must have shape (3,), got {p.shape}")
-    return VoxelCoord(*voxel_indices(p[None], voxel_size).tolist()[0])
-
-
 def _part1by2(v: int) -> int:
     # Spread the low 21 bits of v so they occupy every third bit.
     v &= 0x1FFFFF
@@ -113,49 +106,21 @@ def morton_decode(code: int) -> VoxelCoord:
     )
 
 
-
-
-class VoxelCell:
-    """One voxel cell as its store's tables hold it: the pool rows of its
-    merged long-term entries and of its arrival buffer, each oldest first.
-    Reads go to the tables, so the view stays current."""
-
-    __slots__ = ("store", "index")
-
-    def __init__(self, store: "VoxelStore", index: int):
-        self.store = store
-        self.index = index
-
-    @property
-    def coord(self) -> VoxelCoord:
-        return morton_decode(self.store.cell_keys[self.index][1])
-
-    @property
-    def long_term(self) -> list[int]:
-        store, i = self.store, self.index
-        return store.lt_rows[i, : store.lt_len[i]].tolist()
-
-    @property
-    def buffer(self) -> list[int]:
-        store, i = self.store, self.index
-        return store.buf_rows[i, : store.buf_len[i]].tolist()
-
-
 _NO_CELLS = np.empty(0, dtype=np.int64)
 
 
 class VoxelStore:
     """The voxel cells of every (layer, head) channel, plus event counters.
 
-    A cell is keyed by (channel, Morton code) and numbered in creation
-    order. Per cell number the store keeps the cell's channel and center
-    and two index tables into one shared row pool: `lt_rows`, the
-    long-term rows (cells x g_cap), and `buf_rows`, the buffered rows
-    (cells x e_cap), each oldest first with -1 in unused slots, plus their
-    lengths `lt_len` and `buf_len`; `cells` reads them back per key as
-    `VoxelCell` views. Every long-term and buffered entry is one row
-    of `data`, laid out like a TokenBlock row as [key | value | position],
-    with parallel ndarray columns: merge weight, count, score, birth frame
+    A cell is numbered in creation order and labelled (channel, Morton
+    code) in `cell_keys`. Per cell number the store keeps the cell's
+    channel and center and two index tables into one shared row pool:
+    `lt_rows`, the long-term rows (cells x g_cap), and `buf_rows`, the
+    buffered rows (cells x e_cap), each oldest first with -1 in unused
+    slots, plus their lengths `lt_len` and `buf_len`; the tables are the
+    only record of which rows a cell holds. Every long-term and buffered
+    entry is one row of `data`, laid out like a TokenBlock row as
+    [key | value | position], with parallel ndarray columns: merge weight, count, score, birth frame
     and token index (-1 and a per-channel serial for merged rows), an
     arrival sequence number and the key norm. Channels never share a cell,
     so each channel behaves as if it had a store of its own; token counts,
@@ -225,32 +190,7 @@ class VoxelStore:
         self._rows = 0  # pool rows handed out so far, freed ones included
         self._free: list[int] = []
 
-    # -- sizing -----------------------------------------------------------
-
-    @property
-    def token_count(self) -> int:
-        return int(self.token_counts.sum())
-
-    @property
-    def count_mass(self) -> int:
-        """Total source-token count represented by the store plus drops."""
-        return int(self.count_masses.sum())
-
-    @property
-    def events(self) -> dict[str, int]:
-        """Event counts summed over the channels."""
-        return dict(zip(EVENTS, self.channel_events.sum(axis=0).tolist()))
-
-    @property
-    def cells(self) -> dict[tuple[int, int], VoxelCell]:
-        """Every cell by key, in creation order, as a view of its table
-        rows. Built on each access: the store keeps no views of itself."""
-        return {key: VoxelCell(self, i) for i, key in enumerate(self.cell_keys)}
-
-    def occupancy(self) -> dict[str, int]:
-        n = len(self.cell_keys)
-        return {"cells": n, "g_tokens": int(self.lt_len[:n].sum()),
-                "e_tokens": int(self.buf_len[:n].sum())}
+    # -- reading ----------------------------------------------------------
 
     def block(self, rows) -> TokenBlock:
         """Copies of the given pool rows as a TokenBlock, in the given order."""
@@ -582,9 +522,10 @@ class VoxelStore:
 
     # -- retrieval ----------------------------------------------------------
 
-    def retrieve(self, visible_positions: np.ndarray, quota: int) -> list[TokenBlock]:
+    def retrieve(self, visible_positions: np.ndarray, quota: int, where=None) -> list[TokenBlock]:
         """Every channel's entries from voxels near the visible ones, best
         first: one block per channel, of copies of at most quota rows.
+        A bad visible position is named by where(row) when given.
 
         Neighborhood: the channel's cells whose center lies within
         knn_radius_mult * voxel_size of some visible voxel's center.
@@ -595,7 +536,8 @@ class VoxelStore:
         """
         # Checked before any way out: a bad position fails the chunk that
         # brings it, whatever the store holds.
-        coords = voxel_indices(visible_positions, self.voxel_size, lambda i: f"visible row {i}")
+        coords = voxel_indices(visible_positions, self.voxel_size,
+                               where or (lambda i: f"visible row {i}"))
         n_cells = len(self.cell_keys)
         if quota <= 0 or not n_cells or not len(coords):
             return [self.block([]) for _ in range(self.channels)]
@@ -699,8 +641,6 @@ class VoxelStore:
         self.count[targets] += counts
 
     def _quantized(self, vec: np.ndarray) -> np.ndarray:
-        if not self.quantize:
-            return vec
         self.half_saturations += int((np.abs(vec) > HALF_MAX).sum())
         return half_roundtrip(vec)
 

@@ -2,17 +2,27 @@
 
 Everything here is written with plain Python loops and math.* so that a
 bug in the library's vectorized numpy path cannot hide in a shared helper.
-The replay helpers at the end are the exception: they collect every
-frame's output from whole replays, and the divergence reference works on
+The exceptions: `weighted_mean` is the numpy mean the scalar insertion
+references in the tests share, `store_cells` reads a VoxelStore's cell
+tables back per cell, and the replay helpers at the end collect every
+frame's output from whole replays, where the divergence reference works on
 those with the library's own per-frame metrics, so that `compare` can be
 held to its bytes.
 """
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from stacache import StreamReplayer
+from stacache import (
+    DegenerateVectorError,
+    DimensionError,
+    StreamReplayer,
+    VoxelCoord,
+    morton_decode,
+)
 from stacache.pipeline import _frame_cosine, _frame_rel_l2
 
 
@@ -104,6 +114,44 @@ class FusionOracle:
         self.den += weight
 
 
+def weighted_mean(vectors, weights):
+    """Convex combination sum(w_i * v_i) / sum(w_i) of row vectors: the
+    mean VoxelStore.aggregate takes, for one buffer at a time."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[0] == 0:
+        raise DimensionError(f"need a non-empty 2-D stack of vectors, got shape {vectors.shape}")
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != vectors.shape[:1]:
+        raise DimensionError(f"{vectors.shape[0]} vectors but weights of shape {weights.shape}")
+    if not (weights > 0.0).all():
+        raise DegenerateVectorError("weights must be strictly positive")
+    return (weights[:, None] * vectors).sum(axis=0) / weights.sum()
+
+
+_decoded = functools.lru_cache(maxsize=4096)(morton_decode)  # tests revisit few cells
+
+
+class Cell(NamedTuple):
+    """One voxel cell of a VoxelStore: its cell number, its voxel, and the
+    pool rows of its long-term entries and of its buffer, oldest first."""
+
+    index: int
+    coord: VoxelCoord
+    long_term: list
+    buffer: list
+
+
+def store_cells(store):
+    """Every cell of store by (channel, Morton code), in creation order,
+    read once from the cell tables: a snapshot, so read it again after an
+    insert."""
+    n = len(store.cell_keys)
+    lt, lt_len = store.lt_rows[:n].tolist(), store.lt_len[:n].tolist()
+    buf, buf_len = store.buf_rows[:n].tolist(), store.buf_len[:n].tolist()
+    return {key: Cell(i, _decoded(key[1]), lt[i][: lt_len[i]], buf[i][: buf_len[i]])
+            for i, key in enumerate(store.cell_keys)}
+
+
 def retrieve_oracle(store, visible, quota, channel=0):
     """The pool rows a VoxelStore must retrieve for one channel, best first:
     every cell walked, each distance taken on its own, one Python sort on
@@ -112,7 +160,7 @@ def retrieve_oracle(store, visible, quota, channel=0):
     vis_centers = (vis_coords + 0.5) * store.voxel_size
     radius = store.knn_radius_mult * store.voxel_size
     ranked = []
-    for (c, _), cell in store.cells.items():
+    for (c, _), cell in store_cells(store).items():
         if c != channel:
             continue
         center = (np.asarray(cell.coord, dtype=np.float64) + 0.5) * store.voxel_size

@@ -25,11 +25,11 @@ from stacache import (
     morton_encode,
     run_stream,
     synth_trace,
-    voxel_of,
     write_trace,
 )
 from stacache.pipeline import DEFAULT_CHUNK_SIZE
-from oracles import VoxelMirror, geometric_closed_form, py_cosine, retrieve_oracle
+from stacache.spatial import voxel_indices
+from oracles import VoxelMirror, geometric_closed_form, py_cosine, retrieve_oracle, store_cells
 
 N = 16  # tokens per frame for the replay-level criteria
 
@@ -109,7 +109,7 @@ def test_c03_fusion_recurrences_match_independent_replay():
             token = _evictee(key, val, home, score, 0, i, count)
             assert store.insert_evicted(token) == [mirror.insert(key, val, score, count)]
             inserted += count
-        cell = store.cells[(0, morton_encode((0, 0, 0)))]
+        cell = store_cells(store)[(0, morton_encode((0, 0, 0)))]
         assert len(cell.long_term) == len(mirror.long_term)
         assert len(cell.buffer) == len(mirror.buffer)
         for got, ref in zip(store.block(cell.long_term).rows, mirror.long_term):
@@ -118,7 +118,7 @@ def test_c03_fusion_recurrences_match_independent_replay():
         for r, ref in zip(cell.long_term, mirror.long_term):
             assert abs(store.weight[r] - ref["z"]) <= 1e-9
             assert store.count[r] == ref["count"]
-        assert store.count_mass == inserted == mirror.count_mass()
+        assert store.count_masses.sum() == inserted == mirror.count_mass()
     elapsed = time.perf_counter() - t0
     print(f"\nC3 PASS: 1000 eviction sequences, long-term keys/values within 1e-6, "
           f"Z within 1e-9, counts conserved ({elapsed:.2f}s)")
@@ -199,7 +199,7 @@ def test_c05_selection_mechanisms_match_bruteforce():
                     best_i, best_cos = j, c
             token = _evictee(key, val, home, float(rng.uniform(0, 1)), 0, i)
             (event,) = store.insert_evicted(token)
-            cell = store.cells[(0, morton_encode((0, 0, 0)))]
+            cell = store_cells(store)[(0, morton_encode((0, 0, 0)))]
             if best_i >= 0 and best_cos > lam:
                 assert event == "fused"
                 assert store.count[reps[best_i]] == snap[best_i][1] + 1
@@ -216,7 +216,7 @@ def test_c05_selection_mechanisms_match_bruteforce():
                            knn_radius_mult=2.0)
         for i in range(43):
             key, val = rng.normal(size=3), rng.normal(size=3)
-            cell = store.cells.get((0, morton_encode((0, 0, 0))))
+            cell = store_cells(store).get((0, morton_encode((0, 0, 0))))
             reps = list(cell.long_term) if cell is not None else []
             snap = [(store.token[r], store.data[r, :3].copy(), store.weight[r], store.count[r])
                     for r in reps]
@@ -228,7 +228,7 @@ def test_c05_selection_mechanisms_match_bruteforce():
             vi = min(range(3), key=lambda j: (snap[j][2], j))
             rest = [j for j in range(3) if j != vi]
             bi = max(rest, key=lambda j: py_cosine(snap[j][1], snap[vi][1]))
-            left = store.cells[(0, morton_encode((0, 0, 0)))].long_term
+            left = store_cells(store)[(0, morton_encode((0, 0, 0)))].long_term
             assert [store.token[r] for r in left[:-1]] == [snap[j][0] for j in rest]
             heir = left[rest.index(bi)]
             assert store.count[heir] == snap[bi][3] + snap[vi][3]
@@ -287,8 +287,8 @@ def test_c07_memory_growth_shape():
     # structural bound, constant in t: temporal budget + in-flight chunk +
     # every voxel the bounded scene can reach at its worst-case occupancy
     cfg = CacheConfig()
-    cells = {voxel_of(r.positions[j], cfg.voxel_size)
-             for r in records for j in range(N) if r.position_mask[j]}
+    placed = np.concatenate([r.positions[r.position_mask] for r in records])
+    cells = {tuple(v) for v in voxel_indices(placed, cfg.voxel_size).tolist()}
     bound = N + int(cfg.budget_multiplier * N) + DEFAULT_CHUNK_SIZE * N \
         + len(cells) * (cfg.g_cap + cfg.e_cap)
     late = [row["total"] for row in stac.rows if row["frame_hi"] >= 50]

@@ -198,6 +198,21 @@ def test_out_of_range_position_is_trace_error(tmp_path, capsys):
     assert "trace error" in err and "outside" in err
 
 
+def test_out_of_range_position_names_its_frame_and_token(tmp_path, capsys):
+    # the chunk's visible positions are retrieved in one call; the error
+    # names the far one by its frame and token, not by its row in the chunk
+    def far_away(record):
+        if record.frame_idx == 9:
+            record.position_mask[5] = True
+            record.positions[5, 0] = 1e9
+
+    path = _write_tampered(tmp_path, far_away, frames=13)
+    code = main(["replay", "--trace", path, "--policy", "stac"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "frame 9, token 5" in err and "outside" in err and "visible row" not in err
+
+
 def test_invalid_config_is_config_error(tmp_path, capsys):
     path = _synth(tmp_path)
     code = main(["replay", "--trace", path, "--policy", "stac", "--gamma", "1.5"])

@@ -9,9 +9,8 @@ from stacache import (
     HALF_MAX,
     attend,
     half_roundtrip,
-    weighted_mean,
 )
-from oracles import py_softmax
+from oracles import py_softmax, weighted_mean
 
 
 def _row_softmax(logits, mask):

@@ -9,7 +9,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from stacache import Policy, StreamReplayer, TokenBlock, VoxelStore, morton_encode, synth_trace
-from oracles import VoxelMirror
+from oracles import VoxelMirror, store_cells
 
 HOME = np.array([0.5, 0.5, 0.5])
 D = 3
@@ -50,14 +50,15 @@ class VoxelStoreAgainstMirror(RuleBasedStateMachine):
     @invariant()
     def same_contents(self):
         store, mirror = self.store, self.mirror
-        assert store.count_mass == self.inserted == mirror.count_mass()
-        cell = store.cells.get((0, morton_encode((0, 0, 0))))
+        assert store.count_masses.sum() == self.inserted == mirror.count_mass()
+        cells = store_cells(store)
+        cell = cells.get((0, morton_encode((0, 0, 0))))
         if cell is None:
             assert not mirror.long_term and not mirror.buffer
             return
         assert len(cell.long_term) == len(mirror.long_term)
         assert len(cell.buffer) == len(mirror.buffer)
-        assert store.token_count == len(cell.long_term) + len(cell.buffer)
+        assert store.token_counts.sum() == len(cell.long_term) + len(cell.buffer)
         # the cell's table rows: lengths as the mirror's lists, -1 past them
         i = cell.index
         assert store.lt_len[i] == len(mirror.long_term) and store.buf_len[i] == len(mirror.buffer)
@@ -65,7 +66,7 @@ class VoxelStoreAgainstMirror(RuleBasedStateMachine):
         assert (store.buf_rows[i, store.buf_len[i] :] == -1).all()
         # retrieval's ranking is a total order only if no two live rows
         # share an arrival number
-        held = [r for c in store.cells.values() for r in (*c.long_term, *c.buffer)]
+        held = [r for c in cells.values() for r in (*c.long_term, *c.buffer)]
         assert len(set(store.seq[held].tolist())) == len(held)
         for r, ref in zip(cell.long_term, mirror.long_term):
             assert np.allclose(store.data[r, :D], mirror.key_mean(ref), rtol=1e-6, atol=1e-6)

@@ -23,10 +23,10 @@ import pytest
 from stacache import (CacheConfig, Policy, StreamReplayer, TokenBlock, TokenId, VoxelStore,
                       synth_trace)
 from stacache.attention import attend
-from stacache.kernel import HALF_MAX, half_roundtrip, weighted_mean
+from stacache.kernel import HALF_MAX, half_roundtrip
 from stacache.pipeline import _StacChannel, _step_result
-from stacache.spatial import EVENTS, VoxelCoord, morton_encode, voxel_of
-from oracles import feed_all
+from stacache.spatial import EVENTS, RE_MERGED, VoxelCoord, morton_encode, voxel_indices
+from oracles import feed_all, store_cells, weighted_mean
 
 
 def _safe_cos(a, b):
@@ -150,7 +150,7 @@ class _RefStore:
         if token.position is None:
             self.events["dropped"] += 1
             return
-        coord = voxel_of(token.position, self.voxel_size)
+        coord = VoxelCoord(*voxel_indices([token.position], self.voxel_size)[0].tolist())
         code = morton_encode(coord)
         cell = self.cells.get(code)
         if cell is None:
@@ -481,13 +481,14 @@ def test_one_wave_aggregates_cells_of_two_channels_like_objects(g_cap, quantize)
         assert events.count("aggregated") == channels * len(homes)
     # one batch a round, each of every cell of both channels
     assert [sorted(b) for b in batches] == [[0, 0, 0, 1, 1, 1]] * (g_cap + 3)
-    assert store.events["re_merged"] > 0
+    assert store.channel_events.sum(0)[RE_MERGED] > 0
 
+    cells = store_cells(store)
     for c, ref in enumerate(refs):
         assert dict(zip(EVENTS, store.channel_events[c].tolist())) == ref.events
         assert store.token_counts[c] == ref.token_count
         for code, cell in ref.cells.items():
-            mine = store.cells[(c, code)]
+            mine = cells[(c, code)]
             assert [_cell_bits(store, r) for r in mine.long_term] == \
                 [_token_bits(t) for t in cell.long_term]
             assert [_cell_bits(store, r) for r in mine.buffer] == \

@@ -18,10 +18,11 @@ from stacache import (
     VoxelStore,
     morton_decode,
     morton_encode,
-    voxel_of,
 )
 from stacache import kernel
-from oracles import morton_oracle, py_cosine, FusionOracle, retrieve_oracle
+from stacache.spatial import DROPPED, RE_MERGED, voxel_indices
+from oracles import (FusionOracle, morton_oracle, py_cosine, retrieve_oracle, store_cells,
+                     weighted_mean)
 
 LIMIT = 1 << 20
 
@@ -98,18 +99,21 @@ def test_morton_out_of_range():
         morton_decode(1 << 63)
 
 
-def test_voxel_of_floor_semantics():
-    assert voxel_of([0.26, 0.0, -0.01], 0.05) == VoxelCoord(5, 0, -1)
-    assert voxel_of([-0.26, 0.05, 0.0], 0.05) == VoxelCoord(-6, 1, 0)
+def test_voxel_indices_floor_semantics():
+    got = voxel_indices([[0.26, 0.0, -0.01], [-0.26, 0.05, 0.0]], 0.05)
+    assert got.dtype == np.int64
+    assert got.tolist() == [[5, 0, -1], [-6, 1, 0]]
 
 
-def test_voxel_of_rejects_bad_input():
+def test_voxel_indices_rejects_bad_input():
     with pytest.raises(VoxelRangeError):
-        voxel_of([np.nan, 0, 0], 0.05)
+        voxel_indices([[np.nan, 0, 0]], 0.05)
     with pytest.raises(VoxelRangeError):
-        voxel_of([1e7, 0, 0], 0.05)
+        voxel_indices([[1e7, 0, 0]], 0.05)
     with pytest.raises(DimensionError):
-        voxel_of([1.0, 2.0], 0.05)
+        voxel_indices([[1.0, 2.0]], 0.05)
+    with pytest.raises(DimensionError):
+        voxel_indices([1.0, 2.0, 3.0], 0.05)
 
 
 # -- insertion and merging ----------------------------------------------------
@@ -124,16 +128,16 @@ def _store(**kw):
 def test_positionless_token_is_dropped():
     store = _store()
     assert _insert(store, _token([1.0, 0.0])) == "dropped"
-    assert store.events["dropped"] == 1
-    assert store.token_count == 0
-    assert store.count_mass == 1
+    assert store.channel_events.sum(0)[DROPPED] == 1
+    assert store.token_counts.sum() == 0
+    assert store.count_masses.sum() == 1
 
 
 def test_first_token_is_buffered():
     store = _store()
     event = _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5]))
     assert event == "buffered"
-    cell = next(iter(store.cells.values()))
+    cell = next(iter(store_cells(store).values()))
     assert len(cell.buffer) == 1 and len(cell.long_term) == 0
     (row,) = cell.buffer
     assert store.block([row]).ids() == [TokenId(1, 0)]
@@ -148,7 +152,7 @@ def test_buffer_fills_then_aggregates():
         for i, k in enumerate(keys)
     ]
     assert events == ["buffered", "buffered", "aggregated"]
-    cell = next(iter(store.cells.values()))
+    cell = next(iter(store_cells(store).values()))
     assert len(cell.buffer) == 0
     assert len(cell.long_term) == 1
     rep = cell.long_term[0]
@@ -164,7 +168,7 @@ def test_aggregate_pivot_and_weights():
     scores = [2.0, 2.0, 1.0]  # the tie at 2.0 goes to idx 0
     for i, (k, sc) in enumerate(zip(keys, scores)):
         _insert(store, _token(k, position=[0.5, 0.5, 0.5], idx=i, score=sc))
-    rep = next(iter(store.cells.values())).long_term[0]
+    rep = next(iter(store_cells(store).values())).long_term[0]
     omegas = [math.exp(py_cosine(keys[0], k)) for k in keys]
     want_key = sum(w * k for w, k in zip(omegas, keys)) / sum(omegas)
     want_val = sum(w * (k * 2.0 + 1.0) for w, k in zip(omegas, keys)) / sum(omegas)
@@ -178,7 +182,7 @@ def test_similar_token_fuses_into_representative():
     store = _store(e_cap=1)  # every buffered token aggregates immediately
     first = _token([1.0, 0.0, 0.0], position=[0.5, 0.5, 0.5], idx=0)
     assert _insert(store, first) == "aggregated"
-    rep = next(iter(store.cells.values())).long_term[0]
+    rep = next(iter(store_cells(store).values())).long_term[0]
     z0, key0 = store.weight[rep], _key(store, rep).copy()
     incoming = _token([0.96, 0.1, 0.0], position=[0.5, 0.5, 0.5], idx=1)
     cos = py_cosine(key0, incoming.keys[0])
@@ -208,7 +212,7 @@ def test_fusion_recurrence_matches_one_pass_oracle():
         base /= np.linalg.norm(base)
         first = _token(base, position=[0.5, 0.5, 0.5], idx=0)
         _insert(store, first)
-        cell = next(iter(store.cells.values()))
+        cell = next(iter(store_cells(store).values()))
         rep = cell.long_term[0]
         key_oracle = FusionOracle(first.keys[0], math.e)  # singleton pivot weight e^1
         val_oracle = FusionOracle(first.values[0], math.e)
@@ -236,24 +240,24 @@ def test_re_merge_picks_min_weight_victim():
     c = _token([-1.0, 0.0], position=[0.5, 0.5, 0.5], idx=2)
     for t in (a, b, c):
         _insert(store, t)
-    cell = next(iter(store.cells.values()))
+    cell = next(iter(store_cells(store).values()))
     assert len(cell.long_term) == 2
-    assert store.events["re_merged"] == 1
+    assert store.channel_events.sum(0)[RE_MERGED] == 1
     merged, newest = cell.long_term
     # the victim (rep of a) fused into the rep of b; counts conserved
     assert store.count[merged] == 2
     assert store.count[newest] == 1
-    assert store.count_mass == 3
+    assert store.count_masses.sum() == 3
 
 
 def test_g_cap_one_folds_resident_into_newcomer():
     store = _store(e_cap=1, g_cap=1, merge_lambda=0.99)
     _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
     _insert(store, _token([0.0, 1.0], position=[0.5, 0.5, 0.5], idx=1))
-    cell = next(iter(store.cells.values()))
+    cell = next(iter(store_cells(store).values()))
     assert len(cell.long_term) == 1
     assert store.count[cell.long_term[0]] == 2
-    assert store.events["re_merged"] == 1
+    assert store.channel_events.sum(0)[RE_MERGED] == 1
 
 
 def test_capacity_invariants_under_random_load():
@@ -265,10 +269,10 @@ def test_capacity_invariants_under_random_load():
         key = rng.normal(size=5)
         _insert(store, _token(key, position=pos, idx=i, score=rng.random()))
         inserted += 1
-        for cell in store.cells.values():
+        for cell in store_cells(store).values():
             assert len(cell.long_term) <= 3
             assert len(cell.buffer) < 4
-    assert store.count_mass == inserted
+    assert store.count_masses.sum() == inserted
 
 
 def test_insert_block_places_rows_in_order():
@@ -298,7 +302,7 @@ def test_retrieval_ranking_and_quota():
     a_pos = [0.5, 0.5, 0.5]
     for i in range(2):
         _insert(store, _token([1.0, 0.0], position=a_pos, idx=i))
-    store.aggregate([next(iter(store.cells.values())).index])
+    store.aggregate([next(iter(store_cells(store).values())).index])
     _insert(store, _token([0.0, 1.0], position=a_pos, idx=5))
     # cell B one step away holds only a buffered token
     _insert(store, _token([1.0, 1.0], position=[1.5, 0.5, 0.5], idx=7))
@@ -399,7 +403,7 @@ def test_voxel_range_error_names_the_bad_row():
     msg = str(e.value)
     assert "not finite" in msg and "channel 1, (frame 7, token 9)" in msg and "nan" in msg
     assert msg.count("[") == 1
-    assert store.token_count == 0
+    assert store.token_counts.sum() == 0
 
 
 def test_retrieval_is_deterministic():
@@ -436,7 +440,7 @@ class _ReferenceStore:
     """The straightforward insertion routine the store must match bit for bit.
 
     Tokens arrive one at a time. Each similarity is two np.linalg.norm
-    calls and one np.dot, each cell goes through voxel_of and
+    calls and one np.dot, each cell goes through voxel_indices and
     morton_encode, and fusion recomputes every mean from scratch on token
     objects; the store's row pool must reproduce every event and every bit.
     """
@@ -465,7 +469,7 @@ class _ReferenceStore:
     def insert(self, token):
         if token.position is None:
             return "dropped"
-        code = morton_encode(voxel_of(token.position, self.voxel_size))
+        code = morton_encode(voxel_indices([token.position], self.voxel_size)[0].tolist())
         long_term, buffer = self.cells.setdefault(code, ([], []))
         best_idx, best_cos = -1, -2.0
         for i, rep in enumerate(long_term):
@@ -488,10 +492,10 @@ class _ReferenceStore:
         ])
         rep = _Tok(
             id=TokenId(-1, self.serial),
-            key=self._q(kernel.weighted_mean(np.stack([t.key for t in buffer]), omegas)),
-            value=self._q(kernel.weighted_mean(np.stack([t.value for t in buffer]), omegas)),
+            key=self._q(weighted_mean(np.stack([t.key for t in buffer]), omegas)),
+            value=self._q(weighted_mean(np.stack([t.value for t in buffer]), omegas)),
             score=pivot.score,
-            position=kernel.weighted_mean(np.stack([t.position for t in buffer]), omegas),
+            position=weighted_mean(np.stack([t.position for t in buffer]), omegas),
             count=sum(t.count for t in buffer),
             weight=float(omegas.sum()),
         )
@@ -598,12 +602,14 @@ def test_insert_is_bit_identical_to_scalar_reference():
             want = _outcome(ref.insert, token)
             assert got == want, (case, i)
             seen_events.add(got)
-            held = [r for c in store.cells.values() for r in (*c.long_term, *c.buffer)]
-            assert store.token_count == len(held)
-            assert store.count_mass == sum(store.count[r] for r in held) + store.dropped_count_mass
+            held = [r for c in store_cells(store).values() for r in (*c.long_term, *c.buffer)]
+            assert store.token_counts.sum() == len(held)
+            assert store.count_masses.sum() == \
+                sum(store.count[r] for r in held) + store.dropped_count_mass
 
-        assert set(store.cells) == {(0, code) for code in ref.cells}
-        for (_, code), cell in store.cells.items():
+        cells = store_cells(store)
+        assert set(cells) == {(0, code) for code in ref.cells}
+        for (_, code), cell in cells.items():
             long_term, buffer = ref.cells[code]
             assert [_row_bits(store, r) for r in cell.long_term] == [_bits(t) for t in long_term]
             assert [_row_bits(store, r) for r in cell.buffer] == [_bits(t) for t in buffer]
@@ -615,7 +621,7 @@ def test_insert_is_bit_identical_to_scalar_reference():
 def test_nan_key_is_buffered_not_fused():
     store = _store(e_cap=4, merge_lambda=-0.5)
     _insert(store, _token([1.0, 0.0], position=[0.5, 0.5, 0.5], idx=0))
-    store.aggregate([next(iter(store.cells.values())).index])
+    store.aggregate([next(iter(store_cells(store).values())).index])
     event = _insert(store, _token([np.nan, 0.0], position=[0.5, 0.5, 0.5], idx=1))
     assert event == "buffered"
 
@@ -675,15 +681,16 @@ def test_batched_insert_is_bit_identical_to_scalar_reference():
             got = store.insert_evicted(block)
             assert got == [ref.insert(t) for t in tokens], case
             seen.update(got)
-        assert set(store.cells) == {(0, code) for code in ref.cells}
-        for (_, code), cell in store.cells.items():
+        cells = store_cells(store)
+        assert set(cells) == {(0, code) for code in ref.cells}
+        for (_, code), cell in cells.items():
             long_term, buffer = ref.cells[code]
             assert [_row_bits(store, r) for r in cell.long_term] == [_bits(t) for t in long_term]
             assert [_row_bits(store, r) for r in cell.buffer] == [_bits(t) for t in buffer]
         assert store.half_saturations == ref.half_saturations
-        held = [r for c in store.cells.values() for r in (*c.long_term, *c.buffer)]
-        assert store.token_count == len(held)
-        re_merged += store.events["re_merged"]
+        held = [r for c in cells.values() for r in (*c.long_term, *c.buffer)]
+        assert store.token_counts.sum() == len(held)
+        re_merged += store.channel_events.sum(0)[RE_MERGED]
     assert {"fused", "buffered", "aggregated", "dropped"} <= seen
     assert re_merged > 0
 
@@ -719,12 +726,12 @@ def test_one_store_of_channels_equals_a_store_per_channel():
                 assert [one.cell_keys[i] for i in one.touched[c]] == \
                     [(c, store.cell_keys[i][1]) for i in store.touched[0]]
         for c, store in enumerate(own):
-            assert one.token_counts[c] == store.token_count
-            assert one.count_masses[c] == store.count_mass
+            assert one.token_counts[c] == store.token_counts.sum()
+            assert one.count_masses[c] == store.count_masses.sum()
             assert one.channel_events[c].tolist() == store.channel_events[0].tolist()
-            mine = {code: cell for (ch, code), cell in one.cells.items() if ch == c}
-            assert list(mine) == [code for _, code in store.cells]
-            for (_, code), cell in store.cells.items():
+            mine = {code: cell for (ch, code), cell in store_cells(one).items() if ch == c}
+            assert list(mine) == [code for _, code in store.cell_keys]
+            for (_, code), cell in store_cells(store).items():
                 assert [_row_bits(one, r) for r in mine[code].long_term] == \
                     [_row_bits(store, r) for r in cell.long_term]
                 assert [_row_bits(one, r) for r in mine[code].buffer] == \

@@ -12,9 +12,9 @@ from stacache import (
     TraceRecord,
     read_trace,
     synth_trace,
-    voxel_of,
     write_trace,
 )
+from stacache.spatial import voxel_indices
 from stacache.traceio import MAGIC, REVISIT_PERIOD
 
 
@@ -313,7 +313,7 @@ def test_synth_scene_extent_bounds_positions():
 def test_revisit_motion_returns_to_old_voxels():
     _, records = synth_trace(seed=3, frames=100, tokens_per_frame=16, d_h=8, motion="revisit")
     def voxels(r):
-        return {voxel_of(p, 0.05) for p in r.positions[r.position_mask]}
+        return {tuple(v) for v in voxel_indices(r.positions[r.position_mask], 0.05).tolist()}
     early = voxels(records[10])
     late = voxels(records[10 + REVISIT_PERIOD * 2])
     assert early & late
