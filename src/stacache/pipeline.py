@@ -82,10 +82,6 @@ class BudgetSplit:
     anchor_tokens: int
     retrieve_tokens: int
 
-    @property
-    def total(self) -> int:
-        return self.window_tokens + self.anchor_tokens + self.retrieve_tokens
-
 
 def allocate_budget(config: CacheConfig, tokens_per_frame: int) -> BudgetSplit:
     """Split budget_multiplier frames' worth of tokens across the roles.
@@ -96,6 +92,11 @@ def allocate_budget(config: CacheConfig, tokens_per_frame: int) -> BudgetSplit:
     if tokens_per_frame < 1:
         raise ConfigError(f"tokens_per_frame must be >= 1, got {tokens_per_frame}")
     total = config.budget_multiplier * tokens_per_frame
+    if not math.isfinite(total):
+        raise ConfigError(
+            f"budget_multiplier={config.budget_multiplier} x {tokens_per_frame} tokens "
+            f"is not a finite budget"
+        )
     split = BudgetSplit(
         window_tokens=int(math.floor(config.window_frac * total)),
         anchor_tokens=int(math.floor(config.anchor_frac * total)),
@@ -135,11 +136,17 @@ class _VerbatimChannel:
     append-only key/value buffer, reference first, so a step attends over a
     prefix slice in arrival order; a window moves its last frames down
     behind the reference after each step. A window's buffer is sized once,
-    for the reference, the window and one chunk; a header that claims
-    fewer frames only shrinks it. The `full` buffer doubles when full
-    instead, so a header that declares an absurd frame count cannot turn
-    into an allocation. Every buffer is a memory mapping of its own
-    (`_mapped_rows`), so an outgrown one goes back to the OS when dropped.
+    for the reference, the window and one chunk, where the header's frame
+    count caps both the window and the chunk. The `full` buffer doubles
+    when full instead, so a header that declares an absurd frame count
+    cannot turn into an allocation. Every buffer is a memory mapping of its
+    own (`_mapped_rows`), so an outgrown one goes back to the OS when
+    dropped.
+
+    A step returns its outputs, 0.0 for the mass on retrieved rows and no
+    evictees: these policies keep no voxel store. `held` is the number of
+    rows the channel attends from its cache, and `audits` counts the mass
+    checks it ran.
     """
 
     def __init__(self, d_h: int, window: Optional[int], tokens_per_frame: int,
@@ -149,60 +156,52 @@ class _VerbatimChannel:
         self.tokens_per_frame = tokens_per_frame
         rows = 0
         if window is not None:
-            rows = (1 + min(window, frame_count) + chunk_size) * tokens_per_frame
+            rows = (1 + min(window, frame_count) + min(chunk_size, frame_count)) * tokens_per_frame
         self.keys = _mapped_rows(rows, d_h)
         self.values = _mapped_rows(rows, d_h)
         self.ref_len = 0
-        self.cached = 0
+        self.held = 0
+        self.audits = 0
         self.workspace = workspace
 
     def register(self, frame: FrameTokens) -> None:
         self.ref_len = self._append([frame])
-        self.cached = self.ref_len
+        self.held = self.ref_len
 
     def _append(self, frames: list[FrameTokens]) -> int:
-        """Write the frames' rows after the cached ones; returns the new end."""
-        end = self.cached + sum(f.token_count for f in frames)
+        """Write the frames' rows after the held ones; returns the new end."""
+        end = self.held + sum(f.token_count for f in frames)
         if end > self.keys.shape[0]:
             rows = max(end, 2 * self.keys.shape[0])
             keys, values = _mapped_rows(rows, self.d_h), _mapped_rows(rows, self.d_h)
-            keys[: self.cached] = self.keys[: self.cached]
-            values[: self.cached] = self.values[: self.cached]
+            keys[: self.held] = self.keys[: self.held]
+            values[: self.held] = self.values[: self.held]
             self.keys, self.values = keys, values
-        row = self.cached
+        row = self.held
         for f in frames:
             self.keys[row : row + f.token_count] = f.keys
             self.values[row : row + f.token_count] = f.values
             row += f.token_count
         return end
 
-    def step(self, frames: list[FrameTokens], retrieved: Optional[TokenBlock], audit: bool) -> dict:
+    def step(self, frames: list[FrameTokens], retrieved: Optional[TokenBlock],
+             audit: bool) -> tuple[np.ndarray, float, None]:
         # retrieved is always None: these policies keep no voxel store
         chunk_q = np.concatenate([f.queries for f in frames])
-        cache_len = self.cached
         end = self._append(frames)
         res = attend(chunk_q, self.keys[:end], self.values[:end], np.ones(end), self.d_h,
                      workspace=self.workspace)
-        audits = 0
         if audit:
             _check_mass(res.mass, chunk_q.shape[0])
-            audits += 1
+            self.audits += 1
         if self.window is None:
-            self.cached = end
+            self.held = end
         else:
             kept = min(end - self.ref_len, self.window * self.tokens_per_frame)
-            self.cached = self.ref_len + kept
-            self.keys[self.ref_len : self.cached] = self.keys[end - kept : end]
-            self.values[self.ref_len : self.cached] = self.values[end - kept : end]
-        return _step_result(
-            outputs=res.outputs,
-            temporal=cache_len,
-            spatial=0,
-            in_flight=chunk_q.shape[0],
-            temporal_end=self.cached,
-            spatial_end=0,
-            audits=audits,
-        )
+            self.held = self.ref_len + kept
+            self.keys[self.ref_len : self.held] = self.keys[end - kept : end]
+            self.values[self.ref_len : self.held] = self.values[end - kept : end]
+        return res.outputs, 0.0, None
 
 
 class _StacChannel:
@@ -210,9 +209,12 @@ class _StacChannel:
 
     The channel owns its temporal cache and is `channel` in the replay's
     shared voxel store. The replayer retrieves every channel's rows from
-    the store once per chunk and hands each step its own. A step ends with
-    the chunk's evicted rows; the replayer inserts every channel's at once,
-    then calls `_audit_store`.
+    the store once per chunk and hands each step its own. A step returns
+    its outputs, the attention mass that fell on the retrieved rows and the
+    chunk's evicted rows; the replayer inserts every channel's at once,
+    then calls `_audit_store`. `held` is the temporal cache's member count,
+    `score_sums` its sequential score sums by group, and `audits` counts
+    the checks the channel ran.
     """
 
     def __init__(self, config: CacheConfig, budget: BudgetSplit, d_h: int, tokens_per_frame: int,
@@ -231,12 +233,18 @@ class _StacChannel:
         self.channel = channel
         self.workspace = workspace
         self.frames_seen = 0
+        self.audits = 0
+
+    @property
+    def held(self) -> int:
+        return self.cache.member_count
 
     def register(self, frame: FrameTokens) -> None:
         self.cache.register_reference(frame)
         self.frames_seen = 1
 
-    def step(self, frames: list[FrameTokens], retrieved: TokenBlock, audit: bool) -> dict:
+    def step(self, frames: list[FrameTokens], retrieved: TokenBlock,
+             audit: bool) -> tuple[np.ndarray, float, TokenBlock]:
         n = self.tokens_per_frame
         members = self.cache.blocks()
         anchors = members[-1]  # as attended; selection replaces the block
@@ -252,7 +260,6 @@ class _StacChannel:
         counts[temp_len : temp_len + spat_len] = retrieved.counts
         res = attend(chunk_q, keys, values, counts, self.d_h, workspace=self.workspace)
 
-        spatial_tokens = int(self.store.token_counts[self.channel])
         self.cache.update_scores(res.mass[:temp_len])
         base = temp_len + spat_len
         initial_scores = [res.mass[base + i * n : base + (i + 1) * n] for i in range(len(frames))]
@@ -260,35 +267,17 @@ class _StacChannel:
         evicted = self.cache.select_anchors(expelled)
         self.frames_seen += len(frames)
 
-        audits = 0
         if audit:
-            audits = self._audit(
-                res.mass, chunk_q.shape[0], attended, frames[0].frame_idx,
-                anchors, expelled, evicted,
-            )
+            self._audit(res.mass, chunk_q.shape[0], attended, frames[0].frame_idx,
+                        anchors, expelled, evicted)
 
-        # Only outputs, scalars and the evicted rows outlive the step: the
+        # Only outputs, a scalar and the evicted rows outlive the step: the
         # key set is freed before any other channel attends, and the
         # attention weights stay in the replay's workspace for the next
         # channel to overwrite.
-        spat_mass = float(res.mass[temp_len : temp_len + spat_len].sum())
-        returned_g = int((retrieved.frames == -1).sum())
-        result = _step_result(
-            outputs=res.outputs,
-            temporal=temp_len,
-            spatial=spatial_tokens,
-            in_flight=chunk_q.shape[0],
-            temporal_end=self.cache.member_count,
-            spatial_end=spatial_tokens,
-            audits=audits,
-            retrieval=(self.budget.retrieve_tokens, returned_g, spat_len - returned_g),
-            spat_mass=spat_mass,
-            score_sums=self._score_sums(),
-        )
-        result["evicted"] = evicted
-        return result
+        return res.outputs, float(res.mass[temp_len : temp_len + spat_len].sum()), evicted
 
-    def _score_sums(self) -> dict:
+    def score_sums(self) -> dict:
         # Sequential float sums over each group's scores in member order.
         ref, anchors = self.cache._reference, self.cache._anchors
         window_scores = [s for b in self.cache._window for s in b.scores.tolist()]
@@ -298,7 +287,7 @@ class _StacChannel:
             "anchor": (sum(anchors.scores.tolist()), len(anchors)),
         }
 
-    def _audit(self, mass, n_queries, attended, chunk_lo, prev_anchors, expelled, evicted) -> int:
+    def _audit(self, mass, n_queries, attended, chunk_lo, prev_anchors, expelled, evicted) -> None:
         """The checks that do not depend on the voxel store, before insertion."""
         _check_mass(mass, n_queries)
         # chunk causality: everything attended from the cache predates the chunk
@@ -336,9 +325,9 @@ class _StacChannel:
             )
         if any((b.scores < 0.0).any() for b in members):
             raise InvariantViolation("negative score in temporal cache")
-        return 6
+        self.audits += 6
 
-    def _audit_store(self) -> int:
+    def _audit_store(self) -> None:
         """The voxel-store checks, after the chunk's insertion.
 
         Only cells the insertion touched can have changed, so only this
@@ -358,7 +347,7 @@ class _StacChannel:
             raise InvariantViolation(
                 f"token conservation broken: {accounted} accounted vs {produced} produced"
             )
-        return 2
+        self.audits += 2
 
 
 def _id_codes(blocks: list[TokenBlock]) -> np.ndarray:
@@ -382,34 +371,6 @@ def _check_mass(mass: np.ndarray, n_queries: int) -> None:
     # written so that a NaN total fails the check
     if not (abs(total - n_queries) <= 1e-9 * max(1.0, n_queries)):
         raise InvariantViolation(f"attention mass {total} != query count {n_queries}")
-
-
-def _step_result(
-    outputs,
-    temporal,
-    spatial,
-    in_flight,
-    temporal_end,
-    spatial_end,
-    audits,
-    events=None,
-    retrieval=(0, 0, 0),
-    spat_mass=0.0,
-    score_sums=None,
-) -> dict:
-    return {
-        "outputs": outputs,
-        "temporal": temporal,
-        "spatial": spatial,
-        "in_flight": in_flight,
-        "temporal_end": temporal_end,
-        "spatial_end": spatial_end,
-        "audits": audits,
-        "events": events or {},
-        "retrieval": retrieval,
-        "spat_mass": spat_mass,
-        "score_sums": score_sums or {},
-    }
 
 
 # -- the replayer -----------------------------------------------------------
@@ -447,6 +408,12 @@ class StreamReplayer:
     order, then finish() for the stats. `outputs` holds the attention
     outputs of the chunk processed last, frame -> (L, H, N, d_h); each chunk
     replaces them, so a replay keeps O(chunk) of them.
+
+    `process_chunk` counts each chunk's row. A step reports its outputs,
+    the mass on its retrieved rows and its evictees; every other figure
+    comes from the channels' `held`, `audits` and `score_sums()`, from the
+    retrieved blocks, and from the store's per-channel `token_counts` and
+    `channel_events`.
     """
 
     def __init__(
@@ -497,7 +464,6 @@ class StreamReplayer:
         self._frames_seen = 0
         self._peak_total = 0
         self._final_total = 0
-        self._audits_checked = 0
         self._event_totals = dict.fromkeys(("evicted", *EVENTS), 0)
         self._t0 = time.perf_counter()
         self._finished = False
@@ -540,101 +506,93 @@ class StreamReplayer:
         return None
 
     def process_chunk(self, records: list[TraceRecord]) -> dict:
-        """Attend one chunk on every channel and update the caches."""
+        """Attend one chunk on every channel, update the caches, and count
+        the chunk in its stats row; this is the only place a row is made."""
         if not records:
             raise InvariantViolation("process_chunk with no records")
         t0 = time.perf_counter()
-        h = self.header
-        frame_lo, frame_hi = records[0].frame_idx, records[-1].frame_idx
-        # One retrieval per chunk serves every channel: the store is the
-        # same for all of them until the chunk's insertion.
-        retrieved = [None] * len(self.channels)
-        if self.store is not None:
+        h, store, channels = self.header, self.store, self.channels
+        temporal = sum(ch.held for ch in channels)
+        spatial = spatial_end = 0
+        in_flight = len(channels) * len(records) * h.tokens_per_frame
+        events = dict.fromkeys(self._event_totals, 0)
+        retrieval = dict.fromkeys(("requested", "returned_g", "returned_e"), 0)
+        score_means = dict.fromkeys(("reference", "window", "anchor"), 0.0)
+        retrieved = [None] * len(channels)
+        if store is not None:
+            spatial = int(store.token_counts.sum())
+            events_before = store.channel_events.sum(0)
+            # One retrieval per chunk serves every channel: the store is the
+            # same for all of them until the chunk's insertion.
             vis = np.concatenate([r.positions[r.position_mask] for r in records]) \
                 if any(r.position_mask.any() for r in records) else np.zeros((0, 3))
-            retrieved = self.store.retrieve(vis, self.budget.retrieve_tokens,
-                                            where=lambda i: _visible_token(records, i))
+            retrieved = store.retrieve(vis, self.budget.retrieve_tokens,
+                                       where=lambda i: _visible_token(records, i))
+            returned_g = sum(int((b.frames == -1).sum()) for b in retrieved)
+            retrieval = {"requested": len(channels) * self.budget.retrieve_tokens,
+                         "returned_g": returned_g,
+                         "returned_e": sum(len(b) for b in retrieved) - returned_g}
 
         # The last chunk's outputs go before this chunk's block is made, and
         # each step's are copied in as it returns: one block is alive at once.
         self.outputs = {}
         frames, n, d = len(records), h.tokens_per_frame, h.d_h
         out = np.empty((frames, h.layers, h.heads, n, d))
-        results = []
+        spat_mass, evicted = 0.0, []
         for ci, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
-            res = self.channels[ci].step([r.channel(li, hi) for r in records], retrieved[ci],
-                                         self.audit)
+            outputs, mass, evictees = channels[ci].step(
+                [r.channel(li, hi) for r in records], retrieved[ci], self.audit)
             retrieved[ci] = None  # spent: each channel's rows go as its step ends
-            out[:, li, hi] = res.pop("outputs").reshape(frames, n, d)
-            results.append(res)
-        if self.store is not None:
-            self._insert_evicted(results)
+            out[:, li, hi] = outputs.reshape(frames, n, d)
+            spat_mass += mass
+            evicted.append(evictees)
         self.outputs = {r.frame_idx: o for r, o in zip(records, out)}
 
-        row = self._build_row(results, frame_lo, frame_hi, t0)
-        self.rows.append(row)
-        if self.stats_sink is not None:
-            self.stats_sink(row)
-        self._pending = []
-        return row
-
-    def _insert_evicted(self, results: list[dict]) -> None:
-        """One insertion of every channel's evictees, then the store audits."""
-        store = self.store
-        sizes = [len(r["evicted"]) for r in results]
-        evicted = TokenBlock.concat([r.pop("evicted") for r in results])
-        before = store.channel_events.copy()
-        store.insert_evicted(evicted, np.repeat(np.arange(len(sizes)), sizes))
-        delta = (store.channel_events - before).tolist()
-        for ci, (channel, r) in enumerate(zip(self.channels, results)):
-            r["events"] = dict(zip(EVENTS, delta[ci]), evicted=sizes[ci])
-            r["spatial_end"] = int(store.token_counts[ci])
+        if store is not None:
+            # One insertion of every channel's evictees, then the store audits.
+            sizes = [len(e) for e in evicted]
+            store.insert_evicted(TokenBlock.concat(evicted), np.repeat(np.arange(len(sizes)), sizes))
             if self.audit:
-                r["audits"] += channel._audit_store()
+                for ch in channels:
+                    ch._audit_store()
+            delta = (store.channel_events.sum(0) - events_before).tolist()
+            events = {"evicted": sum(sizes), **dict(zip(EVENTS, delta))}
+            spatial_end = int(store.token_counts.sum())
+            sums = [ch.score_sums() for ch in channels]
+            for group in score_means:
+                count = sum(s[group][1] for s in sums)
+                if count:
+                    score_means[group] = sum(s[group][0] for s in sums) / count
 
-    def _build_row(self, results: list[dict], frame_lo: int, frame_hi: int, t0: float) -> dict:
-        temporal = sum(r["temporal"] for r in results)
-        spatial = sum(r["spatial"] for r in results)
-        in_flight = sum(r["in_flight"] for r in results)
         total = temporal + spatial + in_flight
-        total_end = sum(r["temporal_end"] + r["spatial_end"] for r in results)
+        total_end = sum(ch.held for ch in channels) + spatial_end
         self._peak_total = max(self._peak_total, total, total_end)
         self._final_total = total_end
-        self._audits_checked += sum(r["audits"] for r in results)
-        events = dict.fromkeys(self._event_totals, 0)
-        for r in results:
-            for k, v in r["events"].items():
-                events[k] += v
         for k, v in events.items():
             self._event_totals[k] += v
-        requested = sum(r["retrieval"][0] for r in results)
-        returned_g = sum(r["retrieval"][1] for r in results)
-        returned_e = sum(r["retrieval"][2] for r in results)
-        n_queries = in_flight
-        spat_frac = sum(r["spat_mass"] for r in results) / n_queries if n_queries else 0.0
-        score_means = {"reference": 0.0, "window": 0.0, "anchor": 0.0}
-        for group in score_means:
-            s = sum(r["score_sums"].get(group, (0.0, 0))[0] for r in results)
-            c = sum(r["score_sums"].get(group, (0.0, 0))[1] for r in results)
-            score_means[group] = s / c if c else 0.0
-        return {
+        row = {
             "type": "chunk",
             "chunk": len(self.rows),
-            "frame_lo": frame_lo,
-            "frame_hi": frame_hi,
-            "frames_seen": frame_hi + 1,
+            "frame_lo": records[0].frame_idx,
+            "frame_hi": records[-1].frame_idx,
+            "frames_seen": records[-1].frame_idx + 1,
             "temporal": temporal,
             "spatial": spatial,
             "in_flight": in_flight,
             "total": total,
             "total_end": total_end,
-            "bytes": total * self.header.d_h * BYTES_PER_SCALAR * 2,
+            "bytes": total * h.d_h * BYTES_PER_SCALAR * 2,
             "events": events,
-            "retrieval": {"requested": requested, "returned_g": returned_g, "returned_e": returned_e},
-            "spatial_mass_frac": spat_frac,
+            "retrieval": retrieval,
+            "spatial_mass_frac": spat_mass / in_flight,
             "score_means": score_means,
             "wall_ms": (time.perf_counter() - t0) * 1e3,
         }
+        self.rows.append(row)
+        if self.stats_sink is not None:
+            self.stats_sink(row)
+        self._pending = []
+        return row
 
     def finish(self) -> ReplayStats:
         """Flush any partial chunk and assemble the final stats."""
@@ -647,10 +605,10 @@ class StreamReplayer:
         channels = h.layers * h.heads
         full_tokens = self._frames_seen * h.tokens_per_frame * channels
         elapsed = time.perf_counter() - self._t0
-        half_sats = 0 if self.store is None else self.store.half_saturations
-        for ch in self.channels:
-            if isinstance(ch, _StacChannel):
-                half_sats += ch.cache.half_saturations
+        half_sats = 0
+        if self.store is not None:
+            half_sats = self.store.half_saturations + sum(
+                ch.cache.half_saturations for ch in self.channels)
         summary = {
             "type": "summary",
             "policy": self.policy.label(),
@@ -669,7 +627,7 @@ class StreamReplayer:
             "compression_ratio": full_tokens / self._peak_total if self._peak_total else 0.0,
             "events": dict(self._event_totals),
             "half_saturations": half_sats,
-            "audits_checked": self._audits_checked,
+            "audits_checked": sum(ch.audits for ch in self.channels),
             "mean_chunk_ms": sum(r["wall_ms"] for r in self.rows) / len(self.rows) if self.rows else 0.0,
             "total_ms": elapsed * 1e3,
         }

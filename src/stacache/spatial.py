@@ -161,7 +161,6 @@ class VoxelStore:
         self.channel_events = np.zeros((self.channels, len(EVENTS)), dtype=np.int64)
         self.token_counts = np.zeros(self.channels, dtype=np.int64)
         self.count_masses = np.zeros(self.channels, dtype=np.int64)
-        self.dropped_count_mass = 0  # summed counts of dropped tokens
         # per channel: the numbers of the cells the last insert_evicted touched
         self.touched: list[np.ndarray] = [_NO_CELLS] * self.channels
         self._merged_serials = [0] * self.channels
@@ -249,9 +248,7 @@ class VoxelStore:
         # Every row's count is accounted, whatever its event.
         np.add.at(self.count_masses, channels, block.counts)
         events = np.full(n, -1, dtype=np.int64)
-        dropped = ~block.mask
-        events[dropped] = DROPPED
-        self.dropped_count_mass += int(block.counts[dropped].sum())
+        events[~block.mask] = DROPPED
         base = self._seq
         serials = list(self._merged_serials)
         merged: list[tuple] = []  # per wave: (row indices, channels, representatives)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -161,20 +162,21 @@ def validate_config(config: CacheConfig) -> list[str]:
         problems.append(f"gamma must lie in (0, 1), got {c.gamma}")
     if not (-1.0 < c.merge_lambda <= 1.0):
         problems.append(f"merge_lambda must lie in (-1, 1], got {c.merge_lambda}")
-    if not (c.voxel_size > 0.0):
-        problems.append(f"voxel_size must be positive, got {c.voxel_size}")
+    if not (0.0 < c.voxel_size < math.inf):
+        problems.append(f"voxel_size must be positive and finite, got {c.voxel_size}")
     if c.g_cap < 1:
         problems.append(f"g_cap must be >= 1, got {c.g_cap}")
     if c.e_cap < 1:
         problems.append(f"e_cap must be >= 1, got {c.e_cap}")
     if not (c.knn_radius_mult > 0.0):
         problems.append(f"knn_radius_mult must be positive, got {c.knn_radius_mult}")
-    if not (c.budget_multiplier > 0.0):
-        problems.append(f"budget_multiplier must be positive, got {c.budget_multiplier}")
+    if not (0.0 < c.budget_multiplier < math.inf):
+        problems.append(f"budget_multiplier must be positive and finite, got {c.budget_multiplier}")
+    # written so that a NaN fraction fails
     fracs = c.splits()
-    if any(f < 0.0 for f in fracs):
+    if not all(f >= 0.0 for f in fracs):
         problems.append(f"budget fractions must be non-negative, got {fracs}")
-    elif abs(sum(fracs) - 1.0) > 1e-12:
+    elif not (abs(sum(fracs) - 1.0) <= 1e-12):
         problems.append(f"budget fractions must sum to 1, got sum {sum(fracs)!r}")
     if c.window_frames < 1:
         problems.append(f"window_frames must be >= 1, got {c.window_frames}")

@@ -221,6 +221,14 @@ def test_invalid_config_is_config_error(tmp_path, capsys):
     code = main(["compare", "--trace", path, "--a", "full", "--b", "stac", "--chunk", "0"])
     assert code == 3
     assert "chunk_size" in capsys.readouterr().err
+    # non-finite values, or a finite multiplier whose budget is not
+    for flags, needle in ((["--budget-mult", "inf"], "budget_multiplier"),
+                          (["--budget-mult", "1e308"], "budget_multiplier"),
+                          (["--split", "nan,0.5,0.5"], "fractions"),
+                          (["--voxel-size", "inf"], "voxel_size")):
+        code = main(["replay", "--trace", path, "--policy", "stac", *flags])
+        assert code == 3, flags
+        assert needle in capsys.readouterr().err, flags
 
 
 def test_usage_errors_exit_one():

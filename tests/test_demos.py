@@ -1,4 +1,5 @@
-"""Every walkthrough in demos/ runs to completion against the package."""
+"""Every walkthrough in demos/ runs to completion against the package, with
+warnings as errors."""
 
 import os
 import subprocess
@@ -17,6 +18,8 @@ def test_demo_exits_cleanly(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                          text=True, timeout=120)
+    # warnings are errors here too: the test settings' filterwarnings does
+    # not reach a subprocess
+    done = subprocess.run([sys.executable, "-W", "error", "-X", "dev", str(demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -536,7 +536,8 @@ def test_audit_conservation_is_per_channel():
 
 def test_window_buffer_is_sized_once_from_the_policy():
     # reference + window + one chunk of rows, allocated at construction and
-    # never grown; a header claiming fewer frames than the window shrinks it
+    # never grown; a header claiming fewer frames than the window or the
+    # chunk shrinks it
     header, records = _trace(seed=4, frames=30, tokens=5, heads=2, d_h=4)
     replayer = StreamReplayer(header, Policy.sliding(3), chunk_size=4)
     buffers = [(ch.keys, ch.values) for ch in replayer.channels]
@@ -546,11 +547,15 @@ def test_window_buffer_is_sized_once_from_the_policy():
     replayer.finish()
     for ch, (k, v) in zip(replayer.channels, buffers):
         assert ch.keys is k and ch.values is v
+    # a chunk never holds more frames than the header declares, so a chunk
+    # size far past the stream sizes the buffer no larger
+    huge = StreamReplayer(header, Policy.sliding(8), chunk_size=2_000_000)
+    assert all(ch.keys.shape == ch.values.shape == ((1 + 8 + 30) * 5, 4) for ch in huge.channels)
     # a header that under-claims its frames sizes the buffer short; it then
     # grows, and the replay is unchanged
     honest, honest_outputs = replay_outputs((header, records), Policy.sliding(9), chunk_size=4)
     short = StreamReplayer(replace(header, frame_count=2), Policy.sliding(9), chunk_size=4)
-    assert short.channels[0].keys.shape[0] == (1 + 2 + 4) * 5
+    assert short.channels[0].keys.shape[0] == (1 + 2 + 2) * 5
     stats, outputs = feed_all(short, records)
     assert stats.canonical_lines() == honest.canonical_lines()
     assert sorted(outputs) == sorted(honest_outputs)

@@ -1,19 +1,23 @@
-"""A stac replay's bits are a contract.
+"""A replay's bits are a contract.
 
-Refactors of the caches claim to change no bit of what a replay emits. The
-digests below pin three small `stac` replays: the sha256 of every chunk's
-attention outputs, in chunk and frame order, followed by the canonical
-stats lines. They were taken before the voxel store kept its cells as
-index tables, and any change that moves them changes what the policy does.
+Refactors of the caches and of the replayer claim to change no bit of what
+a replay emits. The digests below pin small replays: the sha256 of every
+chunk's attention outputs, in chunk and frame order, followed by the
+canonical stats lines. The three `stac` pins were taken before the voxel
+store kept its cells as index tables; the `full`, `window` and `compare`
+pins before channel steps stopped reporting the figures of their chunk's
+stats row. Any change that moves them changes what a policy does or what
+a replay reports.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
-from stacache import CacheConfig, Policy, StreamReplayer, synth_trace
+from stacache import CacheConfig, Policy, StreamReplayer, compare, synth_trace
 
 
 def _replay_digest(trace, policy):
@@ -71,3 +75,33 @@ def test_stac_replay_bits_are_pinned(trace, config, events, digest):
     assert all(counts[e] > 0 for e in events), counts
     assert sum(row["retrieval"]["returned_g"] for row in stats.rows) > 0
     assert got == digest
+
+
+VERBATIM_TRACE = dict(seed=14, frames=42, tokens_per_frame=16, layers=1, heads=2, d_h=8,
+                      motion="revisit")
+
+
+@pytest.mark.parametrize("policy, digest", [
+    pytest.param(Policy.full(),
+                 "dfa6a770803b7f402a22ff3a262b7197175c7a9d92a2a9fa8f2856808e9bfd77",
+                 id="full"),
+    pytest.param(Policy.sliding(3),
+                 "bf509c1804c97bb6f23f585729b6423b1e05c1c6e770f5f3ecd486ff026e37e6",
+                 id="window-3"),
+])
+def test_verbatim_replay_bits_are_pinned(policy, digest):
+    # 41 frames after the reference: ten chunks of four and a partial one
+    got, stats = _replay_digest(synth_trace(**VERBATIM_TRACE), policy)
+    assert stats.rows[-1]["frame_lo"] == stats.rows[-1]["frame_hi"]
+    assert got == digest
+
+
+def test_compare_report_bits_are_pinned():
+    # chunk 3 over 41 frames ends on a partial chunk of two
+    report = compare(synth_trace(**VERBATIM_TRACE), Policy.full(), Policy.stac(), chunk_size=3)
+    for side in ("summary_a", "summary_b"):
+        for timing in ("mean_chunk_ms", "total_ms"):
+            del report[side][timing]
+    assert report["summary_b"]["events"]["evicted"] > 0
+    got = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert got == "61fc8532eb13c477c629680d5590136e20b6f7228497b01a4e63ca0d8e9599f9"

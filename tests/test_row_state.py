@@ -1,13 +1,15 @@
 """The row-state stac channel against the object-based channel it replaced.
 
 The reference below is the previous stac path, kept as test-local code: a
-temporal cache and a voxel store that hold one Python object per token, and
-a channel step that stacks those objects into its key set and routes its
-evictees one at a time into a store of its own. The channels under test
-keep the same state as rows of arrays and share one voxel store, which
-takes every channel's evictees of a chunk in one batched insertion. Every
-replay must give the same attention outputs, bit for bit, and the same
-canonical stats stream, byte for byte.
+temporal cache and a voxel store that hold one Python object per token, a
+channel step that stacks those objects into its key set, and a stand-in for
+the replay's voxel store that retrieves each channel's objects from, and
+routes its evictees one at a time into, a store of that channel's own. The
+stand-in reads those stores back as the per-channel arrays the replayer
+counts a chunk from. The channels under test keep the same state as rows of
+arrays and share one voxel store, which takes every channel's evictees of a
+chunk in one batched insertion. Every replay must give the same attention
+outputs, bit for bit, and the same canonical stats stream, byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from stacache import (CacheConfig, Policy, StreamReplayer, TokenBlock, TokenId, 
                       synth_trace)
 from stacache.attention import attend
 from stacache.kernel import HALF_MAX, half_roundtrip
-from stacache.pipeline import _StacChannel, _step_result
+from stacache.pipeline import _StacChannel
 from stacache.spatial import EVENTS, RE_MERGED, VoxelCoord, morton_encode, voxel_indices
 from oracles import feed_all, store_cells, weighted_mean
 
@@ -273,9 +275,59 @@ def _ref_best_match(reps, key):
     return best_idx, best_cos
 
 
+class _Retrieved(list):
+    """One channel's retrieved token objects, with the birth frames the
+    replayer counts merged representatives (frame -1) by."""
+
+    @property
+    def frames(self):
+        return np.array([t.id.frame_idx for t in self], dtype=np.int64)
+
+
+class _RefStores:
+    """Stands in for the replay's voxel store over one object store per channel."""
+
+    def __init__(self, stores):
+        self.stores = stores
+
+    @property
+    def token_counts(self):
+        return np.array([s.token_count for s in self.stores], dtype=np.int64)
+
+    @property
+    def channel_events(self):
+        return np.array([[s.events[e] for e in EVENTS] for s in self.stores], dtype=np.int64)
+
+    @property
+    def half_saturations(self):
+        return sum(s.half_saturations for s in self.stores)
+
+    def retrieve(self, visible, quota, where=None):
+        return [_Retrieved(s.retrieve(visible, quota)) for s in self.stores]
+
+    def insert_evicted(self, block, channels):
+        # back to token objects, routed one at a time into their channel's store
+        for i, c in enumerate(channels.tolist()):
+            self.stores[c].insert_evicted(_Token(
+                TokenId(int(block.frames[i]), int(block.tokens[i])), block.keys[i].copy(),
+                block.values[i].copy(), float(block.scores[i]),
+                block.positions[i].copy() if block.mask[i] else None, int(block.counts[i])))
+
+
+def _token_block(tokens, d_h):
+    if not tokens:
+        return TokenBlock.empty(d_h)
+    return TokenBlock.build(
+        [t.key for t in tokens], [t.value for t in tokens],
+        [np.zeros(3) if t.position is None else t.position for t in tokens],
+        mask=[t.position is not None for t in tokens], scores=[t.score for t in tokens],
+        frames=[t.id.frame_idx for t in tokens], tokens=[t.id.token_idx for t in tokens],
+        counts=[t.count for t in tokens])
+
+
 class _RefChannel(_StacChannel):
     """The previous channel step over token objects (no audit checks; it
-    reports the audit count the channel under test reports)."""
+    counts the audits the channel under test counts)."""
 
     def __init__(self, config, budget, d_h, tokens_per_frame):
         self.config, self.budget = config, budget
@@ -284,18 +336,16 @@ class _RefChannel(_StacChannel):
                                config.half_precision)
         self.store = _RefStore(config.voxel_size, config.merge_lambda, config.g_cap,
                                config.e_cap, config.knn_radius_mult, config.half_precision)
+        self.audits = 0
 
     def register(self, frame):
         self.cache.register_reference(frame)
 
     def step(self, frames, retrieved, audit):
-        # retrieved is None: this channel retrieves from its own store,
-        # near the positions its frames carry
+        # retrieved holds token objects of this channel's own store, near
+        # the positions its frames carry
         n = self.tokens_per_frame
         snap = self.cache.snapshot()
-        visible = np.concatenate([f.positions[f.position_mask] for f in frames])
-        retrieved = self.store.retrieve(visible, self.budget.retrieve_tokens)
-        events_before = dict(self.store.events)
         chunk_q = np.concatenate([f.queries for f in frames])
         key_blocks, value_blocks = self.cache.frame_blocks()
         framed = len(snap) - len(self.cache.anchors)
@@ -310,46 +360,37 @@ class _RefChannel(_StacChannel):
         temp_len, spat_len = len(snap), len(retrieved)
         res = attend(chunk_q, keys, values, counts, self.d_h)
 
-        spatial_tokens = self.store.token_count
         self.cache.update_scores(res.mass[:temp_len])
         base = temp_len + spat_len
         initial = [res.mass[base + i * n : base + (i + 1) * n] for i in range(len(frames))]
         expelled = self.cache.ingest_frames(frames, initial)
         evicted = self.cache.select_anchors(expelled)
-        for token in evicted:
-            self.store.insert_evicted(token)
-        events = {k: self.store.events[k] - events_before[k] for k in self.store.events}
-        events["evicted"] = len(evicted)
-        returned_g = sum(1 for t in retrieved if t.merged)
+        if audit:
+            self.audits += 6
+        spat_mass = float(res.mass[temp_len : temp_len + spat_len].sum())
+        return res.outputs, spat_mass, _token_block(evicted, self.d_h)
+
+    def _audit_store(self):
+        self.audits += 2
+
+    def score_sums(self):
         window = [t for frame in self.cache.window for t in frame]
-        return _step_result(
-            outputs=res.outputs,
-            temporal=temp_len,
-            spatial=spatial_tokens,
-            in_flight=chunk_q.shape[0],
-            temporal_end=self.cache.member_count,
-            spatial_end=self.store.token_count,
-            audits=8 if audit else 0,
-            events=events,
-            retrieval=(self.budget.retrieve_tokens, returned_g, len(retrieved) - returned_g),
-            spat_mass=float(res.mass[temp_len : temp_len + spat_len].sum()),
-            score_sums={
-                "reference": (sum(t.score for t in self.cache.reference), len(self.cache.reference)),
-                "window": (sum(t.score for t in window), len(window)),
-                "anchor": (sum(t.score for t in self.cache.anchors), len(self.cache.anchors)),
-            },
-        )
+        return {
+            "reference": (sum(t.score for t in self.cache.reference), len(self.cache.reference)),
+            "window": (sum(t.score for t in window), len(window)),
+            "anchor": (sum(t.score for t in self.cache.anchors), len(self.cache.anchors)),
+        }
 
 
 def _replay(header, records, config, chunk_size, reference):
     replayer = StreamReplayer(header, Policy.stac(config), chunk_size=chunk_size, audit=True)
     if reference:
-        # each reference channel routes into a store of its own
-        replayer.store = None
+        # each reference channel keeps a store of its own
         replayer.channels = [
             _RefChannel(config, replayer.budget, header.d_h, header.tokens_per_frame)
             for _ in replayer.channels
         ]
+        replayer.store = _RefStores([ch.store for ch in replayer.channels])
     return feed_all(replayer, records)
 
 

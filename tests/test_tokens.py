@@ -1,5 +1,7 @@
 """Config validation and token record basics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,10 +36,14 @@ def test_default_config_values():
         ("merge_lambda", -1.0, "merge_lambda"),
         ("voxel_size", 0.0, "voxel_size"),
         ("voxel_size", -0.1, "voxel_size"),
+        ("voxel_size", math.inf, "voxel_size"),
         ("g_cap", 0, "g_cap"),
         ("e_cap", 0, "e_cap"),
         ("knn_radius_mult", 0.0, "knn_radius_mult"),
         ("budget_multiplier", 0.0, "budget_multiplier"),
+        ("budget_multiplier", math.inf, "budget_multiplier"),
+        ("window_frac", math.nan, "fractions"),
+        ("anchor_frac", math.nan, "fractions"),
         ("window_frames", 0, "window_frames"),
     ],
 )
