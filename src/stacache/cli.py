@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", choices=["random_walk", "orbit", "revisit"], default="revisit")
     p.add_argument("--spread", type=float, default=0.25, help="within-region key noise")
     p.add_argument("--out", required=True)
-    p.add_argument("--text", action="store_true", help="write JSON lines instead of binary")
     p.set_defaults(func=cmd_synth)
 
     def add_policy_flags(p):
@@ -180,7 +179,7 @@ def cmd_synth(args) -> int:
         motion=args.motion,
         cluster_spread=args.spread,
     )
-    write_trace(args.out, header, records, text=args.text)
+    write_trace(args.out, header, records)
     print(_dumps({
         "type": "synth",
         "out": args.out,

@@ -154,6 +154,18 @@ class CacheConfig:
         return (self.window_frac, self.anchor_frac, self.retrieve_frac)
 
 
+def _center_distances_finite(voxel_size: float) -> bool:
+    """Whether retrieval's squared center distance, three squared gaps of
+    up to 2 * COORD_LIMIT voxels summed, stays finite at this voxel size."""
+    from .spatial import COORD_LIMIT  # spatial imports this module
+
+    gap = 2 * COORD_LIMIT * voxel_size
+    try:
+        return math.isfinite(3 * gap**2)
+    except OverflowError:  # a Python float's ** raises where numpy would warn
+        return False
+
+
 def validate_config(config: CacheConfig) -> list[str]:
     """Return a list of human-readable problems; empty means valid."""
     problems: list[str] = []
@@ -164,6 +176,11 @@ def validate_config(config: CacheConfig) -> list[str]:
         problems.append(f"merge_lambda must lie in (-1, 1], got {c.merge_lambda}")
     if not (0.0 < c.voxel_size < math.inf):
         problems.append(f"voxel_size must be positive and finite, got {c.voxel_size}")
+    elif not _center_distances_finite(c.voxel_size):
+        problems.append(
+            f"voxel_size {c.voxel_size} overflows squared voxel-center distances "
+            f"over the 2^20-voxel index range"
+        )
     if c.g_cap < 1:
         problems.append(f"g_cap must be >= 1, got {c.g_cap}")
     if c.e_cap < 1:

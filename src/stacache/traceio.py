@@ -2,19 +2,18 @@
 
 A trace is the replay harness's stand-in for a live model: for every frame
 it carries the projected q/k/v of each (layer, head) channel plus one
-optional 3-D point per token. Two encodings share one logical format: a
-length-prefixed binary container for real use and a JSON-lines text form
-for small fixtures. Both round-trip float64 exactly.
+optional 3-D point per token. The one encoding is a binary container: a
+magic, a JSON header line, then one length-prefixed record per frame. It
+round-trips float64 exactly.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
 from dataclasses import dataclass, asdict
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -92,9 +91,9 @@ def _check_header(header: TraceHeader) -> None:
 
 
 def _check_fits(header: TraceHeader, file_size: int) -> None:
-    # Both encodings spend at least one byte per value, so a record needs at
-    # least as many bytes as it has values; a header that claims more than
-    # the whole file holds is rejected before anything is sized from it.
+    # A record spends 8 bytes per value, so it needs at least as many bytes
+    # as it has values; a header that claims more than the whole file holds
+    # is rejected before anything is sized from it.
     shape, _ = _expected_shapes(header)
     values = math.prod(shape) + 3 * header.tokens_per_frame
     if values > file_size:
@@ -160,58 +159,6 @@ def _check_finite(data: np.ndarray, pos: np.ndarray, mask: np.ndarray, index: in
         raise TraceFormatError(f"record {index}: non-finite position")
 
 
-# -- text encoding --------------------------------------------------------
-
-
-def _record_to_json(record: TraceRecord) -> str:
-    pos = [
-        list(map(float, record.positions[i])) if record.position_mask[i] else None
-        for i in range(record.positions.shape[0])
-    ]
-    return json.dumps(
-        {"frame_idx": int(record.frame_idx), "data": record.data.tolist(), "positions": pos}
-    )
-
-
-def _json_numbers(value, what: str, index: int) -> np.ndarray:
-    """A parsed JSON array as float64, where every leaf must be a number.
-
-    np.asarray(..., dtype=np.float64) would read "1.5" and true as numbers,
-    so each leaf's Python type is checked first: int or float, not bool.
-    """
-    leaves = np.asarray(value, dtype=object)
-    # flat, because .flat and astype stop at 32 dimensions and a line may nest 64
-    flat = leaves.reshape(-1)
-    if not set(map(type, flat)) <= {int, float}:
-        raise TraceFormatError(f"record {index}: a {what} entry is not a number")
-    return flat.astype(np.float64).reshape(leaves.shape)
-
-
-def _record_from_json(obj: dict, index: int, header: TraceHeader) -> TraceRecord:
-    shape, _ = _expected_shapes(header)
-    n = header.tokens_per_frame
-    try:
-        frame_idx = obj["frame_idx"]
-        raw_pos = obj["positions"]
-        data = _json_numbers(obj["data"], "q/k/v", index)
-        if not isinstance(raw_pos, list) or len(raw_pos) != n:
-            raise TraceFormatError(f"record {index}: positions must be a list of {n} entries")
-        mask = np.array([p is not None for p in raw_pos], dtype=bool)
-        pos = _json_numbers(
-            [(0.0, 0.0, 0.0) if p is None else p for p in raw_pos], "position", index
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise TraceFormatError(f"record {index}: malformed record object ({e})") from e
-    if not isinstance(frame_idx, int) or isinstance(frame_idx, bool):
-        raise TraceFormatError(f"record {index}: frame_idx must be an int, got {frame_idx!r}")
-    if data.shape != shape:
-        raise TraceFormatError(f"record {index}: data shape {data.shape}, expected {shape}")
-    if pos.shape != (n, 3):
-        raise TraceFormatError(f"record {index}: positions must be null or 3 numbers each")
-    _check_finite(data, pos, mask, index)
-    return TraceRecord(frame_idx, data, pos, mask)
-
-
 # -- public io ------------------------------------------------------------
 
 
@@ -219,24 +166,16 @@ def write_trace(
     path: str,
     header: TraceHeader,
     records: Iterable[TraceRecord],
-    text: bool = False,
 ) -> None:
     """Serialize a whole trace; record count must match the header."""
     _check_header(header)
     written = 0
-    if text:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps({"magic": MAGIC.decode(), **asdict(header)}) + "\n")
-            for record in records:
-                f.write(_record_to_json(record) + "\n")
-                written += 1
-    else:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write((json.dumps(asdict(header)) + "\n").encode("utf-8"))
-            for record in records:
-                f.write(_encode_record(record, header))
-                written += 1
+    with open(path, "wb") as f:
+        f.write(MAGIC)
+        f.write((json.dumps(asdict(header)) + "\n").encode("utf-8"))
+        for record in records:
+            f.write(_encode_record(record, header))
+            written += 1
     if written != header.frame_count:
         raise TraceFormatError(
             f"wrote {written} records but header declares {header.frame_count}"
@@ -247,29 +186,19 @@ def read_trace(path: str) -> tuple[TraceHeader, Iterator[TraceRecord]]:
     """Open a trace and return its header plus a validating record iterator.
 
     The iterator checks payload sizes, detects truncation, and requires
-    frame indices to run exactly 0 .. frame_count-1. Binary or text is
-    sniffed from the first bytes of the file. The iterator owns the open
-    file: it closes it when exhausted, on a format error, and on `close()`,
-    whether or not a record has been read yet.
+    frame indices to run exactly 0 .. frame_count-1. A file that does not
+    start with the magic fails before anything else is read. The iterator
+    owns the open file: it closes it when exhausted, on a format error, and
+    on `close()`, whether or not a record has been read yet.
     """
     f = open(path, "rb")
     try:
         size = os.fstat(f.fileno()).st_size
         head = f.read(len(MAGIC))
-        if head == MAGIC:
-            header = _parse_header_obj(_load_json_line(f.readline(), "header"))
-            records = _iter_binary(f, header)
-        elif head[:1] == b"{":
-            f.seek(0)
-            # undecodable bytes become U+FFFD and then fail as bad JSON
-            tf = io.TextIOWrapper(f, encoding="utf-8", errors="replace")
-            obj = _load_json_line(tf.readline(), "header")
-            if obj.pop("magic", None) != MAGIC.decode():
-                raise TraceFormatError("text trace missing magic field")
-            header = _parse_header_obj(obj)
-            records = _iter_text(tf, header)
-        else:
+        if head != MAGIC:
             raise TraceFormatError(f"bad magic {head!r}")
+        header = _parse_header_obj(_load_json_line(f.readline()))
+        records = _iter_binary(f, header)
         _check_fits(header, size)
         # Run the generator to its priming yield, inside its try: from here
         # on its close(), explicit or by garbage collection, closes the file.
@@ -281,17 +210,17 @@ def read_trace(path: str) -> tuple[TraceHeader, Iterator[TraceRecord]]:
         raise
 
 
-def _load_json_line(line, what: str) -> dict:
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
+def _load_json_line(line: bytes) -> dict:
+    # undecodable bytes become U+FFFD and then fail as bad JSON
+    line = line.decode("utf-8", errors="replace")
     # ValueError also covers an int literal past the digit limit, and deep
     # nesting raises RecursionError
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as e:
-        raise TraceFormatError(f"unparseable {what} line ({e})") from e
+        raise TraceFormatError(f"unparseable header line ({e})") from e
     if not isinstance(obj, dict):
-        raise TraceFormatError(f"{what} line is not an object")
+        raise TraceFormatError("header line is not an object")
     return obj
 
 
@@ -304,7 +233,7 @@ def _parse_header_obj(obj: dict) -> TraceHeader:
     return header
 
 
-def _iter_binary(f: io.BufferedReader, header: TraceHeader) -> Iterator[TraceRecord]:
+def _iter_binary(f: BinaryIO, header: TraceHeader) -> Iterator[TraceRecord]:
     _, expected = _expected_shapes(header)
     try:
         yield None  # the priming yield, see read_trace
@@ -328,25 +257,6 @@ def _iter_binary(f: io.BufferedReader, header: TraceHeader) -> Iterator[TraceRec
             yield record
         if f.read(1):
             raise TraceFormatError(f"trailing bytes after {header.frame_count} records")
-    finally:
-        f.close()
-
-
-def _iter_text(f: io.TextIOWrapper, header: TraceHeader) -> Iterator[TraceRecord]:
-    try:
-        yield None  # the priming yield, see read_trace
-        for index in range(header.frame_count):
-            line = f.readline()
-            if not line.strip():
-                raise TraceFormatError(f"truncated at record {index}: missing line")
-            record = _record_from_json(_load_json_line(line, "record"), index, header)
-            if record.frame_idx != index:
-                raise TraceFormatError(
-                    f"record {index}: frame_idx {record.frame_idx} out of order"
-                )
-            yield record
-        if f.readline().strip():
-            raise TraceFormatError(f"trailing data after {header.frame_count} records")
     finally:
         f.close()
 

@@ -1,19 +1,23 @@
 """CLI behavior: subcommands, output streams, and exit codes."""
 
 import json
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from stacache import synth_trace, write_trace
+from stacache import CacheConfig, synth_trace, validate_config, write_trace
 from stacache.cli import main
+from stacache.spatial import COORD_LIMIT
 
 
-def _synth(tmp_path, name="t.kvtrace", frames=10, tokens=4, extra=(), capsys=None):
-    path = str(tmp_path / name)
+def _synth(tmp_path, frames=10, tokens=4, capsys=None):
+    path = str(tmp_path / "t.kvtrace")
     code = main([
         "synth", "--frames", str(frames), "--tokens", str(tokens),
-        "--dh", "4", "--seed", "1", "--out", path, *extra,
+        "--dh", "4", "--seed", "1", "--out", path,
     ])
     assert code == 0
     if capsys is not None:
@@ -91,10 +95,13 @@ def test_missing_trace_file_is_trace_error(tmp_path, capsys):
 
 def test_corrupt_trace_is_trace_error(tmp_path, capsys):
     path = tmp_path / "bad.kvtrace"
-    path.write_bytes(b"NOTATRACE json garbage\n")
-    code = main(["replay", "--trace", str(path), "--policy", "full"])
-    assert code == 2
-    assert "trace error" in capsys.readouterr().err
+    # junk, and a JSON-lines header that carries the magic as a field
+    for blob in (b"NOTATRACE json garbage\n",
+                 b'{"magic": "KVTRACE0", "layers": 1, "heads": 1, "d_h": 4}\n'):
+        path.write_bytes(blob)
+        code = main(["replay", "--trace", str(path), "--policy", "full"])
+        assert code == 2
+        assert "trace error: bad magic" in capsys.readouterr().err
 
 
 def test_absurd_frame_count_is_trace_error(tmp_path, capsys):
@@ -112,40 +119,6 @@ def test_absurd_frame_count_is_trace_error(tmp_path, capsys):
         code = main(["replay", "--trace", str(path), "--policy", policy])
         assert code == 2
         assert "truncated at record 5" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("position", [["a", "b", "c"], [1.0, 2.0], 5])
-def test_malformed_text_position_is_trace_error(tmp_path, capsys, position):
-    # these escaped as a ValueError or TypeError traceback (exit 1)
-    header, records = synth_trace(seed=1, frames=3, tokens_per_frame=4, d_h=4)
-    path = tmp_path / "t.jsonl"
-    write_trace(str(path), header, records, text=True)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[2])
-    if isinstance(position, list):
-        record["positions"][1] = position
-    else:
-        record["positions"] = position
-    lines[2] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    code = main(["replay", "--trace", str(path), "--policy", "full", "--chunk", "1"])
-    assert code == 2
-    assert "trace error: record 1" in capsys.readouterr().err
-
-
-def test_quoted_text_value_is_trace_error(tmp_path, capsys):
-    # a quoted q/k/v value used to replay as the number it spells
-    header, records = synth_trace(seed=1, frames=3, tokens_per_frame=4, d_h=4)
-    path = tmp_path / "t.jsonl"
-    write_trace(str(path), header, records, text=True)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[2])
-    record["data"][0][0][1][2][3] = " 1.5 "
-    lines[2] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    code = main(["replay", "--trace", str(path), "--policy", "full", "--chunk", "1"])
-    assert code == 2
-    assert "trace error: record 1" in capsys.readouterr().err
 
 
 def test_absurd_channel_count_is_trace_error(tmp_path, capsys):
@@ -225,10 +198,31 @@ def test_invalid_config_is_config_error(tmp_path, capsys):
     for flags, needle in ((["--budget-mult", "inf"], "budget_multiplier"),
                           (["--budget-mult", "1e308"], "budget_multiplier"),
                           (["--split", "nan,0.5,0.5"], "fractions"),
-                          (["--voxel-size", "inf"], "voxel_size")):
+                          (["--voxel-size", "inf"], "voxel_size"),
+                          (["--voxel-size", "1e308"], "voxel_size")):
         code = main(["replay", "--trace", path, "--policy", "stac", *flags])
         assert code == 3, flags
         assert needle in capsys.readouterr().err, flags
+
+
+def test_largest_accepted_voxel_size_replays_without_overflow(tmp_path):
+    # the next float up is refused; at this one, tokens at opposite corners
+    # of the voxel index range give retrieval its widest center gaps
+    size = math.sqrt(sys.float_info.max / 3) / (2 * COORD_LIMIT)
+    while validate_config(CacheConfig(voxel_size=size)):
+        size = math.nextafter(size, 0.0)
+    assert validate_config(CacheConfig(voxel_size=math.nextafter(size, math.inf)))
+
+    def corners(record):
+        corner = COORD_LIMIT - 0.5 if record.frame_idx % 2 else 0.5 - COORD_LIMIT
+        record.positions[record.position_mask] = corner * size
+
+    path = _write_tampered(tmp_path, corners, frames=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["replay", "--trace", path, "--policy", "stac",
+                     "--voxel-size", repr(size)])
+    assert code == 0
 
 
 def test_usage_errors_exit_one():
@@ -240,6 +234,9 @@ def test_usage_errors_exit_one():
     assert e.value.code == 1
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
+    assert e.value.code == 1
+    with pytest.raises(SystemExit) as e:
+        main(["synth", "--frames", "2", "--out", "t.jsonl", "--text"])  # binary only
     assert e.value.code == 1
 
 
@@ -283,25 +280,6 @@ def test_bad_policy_specs_are_config_errors(tmp_path, capsys):
     for bad in ("window:abc", "full:1", "stac:9", "zigzag"):
         code = main(["compare", "--trace", path, "--a", bad, "--b", "full"])
         assert code == 3, bad
-
-
-def test_text_trace_replays_identically(tmp_path):
-    bin_path = _synth(tmp_path, name="bin.kvtrace")
-    text_path = _synth(tmp_path, name="text.jsonl", extra=("--text",))
-    out_a, out_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert main(["replay", "--trace", bin_path, "--policy", "stac",
-                 "--stats-out", str(out_a)]) == 0
-    assert main(["replay", "--trace", text_path, "--policy", "stac",
-                 "--stats-out", str(out_b)]) == 0
-
-    def canon(path):
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        for r in rows:
-            for key in ("wall_ms", "mean_chunk_ms", "total_ms"):
-                r.pop(key, None)
-        return rows
-
-    assert canon(out_a) == canon(out_b)
 
 
 def test_split_flag_is_validated(tmp_path, capsys):

@@ -74,14 +74,15 @@ def test_synth_trace_bytes_are_pinned(tmp_path, cfg, digest):
     assert _sha256(path) == digest
 
 
-def test_cli_text_trace_bytes_are_pinned(tmp_path, capsys):
-    path = tmp_path / "t.jsonl"
+def test_cli_trace_bytes_are_pinned(tmp_path, capsys):
+    # the walk-no-spread trace, through the command's flags
+    path = tmp_path / "t.kvtrace"
     code = main(["synth", "--seed", "4", "--frames", "80", "--tokens", "6", "--layers", "3",
                  "--heads", "1", "--dh", "4", "--motion", "random_walk", "--spread", "0.0",
-                 "--text", "--out", str(path)])
+                 "--out", str(path)])
     assert code == 0
     capsys.readouterr()
-    assert _sha256(path) == "a94eadb5cd3de526e804a72a403ba1523e0e27845456bca6389ad19b4cc147ac"
+    assert _sha256(path) == "e2c2cac2817573469d3a7b71072ec84bf678dbf427acb8fdb967ee22923008f3"
 
 
 def _reference_camera_path(motion, frames, rng):

@@ -45,44 +45,30 @@ def test_binary_roundtrip_is_exact(tmp_path):
     _assert_records_equal(list(it), records)
 
 
-def test_text_roundtrip_is_exact(tmp_path):
-    header, records = _small_trace()
-    path = str(tmp_path / "t.jsonl")
-    write_trace(path, header, records, text=True)
-    got_header, it = read_trace(path)
-    assert got_header == header
-    _assert_records_equal(list(it), records)
-
-
 def test_magic_sniffing(tmp_path):
     header, records = _small_trace(frames=2)
-    b = str(tmp_path / "b.kvtrace")
-    t = str(tmp_path / "t.jsonl")
-    write_trace(b, header, records)
-    write_trace(t, header, records, text=True)
-    with open(b, "rb") as f:
+    path = str(tmp_path / "b.kvtrace")
+    write_trace(path, header, records)
+    with open(path, "rb") as f:
         assert f.read(8) == MAGIC
-    for path in (b, t):
-        h, it = read_trace(path)
-        assert h.frame_count == 2
-        list(it)
+    h, it = read_trace(path)
+    assert h.frame_count == 2
+    list(it)
 
 
-def _retitled(tmp_path, text, **fields):
+def _retitled(tmp_path, **fields):
     """A valid two-frame trace whose header line claims the given fields."""
     header, records = _small_trace(frames=2)
-    path = tmp_path / ("t.jsonl" if text else "t.kvtrace")
-    write_trace(str(path), header, records, text=text)
+    path = tmp_path / "t.kvtrace"
+    write_trace(str(path), header, records)
     data = path.read_bytes()
-    start = 0 if text else len(MAGIC)
     end = data.index(b"\n")
-    claim = json.loads(data[start:end])
+    claim = json.loads(data[len(MAGIC):end])
     claim.update(fields)
-    path.write_bytes(data[:start] + json.dumps(claim).encode() + data[end:])
+    path.write_bytes(MAGIC + json.dumps(claim).encode() + data[end:])
     return str(path)
 
 
-@pytest.mark.parametrize("text", [False, True])
 @pytest.mark.parametrize("fields, needle", [
     # L*H*3*N*d_h wraps to 0 in int64: the record would be expected to be
     # 33 bytes long and the replayer would build 2^62 channels
@@ -92,64 +78,30 @@ def _retitled(tmp_path, text, **fields):
     pytest.param(dict(layers=True), "positive int", id="bool-layers"),
     pytest.param(dict(frame_count=True), "positive int", id="bool-frames"),
     pytest.param(dict(version=True), "version", id="bool-version"),
+    pytest.param(dict(version=99), "version", id="version"),
 ])
-def test_absurd_header_is_rejected_before_any_record(tmp_path, text, fields, needle):
+def test_absurd_header_is_rejected_before_any_record(tmp_path, fields, needle):
     with pytest.raises(TraceFormatError, match=needle):
-        read_trace(_retitled(tmp_path, text, **fields))
+        read_trace(_retitled(tmp_path, **fields))
 
 
 def test_bad_magic_raises(tmp_path):
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTATRACE" + b"\x00" * 64)
-    with pytest.raises(TraceFormatError, match="magic"):
-        read_trace(str(path))
+    # junk, and a JSON-lines header that carries the magic as a field
+    for blob in (b"NOTATRACE" + b"\x00" * 64,
+                 b'{"magic": "KVTRACE0", "layers": 1, "heads": 1, "d_h": 2}\n'):
+        path.write_bytes(blob)
+        with pytest.raises(TraceFormatError, match="magic"):
+            read_trace(str(path))
 
 
 @pytest.mark.parametrize("line", [b'{"a": ' + b"[" * 100_000, b'{"a": ' + b"1" * 5000 + b"}"],
                          ids=["deep-nesting", "long-int"])
 def test_json_the_parser_refuses_is_trace_error(tmp_path, line):
     # json.loads raises RecursionError and a digit-limit ValueError here
-    header, records = _small_trace(frames=2)
-    text = tmp_path / "t.jsonl"
-    write_trace(str(text), header, records, text=True)
-    lines = text.read_bytes().splitlines()
-    binary = tmp_path / "t.kvtrace"
-    binary.write_bytes(MAGIC + line + b"\n")
+    path = tmp_path / "t.kvtrace"
+    path.write_bytes(MAGIC + line + b"\n")
     with pytest.raises(TraceFormatError, match="unparseable header"):
-        read_trace(str(binary))
-    text.write_bytes(line + b"\n")
-    with pytest.raises(TraceFormatError, match="unparseable header"):
-        read_trace(str(text))
-    text.write_bytes(b"\n".join([lines[0], line, lines[2]]) + b"\n")
-    _, it = read_trace(str(text))
-    with pytest.raises(TraceFormatError, match="unparseable record"):
-        list(it)
-
-
-@pytest.mark.parametrize("frame_idx", ["Infinity", "1.0", '"1"', "true"])
-def test_text_frame_index_must_be_an_int(tmp_path, frame_idx):
-    # int() used to take all but the first (OverflowError) as frame 1
-    header, records = _small_trace(frames=2)
-    path = tmp_path / "t.jsonl"
-    write_trace(str(path), header, records, text=True)
-    lines = path.read_text().splitlines()
-    lines[2] = lines[2].replace('"frame_idx": 1', '"frame_idx": ' + frame_idx, 1)
-    path.write_text("\n".join(lines) + "\n")
-    _, it = read_trace(str(path))
-    with pytest.raises(TraceFormatError, match="record 1"):
-        list(it)
-
-
-def test_version_mismatch_raises(tmp_path):
-    header, records = _small_trace(frames=2)
-    path = str(tmp_path / "t.jsonl")
-    write_trace(path, header, records, text=True)
-    lines = Path(path).read_text().splitlines()
-    obj = json.loads(lines[0])
-    obj["version"] = 99
-    lines[0] = json.dumps(obj)
-    Path(path).write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match="version"):
         read_trace(str(path))
 
 
@@ -180,81 +132,21 @@ def test_shape_mismatch_detected(tmp_path):
         list(it)
 
 
-@pytest.mark.parametrize("text", [False, True])
 @pytest.mark.parametrize("where", ["data", "position"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_values_rejected_at_decode(tmp_path, text, where, bad):
+def test_non_finite_values_rejected_at_decode(tmp_path, where, bad):
     header, records = _small_trace(frames=3)
     if where == "data":
         records[2].data[1, 0, 2, 3, 1] = bad
     else:
         records[2].positions[np.flatnonzero(records[2].position_mask)[0], 2] = bad
     path = str(tmp_path / "t.kvtrace")
-    write_trace(path, header, records, text=text)
+    write_trace(path, header, records)
     h, it = read_trace(path)
     got = [next(it), next(it)]  # earlier records still decode
     assert [r.frame_idx for r in got] == [0, 1]
     with pytest.raises(TraceFormatError, match="record 2: non-finite"):
         next(it)
-
-
-def _deeply_nested(depth):
-    leaf = 1.0
-    for _ in range(depth):
-        leaf = [leaf]
-    return leaf
-
-
-@pytest.mark.parametrize(
-    "where, leaf",
-    [
-        ("data", " 1.5 "),
-        ("data", "0.25"),
-        ("data", True),
-        ("data", False),
-        ("data", None),
-        ("data", {"x": 1.0}),
-        ("data", _deeply_nested(100)),
-        ("position", ["0.1", "0.2", "0.3"]),
-        ("position", [0.1, True, 0.3]),
-        ("position", [0.1, 0.2, [0.3]]),
-        ("position", "0.1 0.2 0.3"),
-    ],
-    ids=["padded-string", "string", "true", "false", "null", "object", "deep-nesting",
-         "string-position", "bool-coordinate", "nested-coordinate", "string-triple"],
-)
-def test_text_leaves_must_be_numbers(tmp_path, where, leaf):
-    # np.asarray(..., dtype=np.float64) read the strings and bools as numbers
-    header, records = _small_trace(frames=3)
-    path = tmp_path / "t.jsonl"
-    write_trace(str(path), header, records, text=True)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[3])
-    if where == "data":
-        record["data"][1][0][2][3][1] = leaf
-    else:
-        record["positions"][2] = leaf
-    lines[3] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    _, it = read_trace(str(path))
-    assert [r.frame_idx for r in (next(it), next(it))] == [0, 1]
-    with pytest.raises(TraceFormatError, match="record 2"):
-        next(it)
-
-
-def test_text_integer_leaves_are_numbers(tmp_path):
-    header, records = _small_trace(frames=2)
-    records[1].data[0, 1, 2] = np.arange(records[1].data.shape[-1])
-    path = tmp_path / "t.jsonl"
-    write_trace(str(path), header, records, text=True)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[2])
-    record["data"][0][1][2] = [[int(x) for x in row] for row in record["data"][0][1][2]]
-    lines[2] = json.dumps(record)
-    assert "[0, 1, 2]" in lines[2]  # JSON ints, not 0.0, 1.0, 2.0
-    path.write_text("\n".join(lines) + "\n")
-    _, it = read_trace(str(path))
-    _assert_records_equal(list(it), records)
 
 
 def test_out_of_order_frames_rejected(tmp_path):
