@@ -1,6 +1,7 @@
 """Trace container round-trips, validation errors, and the synthesizer."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from stacache import (
     synth_trace,
     write_trace,
 )
+from stacache.cli import main
 from stacache.spatial import voxel_indices
 from stacache.traceio import MAGIC, REVISIT_PERIOD
 
@@ -69,6 +71,8 @@ def _retitled(tmp_path, **fields):
     return str(path)
 
 
+# cli: read through `stacache replay`, which must exit 2 naming the fault
+@pytest.mark.parametrize("cli", [False, True])
 @pytest.mark.parametrize("fields, needle", [
     # L*H*3*N*d_h wraps to 0 in int64: the record would be expected to be
     # 33 bytes long and the replayer would build 2^62 channels
@@ -78,11 +82,21 @@ def _retitled(tmp_path, **fields):
     pytest.param(dict(layers=True), "positive int", id="bool-layers"),
     pytest.param(dict(frame_count=True), "positive int", id="bool-frames"),
     pytest.param(dict(version=True), "version", id="bool-version"),
-    pytest.param(dict(version=99), "version", id="version"),
 ])
-def test_absurd_header_is_rejected_before_any_record(tmp_path, fields, needle):
-    with pytest.raises(TraceFormatError, match=needle):
-        read_trace(_retitled(tmp_path, **fields))
+def test_absurd_header_is_rejected_before_any_record(tmp_path, capsys, fields, needle, cli):
+    path = _retitled(tmp_path, **fields)
+    if cli:
+        assert main(["replay", "--trace", path, "--policy", "full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trace error: ") and re.search(needle, err)
+    else:
+        with pytest.raises(TraceFormatError, match=needle):
+            read_trace(path)
+
+
+def test_version_mismatch_raises(tmp_path):
+    with pytest.raises(TraceFormatError, match="version"):
+        read_trace(_retitled(tmp_path, version=99))
 
 
 def test_bad_magic_raises(tmp_path):
@@ -132,9 +146,10 @@ def test_shape_mismatch_detected(tmp_path):
         list(it)
 
 
+@pytest.mark.parametrize("cli", [False, True])
 @pytest.mark.parametrize("where", ["data", "position"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_values_rejected_at_decode(tmp_path, where, bad):
+def test_non_finite_values_rejected_at_decode(tmp_path, capsys, where, bad, cli):
     header, records = _small_trace(frames=3)
     if where == "data":
         records[2].data[1, 0, 2, 3, 1] = bad
@@ -142,6 +157,10 @@ def test_non_finite_values_rejected_at_decode(tmp_path, where, bad):
         records[2].positions[np.flatnonzero(records[2].position_mask)[0], 2] = bad
     path = str(tmp_path / "t.kvtrace")
     write_trace(path, header, records)
+    if cli:
+        assert main(["replay", "--trace", path, "--policy", "full", "--chunk", "1"]) == 2
+        assert "trace error: record 2: non-finite" in capsys.readouterr().err
+        return
     h, it = read_trace(path)
     got = [next(it), next(it)]  # earlier records still decode
     assert [r.frame_idx for r in got] == [0, 1]
