@@ -128,7 +128,9 @@ class VoxelStore:
     The pool grows on demand and reuses freed rows.
     Deterministic by construction: every argmax/argmin is resolved by table
     order (first wins), every live row has its own arrival sequence number,
-    and retrieval breaks ranking ties by it.
+    and retrieval breaks ranking ties by it. Pool-row and cell numbers are
+    storage: events, each cell's entries (bits, ids, slot order), arrival
+    numbers, counters and retrieval never depend on them.
     """
 
     def __init__(
@@ -209,12 +211,14 @@ class VoxelStore:
         """Route every row of block into its channel's voxels; returns the
         events in row order.
 
-        channels gives each row's channel (all 0 when omitted). The outcome
-        is that of routing the rows one at a time in row order, bit for
-        bit. Rows of different cells never interact, so they are routed in
-        waves: wave k takes the k-th row of every touched (channel, voxel)
-        cell, and a wave's cosines, fusions, buffer writes and
-        aggregations are batched.
+        channels gives each row's channel (all 0 when omitted). Events,
+        cell contents and slot order, ids, arrival numbers and counters are
+        those of routing the rows one at a time in row order, bit for bit;
+        pool-row and cell numbers are storage, and the cells one call
+        creates are numbered in (channel, voxel) order. Rows of different
+        cells never interact, so they are routed in waves: wave k takes the
+        k-th row of every touched cell, and a wave's cosines, fusions,
+        buffer writes and aggregations are batched.
         Per row:
         "fused": merged into a sufficiently similar long-term entry.
         "buffered": parked in the voxel buffer.
@@ -290,23 +294,17 @@ class VoxelStore:
         group = np.cumsum(new_cell) - 1
         rank = np.arange(m) - starts[group]
 
-        # Number each cell, in order of first appearance; new ones are
-        # appended to the tables.
-        appearance = np.argsort(order[starts], kind="stable")
-        coords = [tuple(c) for c in cell_rows[starts[appearance]].tolist()]
+        # Look each cell up; new ones are numbered in (channel, voxel) order.
+        coords = [tuple(c) for c in cell_rows[starts].tolist()]
         found = [self._by_coord.get(c, -1) for c in coords]
         if -1 in found:
             self._add_cells([c for c, i in zip(coords, found) if i < 0])
             found = [self._by_coord[c] for c in coords]
-        touched = np.array(found, dtype=np.int64)
-        cell_of = np.empty(starts.size, dtype=np.int64)
-        cell_of[appearance] = touched
-        touched_chan = self.cell_channel[touched]
-        self.touched = [touched[touched_chan == c] for c in range(self.channels)]
+        cell_of = np.array(found, dtype=np.int64)
+        self.touched = [cell_of[cell_rows[starts, 0] == c] for c in range(self.channels)]
 
-        # Waves are contiguous runs of the placed rows sorted by rank, row
-        # order within a wave.
-        by_wave = np.argsort(rank * m + order)
+        # Waves are contiguous runs of the placed rows sorted by rank.
+        by_wave = np.argsort(rank, kind="stable")
         cell = cell_of[group[by_wave]]
         by_wave = order[by_wave]
         chan = chan[by_wave]
@@ -314,18 +312,29 @@ class VoxelStore:
         inc_norm = np.sqrt(np.vecdot(block.keys, block.keys))[rows]
         arrival = self._seq + 2 * rows
         wave_events = np.full(m, FUSED)
-        lo = 0
-        for hi in np.cumsum(np.bincount(rank)).tolist():
-            fused = self._fuse_wave(self.lt_rows[cell[lo:hi]], block, rows[lo:hi],
-                                    inc_norm[lo:hi])
-            if fused.all():
-                lo = hi
+        ends = np.cumsum(np.bincount(rank)).tolist()
+        for lo, hi in zip([0] + ends, ends):
+            # Each row fuses into its cell's closest long-term entry above merge_lambda.
+            reps = self.lt_rows[cell[lo:hi]]
+            incoming = block.rows[rows[lo:hi]]
+            cos = _cosines(self._keys[reps], incoming[:, None, : self.d_h],
+                           self._key_norm[reps], inc_norm[lo:hi, None])
+            # a pad reads the pool's last row; neither it nor a NaN ever wins
+            np.fmax(cos, -np.inf, out=cos)
+            cos[reps < 0] = -np.inf
+            best = cos.argmax(axis=1)
+            best_cos = cos[np.arange(hi - lo), best]
+            fused = best_cos > self.merge_lambda
+            hit = fused.nonzero()[0]
+            if hit.size:
+                self._fuse(reps[hit, best[hit]], incoming[hit], block.counts[rows[lo + hit]],
+                           best_cos[hit])
+            if hit.size == hi - lo:
                 continue
             # The rest park in their cells' buffers with one scatter; a
             # buffer that fills collapses at once, before its cell's next
             # row arrives.
             rest = np.flatnonzero(~fused) + lo
-            lo = hi
             new = self._alloc(rest.size)
             i = rows[rest]
             self.data[new] = block.rows[i]
@@ -360,29 +369,6 @@ class VoxelStore:
             merged.append((rows[j], chan[j], reps))
         events[rows] = wave_events
 
-    def _fuse_wave(self, reps: np.ndarray, block: TokenBlock, rows: np.ndarray,
-                   norms: np.ndarray) -> np.ndarray:
-        # Fuses the given rows of block (key norms norms), one per cell,
-        # each into the most similar long-term entry of its cell (reps, -1
-        # padded) where the cosine beats merge_lambda; returns which fused.
-        incoming = block.rows[rows]
-        cos = _cosines(self._keys[reps], incoming[:, None, : self.d_h],
-                       self._key_norm[reps], norms[:, None])
-        # a pad reads the pool's last row; neither it nor a NaN ever wins
-        np.fmax(cos, -np.inf, out=cos)
-        cos[reps < 0] = -np.inf
-        best = cos.argmax(axis=1)
-        pick = np.arange(rows.size), best
-        best_cos = cos[pick]
-        fused = best_cos > self.merge_lambda
-        if fused.all():
-            self._fuse(reps[pick], incoming, block.counts[rows], best_cos)
-        elif fused.any():
-            hit = np.flatnonzero(fused)
-            self._fuse(reps[hit, best[hit]], incoming[hit], block.counts[rows[hit]],
-                       best_cos[hit])
-        return fused
-
     def aggregate(self, cells) -> np.ndarray:
         """Collapse the buffer of each given cell into one representative
         around its pivot; returns the representatives' pool rows.
@@ -391,10 +377,11 @@ class VoxelStore:
         ties); every member, pivot included, contributes with weight
         exp(cos(pivot_key, member_key)). The representative inherits the
         pivot's score and a count/weight summed over the members. cells are
-        distinct cell numbers, and the outcome is that of aggregating them
-        one at a time in the given order, bit for bit: every cosine is one
-        pair's, every weight one math.exp, every sum runs over the buffer
-        axis alone, and freed rows join the free list in that order.
+        distinct cell numbers, and the entries, ids, arrival numbers and
+        counters are those of aggregating them one at a time in the given
+        order, bit for bit: every cosine is one pair's, every weight one
+        math.exp, every sum runs over the buffer axis alone. Which pool
+        rows are freed and reused is storage.
         """
         cells = np.asarray(cells, dtype=np.int64)
         lens = self.buf_len[cells]
@@ -431,10 +418,10 @@ class VoxelStore:
         if self.quantize:
             means[:, : 2 * d] = self._quantized(means[:, : 2 * d])
 
-        # Freeing a buffer and then taking one row hands back its last row.
-        last = lens - 1
-        reps = self.buf_rows[cells, last]
-        freed = self.buf_rows[cells]
+        # Each representative reuses its buffer's first row; the rest are freed.
+        table = self.buf_rows[cells]
+        reps, freed = table[:, 0], table[:, 1:]
+        self._free.extend(freed[freed >= 0].tolist())
         channel = self.cell_channel[cells]
         self.data[reps] = means
         self.weight[reps] = z
@@ -455,7 +442,6 @@ class VoxelStore:
         # Long-term insertion; a cell at capacity frees a slot first. With
         # g_cap=1 the sole resident folds into the newcomer instead, since
         # there is no peer to re-merge with.
-        victims = np.full(k, -1, dtype=np.int64)
         at_cap = self.lt_len[cells] >= self.g_cap
         if at_cap.any():
             capped = cells[at_cap]
@@ -468,20 +454,14 @@ class VoxelStore:
                 cos = _cosines(self._keys[r], self._keys[old], self._key_norm[r],
                                self._key_norm[old])
                 self._fold(r, old, cos, channel[at_cap])
-                victims[at_cap] = old
+                self._free.extend(old.tolist())
             else:
-                victims[at_cap] = self.re_merge(capped)
-                # taken back off the free list, to rejoin it after each
-                # victim's own cell's members below
-                del self._free[-capped.size :]
+                self.re_merge(capped)
         slot = self.lt_len[cells]
         self.lt_rows[cells, slot] = reps
         self.lt_len[cells] = slot + 1
         self.seq[reps] = self._seq + np.arange(k)
         self._seq += k
-        freed[np.arange(k), last] = victims
-        keep = (np.arange(freed.shape[1]) < lens[:, None]) & (freed >= 0)
-        self._free.extend(freed[keep].tolist())
         return reps
 
     def re_merge(self, cells) -> np.ndarray:
@@ -490,8 +470,9 @@ class VoxelStore:
 
         Victim is the minimum-weight entry (earliest on ties); it fuses
         into its most key-similar remaining neighbor regardless of the
-        merge threshold. cells are distinct cell numbers, and the outcome
-        is that of re-merging them one at a time in the given order.
+        merge threshold. cells are distinct cell numbers, and the entries
+        and counters are those of re-merging them one at a time, bit for
+        bit; the victims' rows join the free list, which is storage.
         """
         cells = np.asarray(cells, dtype=np.int64)
         held = self.lt_len[cells]
@@ -589,11 +570,11 @@ class VoxelStore:
         self.buf_len[start:end] = 0
 
     def _alloc(self, k: int) -> np.ndarray:
-        # k pool rows: freed ones first, latest freed first, then new ones.
-        reuse = min(k, len(self._free))
-        rows = self._free[len(self._free) - reuse :][::-1]
-        del self._free[len(self._free) - reuse :]
-        start, self._rows = self._rows, self._rows + k - reuse
+        # k pool rows: freed ones first, then new ones.
+        cut = max(len(self._free) - k, 0)
+        rows = self._free[cut:]
+        del self._free[cut:]
+        start, self._rows = self._rows, self._rows + k - len(rows)
         if self._rows > len(self.seq):
             self._reserve(max(2 * len(self.seq), self._rows))
         return np.array(rows + list(range(start, self._rows)), dtype=np.int64)

@@ -294,14 +294,15 @@ def synth_trace(
     uniform offsets followed by one normal block in (layer, head, token,
     q/k/v, dim) order.
     """
+    if seed < 0:
+        raise DimensionError(f"seed must be >= 0, got {seed}")
     if frames < 1 or tokens_per_frame < 1 or layers < 1 or heads < 1 or d_h < 1:
         raise DimensionError("frames, tokens_per_frame, layers, heads, d_h must be >= 1")
     if motion not in ("random_walk", "orbit", "revisit"):
         raise DimensionError(f"unknown motion {motion!r}")
-    if cluster_spread < 0.0:
-        raise DimensionError(f"cluster_spread must be >= 0, got {cluster_spread}")
-    if value_drift < 0.0:
-        raise DimensionError(f"value_drift must be >= 0, got {value_drift}")
+    for name, scale in (("cluster_spread", cluster_spread), ("value_drift", value_drift)):
+        if not 0.0 <= scale < math.inf:  # NaN fails too
+            raise DimensionError(f"{name} must be finite and >= 0, got {scale}")
 
     rng = np.random.default_rng(seed)
     centers = _camera_path(motion, frames, rng)

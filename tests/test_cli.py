@@ -40,6 +40,20 @@ def test_synth_to_missing_directory_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, needle", [
+    pytest.param(["--seed", "-1"], "seed", id="negative-seed"),
+    pytest.param(["--spread", "nan"], "cluster_spread", id="nan-spread"),
+    pytest.param(["--spread", "inf"], "cluster_spread", id="inf-spread"),
+])
+def test_synth_refuses_bad_arguments_before_writing(tmp_path, capsys, flags, needle):
+    path = tmp_path / "t.kvtrace"
+    code = main(["synth", "--frames", "2", "--out", str(path), *flags])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_replay_streams_chunk_rows_then_summary(tmp_path, capsys):
     path = _synth(tmp_path, capsys=capsys)
     code = main(["replay", "--trace", path, "--policy", "full", "--chunk", "3"])

@@ -754,6 +754,52 @@ def test_one_store_of_channels_equals_a_store_per_channel():
         assert one.half_saturations == sum(s.half_saturations for s in own)
 
 
+def test_free_list_order_is_storage_only():
+    # Which pool row a new entry takes is storage: two stores built by the
+    # same calls, one with its free list reversed, must route the next
+    # multi-channel block to the same events, cell contents (ids, bits,
+    # weights, counts, scores, arrival numbers, slot order) and retrieval.
+    rng = np.random.default_rng(51)
+    moved = 0
+    for case in range(12):
+        channels = int(rng.integers(2, 4))
+        params = dict(voxel_size=0.5, merge_lambda=float(rng.uniform(0.0, 0.95)),
+                      g_cap=int(rng.integers(1, 4)), e_cap=int(rng.integers(1, 4)),
+                      knn_radius_mult=2.0, quantize=bool(case % 3 == 0), channels=channels)
+        a, b = VoxelStore(**params), VoxelStore(**params)
+        serial = 0
+        for step in range(3):
+            n = int(rng.integers(40, 120))
+            keys, positions, mask = _random_rows(rng, n, 4, 0.5, 2.0)
+            block = TokenBlock.build(keys, -keys, positions, mask=mask,
+                                     scores=rng.choice([0.0, 1.0], size=n), frames=2,
+                                     tokens=np.arange(serial, serial + n),
+                                     counts=rng.integers(1, 3, n))
+            chans = rng.integers(0, channels, size=n)
+            serial += n
+            if step == 2:
+                assert len(b._free) > 1, case
+                b._free.reverse()
+            assert a.insert_evicted(block, chans) == b.insert_evicted(block, chans), case
+        cells_a, cells_b = store_cells(a), store_cells(b)
+        assert list(cells_a) == list(cells_b)
+        for key, cell in cells_a.items():
+            other = cells_b[key]
+            moved += (cell.long_term, cell.buffer) != (other.long_term, other.buffer)
+            for rows_a, rows_b in ((cell.long_term, other.long_term), (cell.buffer, other.buffer)):
+                assert [(*_row_bits(a, r), a.seq[r]) for r in rows_a] == \
+                    [(*_row_bits(b, r), b.seq[r]) for r in rows_b]
+        for name in ("channel_events", "token_counts", "count_masses"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        visible = rng.uniform(-1.0, 1.0, size=(3, 3))
+        for got, want in zip(a.retrieve(visible, 30), b.retrieve(visible, 30)):
+            assert got.ids() == want.ids()
+            assert got.rows.tobytes() == want.rows.tobytes()
+            assert np.array_equal(got.counts, want.counts)
+            assert got.scores.tobytes() == want.scores.tobytes()
+    assert moved  # the reversed free list did move rows
+
+
 def test_vecdot_matches_per_row_dot_bit_for_bit():
     # The batched cosines rest on np.vecdot giving each row the bits of one
     # ndarray.dot, broadcast operands and rows gathered from a strided pool

@@ -258,3 +258,16 @@ def test_synth_argument_validation():
         synth_trace(seed=0, frames=2, motion="teleport")
     with pytest.raises(DimensionError):
         synth_trace(seed=0, frames=2, cluster_spread=-1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(dict(value_drift=float("inf")), id="inf-drift"),
+    pytest.param(dict(value_drift=float("nan")), id="nan-drift"),
+    pytest.param(dict(cluster_spread=float("nan")), id="nan-spread"),
+    pytest.param(dict(seed=-1), id="negative-seed"),
+])
+def test_synth_refuses_negative_seed_and_non_finite_scales(bad):
+    from stacache import DimensionError
+
+    with pytest.raises(DimensionError, match=next(iter(bad))):
+        synth_trace(**{"seed": 0, "frames": 2, **bad})
