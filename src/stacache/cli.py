@@ -1,8 +1,8 @@
 """Command line interface: synthesize traces, replay them, compare policies.
 
-Exit codes: 0 success, 1 usage, 2 trace validation (including positions
-outside the voxel index range), 3 configuration validation, 4 runtime
-invariant violation.
+Exit codes: 0 success, 1 usage (including an output file that cannot be
+opened), 2 trace validation (including positions outside the voxel index
+range), 3 configuration validation, 4 runtime invariant violation.
 """
 
 from __future__ import annotations
@@ -234,14 +234,14 @@ def cmd_replay(args) -> int:
 def cmd_compare(args) -> int:
     policy_a = _policy_from_spec(args.a, args)
     policy_b = _policy_from_spec(args.b, args)
-    report = compare(args.trace, policy_a, policy_b, chunk_size=args.chunk,
-                     audit=not args.no_audit)
-    text = _dumps(report, indent=2)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    out = open(args.report_out, "w", encoding="utf-8") if args.report_out else sys.stdout
+    try:
+        report = compare(args.trace, policy_a, policy_b, chunk_size=args.chunk,
+                         audit=not args.no_audit)
+        print(_dumps(report, indent=2), file=out)
+    finally:
+        if out is not sys.stdout:
+            out.close()
     return EXIT_OK
 
 
@@ -261,11 +261,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     except OSError as e:
-        if args.cmd == "synth":
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"trace error: {e}", file=sys.stderr)
-        return EXIT_TRACE
+        # an output file that cannot be opened is a usage error, as in synth
+        if args.cmd != "synth" and e.filename in (None, args.trace):
+            print(f"trace error: {e}", file=sys.stderr)
+            return EXIT_TRACE
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except StacacheError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

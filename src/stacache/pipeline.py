@@ -209,12 +209,12 @@ class _StacChannel:
 
     The channel owns its temporal cache and is `channel` in the replay's
     shared voxel store. The replayer retrieves every channel's rows from
-    the store once per chunk and hands each step its own. A step returns
-    its outputs, the attention mass that fell on the retrieved rows and the
-    chunk's evicted rows; the replayer inserts every channel's at once,
-    then calls `_audit_store`. `held` is the temporal cache's member count,
-    `score_sums` its sequential score sums by group, and `audits` counts
-    the checks the channel ran.
+    the store once per chunk and hands each step its own. A step attends
+    over the cache's member block, those rows and the chunk; it returns its
+    outputs, the mass on the retrieved rows and the chunk's evicted rows,
+    and the replayer inserts every channel's at once, then calls
+    `_audit_store`. `held` is the member count, `score_sums` the sequential
+    score sums of the block's three views, and `audits` counts the checks.
     """
 
     def __init__(self, config: CacheConfig, budget: BudgetSplit, d_h: int, tokens_per_frame: int,
@@ -246,16 +246,16 @@ class _StacChannel:
     def step(self, frames: list[FrameTokens], retrieved: TokenBlock,
              audit: bool) -> tuple[np.ndarray, float, TokenBlock]:
         n = self.tokens_per_frame
-        members = self.cache.blocks()
-        anchors = members[-1]  # as attended; selection replaces the block
+        members = self.cache.members
+        anchors = self.cache.blocks()[2]  # as attended; selection rebuilds members
 
         # Key set in snapshot order (reference, window, anchors), then the
         # retrieved rows, then the chunk; each part is one block of rows.
         chunk_q = np.concatenate([f.queries for f in frames])
-        attended = [*members, retrieved] if len(retrieved) else members
+        attended = [members, retrieved] if len(retrieved) else [members]
         keys = np.concatenate([b.keys for b in attended] + [f.keys for f in frames])
         values = np.concatenate([b.values for b in attended] + [f.values for f in frames])
-        temp_len, spat_len = sum(len(b) for b in members), len(retrieved)
+        temp_len, spat_len = len(members), len(retrieved)
         counts = np.ones(keys.shape[0])
         counts[temp_len : temp_len + spat_len] = retrieved.counts
         res = attend(chunk_q, keys, values, counts, self.d_h, workspace=self.workspace)
@@ -279,13 +279,8 @@ class _StacChannel:
 
     def score_sums(self) -> dict:
         # Sequential float sums over each group's scores in member order.
-        ref, anchors = self.cache._reference, self.cache._anchors
-        window_scores = [s for b in self.cache._window for s in b.scores.tolist()]
-        return {
-            "reference": (sum(ref.scores.tolist()), len(ref)),
-            "window": (sum(window_scores), len(window_scores)),
-            "anchor": (sum(anchors.scores.tolist()), len(anchors)),
-        }
+        groups = ("reference", "window", "anchor")
+        return {g: (sum(b.scores.tolist()), len(b)) for g, b in zip(groups, self.cache.blocks())}
 
     def _audit(self, mass, n_queries, attended, chunk_lo, prev_anchors, expelled, evicted) -> None:
         """The checks that do not depend on the voxel store, before insertion."""
@@ -298,8 +293,8 @@ class _StacChannel:
                     f"cache token {block.take(late[:1]).ids()[0]} not older than "
                     f"chunk starting at {chunk_lo}"
                 )
-        members = self.cache.blocks()
-        ids = np.sort(_id_codes(members))
+        members = self.cache.members
+        ids = np.sort(_id_codes([members]))
         if (ids[1:] == ids[:-1]).any():
             raise InvariantViolation("duplicate token id in temporal cache")
         # No evicted token re-enters: window tokens are born from strictly
@@ -309,7 +304,7 @@ class _StacChannel:
         # every eviction so far.
         eligible = set(_id_codes([prev_anchors, expelled]).tolist())
         eligible.difference_update(_id_codes([evicted]).tolist())
-        anchors = members[-1]
+        anchors = self.cache.blocks()[2]
         back = [i for i, c in enumerate(_id_codes([anchors]).tolist()) if c not in eligible]
         if back:
             hits = sorted(anchors.take(back).ids())
@@ -323,7 +318,7 @@ class _StacChannel:
             raise InvariantViolation(
                 f"{self.cache.anchor_count} anchors exceed budget {budget.anchor_tokens}"
             )
-        if any((b.scores < 0.0).any() for b in members):
+        if (members.scores < 0.0).any():
             raise InvariantViolation("negative score in temporal cache")
         self.audits += 6
 
@@ -496,9 +491,10 @@ class StreamReplayer:
                 )
         self._frames_seen += 1
         if record.frame_idx == 0:
-            for li in range(self.header.layers):
-                for hi in range(self.header.heads):
-                    self.channels[li * self.header.heads + hi].register(record.channel(li, hi))
+            for ch, (li, hi) in zip(self.channels, np.ndindex(h.layers, h.heads)):
+                ch.register(record.channel(li, hi))
+            # the reference is held from here on, also if no chunk follows
+            self._peak_total = self._final_total = sum(ch.held for ch in self.channels)
             return None
         self._pending.append(record)
         if len(self._pending) == self.chunk_size:
@@ -757,10 +753,12 @@ def compare(
     stats_a, stats_b = a.finish(), b.finish()
     if partial:
         fold()
-    n = max(1, len(per_frame))
+    # no compared frame reads as identical outputs, as zero against zero does
+    n = len(per_frame)
+    means = sums / n if n else np.stack([np.ones(sums.shape[1:]), np.zeros(sums.shape[1:])])
     per_channel = [
         {"layer": li, "head": hi,
-         "mean_cosine": sums[0, li, hi] / n, "mean_rel_l2": sums[1, li, hi] / n}
+         "mean_cosine": means[0, li, hi], "mean_rel_l2": means[1, li, hi]}
         for li, hi in np.ndindex(header.layers, header.heads)
     ]
     return {
@@ -770,8 +768,8 @@ def compare(
         "per_frame": per_frame,
         "per_channel": per_channel,
         "overall": {
-            "mean_cosine": sum(r["cosine"] for r in per_frame) / n,
-            "mean_rel_l2": sum(r["rel_l2"] for r in per_frame) / n,
+            "mean_cosine": sum(r["cosine"] for r in per_frame) / n if n else 1.0,
+            "mean_rel_l2": sum(r["rel_l2"] for r in per_frame) / n if n else 0.0,
             "max_rel_l2": max((r["rel_l2"] for r in per_frame), default=0.0),
         },
         "summary_a": stats_a.summary,

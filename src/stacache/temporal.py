@@ -20,10 +20,13 @@ from .tokens import FrameTokens, TokenBlock
 class TemporalCache:
     """Reference + sliding window + anchors for a single channel.
 
-    The reference frame and each window frame are one TokenBlock apiece;
-    the anchors are one more block, kept in descending score as of their
-    last selection. All mutation happens through the four public methods
-    below, in the order the pipeline calls them.
+    Every member is a row of one TokenBlock, `members`, in snapshot order:
+    the reference, the window oldest frame first, then the anchors, which
+    are in descending score as of their last selection. `reference_count`
+    and the window frames' row counts say where each part starts, and
+    `blocks()` gives the three parts as views. All mutation happens through
+    the four public methods below, in the order the pipeline calls them;
+    ingestion and anchor selection each rebuild `members` once.
     """
 
     def __init__(
@@ -44,50 +47,43 @@ class TemporalCache:
         self.gamma = gamma
         self.quantize = quantize
         self.half_saturations = 0
-        self._reference: TokenBlock | None = None
-        self._window: deque[TokenBlock] = deque()
-        self._anchors: TokenBlock | None = None
-        self._last_frame = -1
+        self.members: TokenBlock | None = None
+        self.reference_count = 0
+        self._window_sizes: deque[int] = deque()
+        self._last_frame: int | None = None
 
     # -- membership -----------------------------------------------------
 
     @property
-    def reference_count(self) -> int:
-        return 0 if self._reference is None else len(self._reference)
-
-    @property
     def window_token_count(self) -> int:
-        return sum(len(frame) for frame in self._window)
+        return sum(self._window_sizes)
 
     @property
     def anchor_count(self) -> int:
-        return 0 if self._anchors is None else len(self._anchors)
+        return self.member_count - self.reference_count - self.window_token_count
 
     @property
     def member_count(self) -> int:
-        return self.reference_count + self.window_token_count + self.anchor_count
+        return 0 if self.members is None else len(self.members)
 
     def blocks(self) -> list[TokenBlock]:
-        """Member blocks in canonical order: reference, window oldest-first,
-        anchors. Callers read them; only update_scores writes."""
-        parts = [] if self._reference is None else [self._reference]
-        parts.extend(self._window)
-        if self._anchors is not None:
-            parts.append(self._anchors)
-        return parts
+        """The reference, window and anchors, as views of `members`.
+        Callers read them; only update_scores writes."""
+        ref, win = self.reference_count, self.reference_count + self.window_token_count
+        return [self.members.take(s) for s in (slice(0, ref), slice(ref, win), slice(win, None))]
 
     def snapshot(self) -> TokenBlock:
-        """All members as one new block, in canonical order."""
-        return TokenBlock.concat(self.blocks())
+        """All members as one new block, in snapshot order."""
+        return TokenBlock.concat([self.members])
 
     # -- mutation -------------------------------------------------------
 
     def register_reference(self, frame: FrameTokens) -> None:
         """Install the first frame as the permanent reference set."""
-        if self._reference is not None or self._anchors is not None:
+        if self.members is not None:
             raise StacacheError("reference already registered")
-        self._reference = self._make_block(frame, None)
-        self._anchors = TokenBlock.empty(self._reference.d_h)
+        self.members = self._make_block(frame, None)
+        self.reference_count = len(self.members)
         self._last_frame = frame.frame_idx
 
     def ingest_frames(
@@ -100,16 +96,19 @@ class TemporalCache:
         initial_scores, when given, seeds each fresh token's score with the
         attention mass it just received as part of its own chunk (scores
         are otherwise only updated for tokens already resident when the
-        chunk attended). Expelled rows come back oldest frame first with
+        chunk attended). The window keeps its newest `window_frames`
+        frames, so with more fresh frames than that the oldest fresh ones
+        are expelled too. Expelled rows come back oldest frame first with
         their scores intact; they are candidates for anchor selection, not
         yet evicted.
         """
-        if self._reference is None:
+        if self._last_frame is None:
             raise StacacheError("register_reference must run before ingest_frames")
         if initial_scores is not None and len(initial_scores) != len(frames):
             raise DimensionError(
                 f"{len(frames)} frames but {len(initial_scores)} score vectors"
             )
+        fresh = []
         for i, frame in enumerate(frames):
             if frame.frame_idx <= self._last_frame:
                 raise DimensionError(
@@ -117,12 +116,16 @@ class TemporalCache:
                     f"after {self._last_frame}"
                 )
             scores = None if initial_scores is None else initial_scores[i]
-            self._window.append(self._make_block(frame, scores))
+            fresh.append(self._make_block(frame, scores))
             self._last_frame = frame.frame_idx
-        expelled = []
-        while len(self._window) > self.window_frames:
-            expelled.append(self._window.popleft())
-        return TokenBlock.concat(expelled) if expelled else TokenBlock.empty(self._reference.d_h)
+        reference, window, anchors = self.blocks()
+        self._window_sizes.extend(len(block) for block in fresh)
+        out = max(0, len(self._window_sizes) - self.window_frames)
+        gone = sum(self._window_sizes.popleft() for _ in range(out))
+        k = max(0, len(fresh) - len(self._window_sizes))  # fresh frames expelled too
+        expelled = TokenBlock.concat([window.take(slice(0, gone)), *fresh[:k]])
+        self.members = TokenBlock.concat([reference, window.take(slice(gone, None)), *fresh[k:], anchors])
+        return expelled
 
     def update_scores(self, mass: np.ndarray) -> None:
         """Decay-and-accumulate: s <- gamma * s + mass, in snapshot order."""
@@ -131,12 +134,8 @@ class TemporalCache:
             raise DimensionError(
                 f"mass shape {mass.shape} misaligned with {self.member_count} cache members"
             )
-        lo = 0
-        for block in self.blocks():
-            hi = lo + len(block)
-            block.scores *= self.gamma
-            block.scores += mass[lo:hi]
-            lo = hi
+        self.members.scores *= self.gamma
+        self.members.scores += mass
 
     def select_anchors(self, expelled: TokenBlock) -> TokenBlock:
         """Rank current anchors plus expelled rows; keep the top ones.
@@ -146,11 +145,12 @@ class TemporalCache:
         and are no longer cache members; their scores stay frozen at the
         value they held here.
         """
-        candidates = expelled
-        if self._anchors is not None:
-            candidates = TokenBlock.concat([self._anchors, expelled])
+        if self.members is None:  # no reference: the anchors are all there is
+            self.members = expelled.take(slice(0, 0))
+        reference, window, anchors = self.blocks()
+        candidates = TokenBlock.concat([anchors, expelled])
         order = np.lexsort((candidates.tokens, -candidates.frames, -candidates.scores))
-        self._anchors = candidates.take(order[: self.anchor_budget])
+        self.members = TokenBlock.concat([reference, window, candidates.take(order[: self.anchor_budget])])
         return candidates.take(order[self.anchor_budget :])
 
     # -- helpers ----------------------------------------------------------

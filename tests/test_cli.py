@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stacache import CacheConfig, synth_trace, validate_config, write_trace
+from stacache import CacheConfig, cli, synth_trace, validate_config, write_trace
 from stacache.cli import main
 from stacache.spatial import COORD_LIMIT
 
@@ -99,6 +99,26 @@ def test_seed_check_passes_on_deterministic_replay(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     note = json.loads(lines[-1])
     assert note == {"type": "seed_check", "identical": True}
+
+
+def test_replay_stats_out_to_missing_directory_is_usage_error(tmp_path, capsys):
+    path = _synth(tmp_path, capsys=capsys)
+    code = main(["replay", "--trace", path, "--policy", "stac",
+                 "--stats-out", str(tmp_path / "nope" / "x.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trace error" not in err
+
+
+def test_compare_report_out_to_missing_directory_fails_before_replaying(
+        tmp_path, capsys, monkeypatch):
+    path = _synth(tmp_path, capsys=capsys)
+    monkeypatch.setattr(cli, "compare", lambda *a, **k: pytest.fail("replayed first"))
+    code = main(["compare", "--trace", path, "--a", "full", "--b", "stac",
+                 "--report-out", str(tmp_path / "nope" / "r.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trace error" not in err
 
 
 def test_missing_trace_file_is_trace_error(tmp_path, capsys):
@@ -264,6 +284,30 @@ def test_compare_reports_overall_divergence(tmp_path, capsys):
     assert report["policy_b"] == "window:2"
     assert 0.0 <= report["overall"]["mean_cosine"] <= 1.0
     assert len(report["per_frame"]) == 11  # frame 0 is register-only
+
+
+def test_compare_with_no_compared_frame_reads_identical(tmp_path, capsys):
+    # a one-frame trace is all reference: no chunk, so no frame to compare
+    path = _synth(tmp_path, frames=1, capsys=capsys)
+    code = main(["compare", "--trace", path, "--a", "full", "--b", "stac"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["per_frame"] == []
+    assert report["overall"] == {"mean_cosine": 1.0, "mean_rel_l2": 0.0, "max_rel_l2": 0.0}
+    assert [(c["mean_cosine"], c["mean_rel_l2"]) for c in report["per_channel"]] == [(1.0, 0.0)]
+
+
+def test_replay_with_no_chunk_counts_the_reference(tmp_path, capsys):
+    path = str(tmp_path / "one.kvtrace")
+    assert main(["synth", "--frames", "1", "--tokens", "4", "--layers", "2", "--heads", "3",
+                 "--dh", "4", "--out", path]) == 0
+    capsys.readouterr()
+    for policy in ("full", "window", "stac"):
+        assert main(["replay", "--trace", path, "--policy", policy]) == 0
+        (summary,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert summary["chunks"] == 0
+        assert summary["peak_total_tokens"] == summary["final_total_tokens"] == 2 * 3 * 4
+        assert summary["compression_ratio"] == 1.0
 
 
 def test_compare_chunk_flag_sets_both_replays(tmp_path, capsys):

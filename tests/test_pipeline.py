@@ -464,7 +464,7 @@ def _leaky_replay(leak):
 def test_audit_catches_token_evicted_this_chunk_staying_resident():
     def leak(cache, evicted):
         if len(evicted):
-            cache._anchors = TokenBlock.concat([cache._anchors, evicted.take([0])])
+            cache.members = TokenBlock.concat([cache.members, evicted.take([0])])
         return evicted
 
     with pytest.raises(InvariantViolation, match="re-entered"):
@@ -478,7 +478,7 @@ def test_audit_catches_token_evicted_earlier_coming_back():
 
     def leak(cache, evicted):
         if len(gone) > 1:
-            cache._anchors = TokenBlock.concat([cache._anchors.take(slice(0, -1)), gone[0]])
+            cache.members = TokenBlock.concat([cache.members.take(slice(0, -1)), gone[0]])
         gone.extend(evicted.take([i]) for i in range(len(evicted)))
         return evicted
 

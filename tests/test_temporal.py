@@ -67,6 +67,12 @@ def test_ingest_beyond_window_expels_fifo():
     assert expelled.frames.tolist() == [1] * 4 + [2] * 4
     assert expelled.tokens[:4].tolist() == [0, 1, 2, 3]
     assert cache.window_token_count == 8
+    # one call with more frames than the window expels its oldest new
+    # frames too, oldest first, and keeps the newest
+    expelled = cache.ingest_frames([_frame(5), _frame(6), _frame(7)])
+    assert expelled.frames.tolist() == [3] * 4 + [4] * 4 + [5] * 4
+    window = cache.snapshot().frames[cache.reference_count : cache.member_count]
+    assert window.tolist() == [6] * 4 + [7] * 4
 
 
 def test_non_monotone_frames_raise():
