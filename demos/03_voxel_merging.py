@@ -64,7 +64,7 @@ print("\nretrieved near the origin:")
 for token_id, count in zip(got.ids(), got.counts):
     kind = "merged" if token_id.frame_idx == -1 else "buffered"
     print(f"  {kind:8s} count={count}  id={tuple(token_id)}")
-cells = len(store.cell_keys)  # the store's tables hold one row per cell
+cells = store.cell_count  # the store's tables hold one row per cell
 print(f"store: {cells} cells, {store.lt_len[:cells].sum()} merged and "
       f"{store.buf_len[:cells].sum()} buffered entries")
 print("events:", dict(zip(EVENTS, store.channel_events.sum(0).tolist())))

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional, TextIO
 
 from .errors import (
     ConfigError,
@@ -194,6 +196,23 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """path opened for writing, or stdout without one. If the command raises,
+    the file is closed and, unless it is a device like /dev/null, deleted."""
+    if not path:
+        yield sys.stdout
+        return
+    out = open(path, "w", encoding="utf-8")  # a path that cannot be opened is left alone
+    try:
+        with out:
+            yield out
+    except BaseException:
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
+
+
 def _replay_once(args, policy: Policy, sink) -> ReplayStats:
     return run_stream(args.trace, policy, chunk_size=args.chunk, audit=not args.no_audit,
                       stats_sink=sink)
@@ -201,8 +220,7 @@ def _replay_once(args, policy: Policy, sink) -> ReplayStats:
 
 def cmd_replay(args) -> int:
     policy = _policy_from_spec(args.policy, args)
-    out = open(args.stats_out, "w", encoding="utf-8") if args.stats_out else sys.stdout
-    try:
+    with _output(args.stats_out) as out:
         if args.csv:
             stats = _replay_once(args, policy, None)
             rows = [_flatten(r) for r in stats.rows]
@@ -225,23 +243,17 @@ def cmd_replay(args) -> int:
             if not identical:
                 print("seed check failed: replays differ", file=sys.stderr)
                 return EXIT_INVARIANT
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     policy_a = _policy_from_spec(args.a, args)
     policy_b = _policy_from_spec(args.b, args)
-    out = open(args.report_out, "w", encoding="utf-8") if args.report_out else sys.stdout
-    try:
+    # opened before the replay, so an unwritable path fails first
+    with _output(args.report_out) as out:
         report = compare(args.trace, policy_a, policy_b, chunk_size=args.chunk,
                          audit=not args.no_audit)
         print(_dumps(report, indent=2), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 

@@ -87,7 +87,8 @@ def allocate_budget(config: CacheConfig, tokens_per_frame: int) -> BudgetSplit:
     """Split budget_multiplier frames' worth of tokens across the roles.
 
     Shares are floored individually, so the split can total slightly under
-    the nominal budget but never over it.
+    the nominal budget but never over it. Neither voxel cap may exceed the
+    budget, since the store's cell tables take g_cap + e_cap slots per cell.
     """
     if tokens_per_frame < 1:
         raise ConfigError(f"tokens_per_frame must be >= 1, got {tokens_per_frame}")
@@ -97,6 +98,9 @@ def allocate_budget(config: CacheConfig, tokens_per_frame: int) -> BudgetSplit:
             f"budget_multiplier={config.budget_multiplier} x {tokens_per_frame} tokens "
             f"is not a finite budget"
         )
+    for name, cap in (("g_cap", config.g_cap), ("e_cap", config.e_cap)):
+        if cap > total:
+            raise ConfigError(f"{name}={cap} exceeds the channel's budget of {int(total)} tokens")
     split = BudgetSplit(
         window_tokens=int(math.floor(config.window_frac * total)),
         anchor_tokens=int(math.floor(config.anchor_frac * total)),
@@ -207,18 +211,19 @@ class _VerbatimChannel:
 class _StacChannel:
     """The compressed scheme: temporal working cache + spatial voxel store.
 
-    The channel owns its temporal cache and is `channel` in the replay's
+    The channel owns its temporal cache and holds nothing of the replay's
     shared voxel store. The replayer retrieves every channel's rows from
     the store once per chunk and hands each step its own. A step attends
     over the cache's member block, those rows and the chunk; it returns its
     outputs, the mass on the retrieved rows and the chunk's evicted rows,
-    and the replayer inserts every channel's at once, then calls
-    `_audit_store`. `held` is the member count, `score_sums` the sequential
-    score sums of the block's three views, and `audits` counts the checks.
+    and the replayer inserts every channel's at once, then audits the store
+    and each channel's conservation. `held` is the member count,
+    `score_sums` the sequential score sums of the block's three views, and
+    `audits` counts the checks.
     """
 
     def __init__(self, config: CacheConfig, budget: BudgetSplit, d_h: int, tokens_per_frame: int,
-                 store: VoxelStore, channel: int, workspace: Workspace):
+                 workspace: Workspace):
         self.config = config
         self.budget = budget
         self.d_h = d_h
@@ -229,10 +234,7 @@ class _StacChannel:
             gamma=config.gamma,
             quantize=config.half_precision,
         )
-        self.store = store
-        self.channel = channel
         self.workspace = workspace
-        self.frames_seen = 0
         self.audits = 0
 
     @property
@@ -241,7 +243,6 @@ class _StacChannel:
 
     def register(self, frame: FrameTokens) -> None:
         self.cache.register_reference(frame)
-        self.frames_seen = 1
 
     def step(self, frames: list[FrameTokens], retrieved: TokenBlock,
              audit: bool) -> tuple[np.ndarray, float, TokenBlock]:
@@ -265,7 +266,6 @@ class _StacChannel:
         initial_scores = [res.mass[base + i * n : base + (i + 1) * n] for i in range(len(frames))]
         expelled = self.cache.ingest_frames(frames, initial_scores)
         evicted = self.cache.select_anchors(expelled)
-        self.frames_seen += len(frames)
 
         if audit:
             self._audit(res.mass, chunk_q.shape[0], attended, frames[0].frame_idx,
@@ -301,12 +301,14 @@ class _StacChannel:
         # newer frames, so the only way back in is the anchor set, and each
         # new anchor must be an old anchor or an expellee of this chunk that
         # was not evicted. This needs O(budget) memory, not a record of
-        # every eviction so far.
-        eligible = set(_id_codes([prev_anchors, expelled]).tolist())
-        eligible.difference_update(_id_codes([evicted]).tolist())
+        # every eviction so far. The anchors' ids are distinct (checked
+        # above), as isin's assume_unique asks of its first argument.
+        eligible = np.setdiff1d(_id_codes([prev_anchors, expelled]), _id_codes([evicted]),
+                                assume_unique=True)
         anchors = self.cache.blocks()[2]
-        back = [i for i, c in enumerate(_id_codes([anchors]).tolist()) if c not in eligible]
-        if back:
+        back = np.flatnonzero(np.isin(_id_codes([anchors]), eligible, assume_unique=True,
+                                      invert=True, kind="sort"))
+        if back.size:
             hits = sorted(anchors.take(back).ids())
             raise InvariantViolation(f"evicted token(s) re-entered the temporal cache: {hits[:3]}")
         cfg, budget = self.config, self.budget
@@ -321,28 +323,6 @@ class _StacChannel:
         if (members.scores < 0.0).any():
             raise InvariantViolation("negative score in temporal cache")
         self.audits += 6
-
-    def _audit_store(self) -> None:
-        """The voxel-store checks, after the chunk's insertion.
-
-        Only cells the insertion touched can have changed, so only this
-        channel's touched cells are checked against the caps. Conservation
-        is per channel: tokens produced equal the temporal members plus the
-        channel's count mass in the store.
-        """
-        store = self.store
-        cells = store.touched[self.channel]
-        for over, what in ((store.lt_len[cells] > store.g_cap, "long-term over cap"),
-                           (store.buf_len[cells] >= store.e_cap, "buffer not drained at cap")):
-            if over.any():
-                raise InvariantViolation(f"voxel {store.cell_keys[cells[over.argmax()]]} {what}")
-        accounted = self.cache.member_count + int(store.count_masses[self.channel])
-        produced = self.frames_seen * self.tokens_per_frame
-        if accounted != produced:
-            raise InvariantViolation(
-                f"token conservation broken: {accounted} accounted vs {produced} produced"
-            )
-        self.audits += 2
 
 
 def _id_codes(blocks: list[TokenBlock]) -> np.ndarray:
@@ -452,7 +432,7 @@ class StreamReplayer:
         # the replayer, not the process, and replays in other threads have
         # their own.
         self.workspace = Workspace()
-        self.channels = [self._make_channel(ci) for ci in range(n_channels)]
+        self.channels = [self._make_channel() for _ in range(n_channels)]
         self.outputs: dict[int, np.ndarray] = {}
         self.rows: list[dict] = []
         self._pending: list[TraceRecord] = []
@@ -463,14 +443,14 @@ class StreamReplayer:
         self._t0 = time.perf_counter()
         self._finished = False
 
-    def _make_channel(self, channel: int):
+    def _make_channel(self):
         h = self.header
         if self.policy.kind != "stac":
             window = self.policy.window if self.policy.kind == "window" else None
             return _VerbatimChannel(h.d_h, window, h.tokens_per_frame, self.chunk_size,
                                     h.frame_count, self.workspace)
         return _StacChannel(self.policy.config, self.budget, h.d_h, h.tokens_per_frame,
-                            self.store, channel, self.workspace)
+                            self.workspace)
 
     def feed(self, record: TraceRecord) -> Optional[dict]:
         """Accept the next frame; returns a chunk row when one completes."""
@@ -545,12 +525,19 @@ class StreamReplayer:
         self.outputs = {r.frame_idx: o for r, o in zip(records, out)}
 
         if store is not None:
-            # One insertion of every channel's evictees, then the store audits.
+            # One insertion of every channel's evictees, then the audits: the
+            # caps of every cell, and each channel's token conservation.
             sizes = [len(e) for e in evicted]
             store.insert_evicted(TokenBlock.concat(evicted), np.repeat(np.arange(len(sizes)), sizes))
             if self.audit:
-                for ch in channels:
-                    ch._audit_store()
+                store.audit()
+                produced = (records[-1].frame_idx + 1) * n
+                for c, ch in enumerate(channels):
+                    accounted = ch.held + int(store.count_masses[c])
+                    if accounted != produced:
+                        raise InvariantViolation(f"channel {c}: token conservation broken: "
+                                                 f"{accounted} accounted vs {produced} produced")
+                    ch.audits += 2
             delta = (store.channel_events.sum(0) - events_before).tolist()
             events = {"evicted": sum(sizes), **dict(zip(EVENTS, delta))}
             spatial_end = int(store.token_counts.sum())

@@ -5,9 +5,9 @@ keeps a small long-term list of merged representatives plus a short buffer
 of recent arrivals; one-to-one fusion, buffer aggregation, and re-merge keep
 both under fixed caps, so occupied space bounds memory no matter how long
 the stream runs. Cells are numbered in creation order and found by their
-(channel, voxel) coordinates; a cell's Morton code is its label. One store
-serves every (layer, head) channel of a replay, with a separate set of
-cells per channel.
+(channel, voxel) coordinates. One store serves every (layer, head) channel
+of a replay, with a separate set of cells per channel, and audits every
+cell against the caps.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateVectorError, DimensionError, VoxelRangeError
+from .errors import DegenerateVectorError, DimensionError, InvariantViolation, VoxelRangeError
 from .kernel import HALF_MAX, half_roundtrip
 from .tokens import TokenBlock
 
@@ -106,26 +106,24 @@ def morton_decode(code: int) -> VoxelCoord:
     )
 
 
-_NO_CELLS = np.empty(0, dtype=np.int64)
-
-
 class VoxelStore:
     """The voxel cells of every (layer, head) channel, plus event counters.
 
-    A cell is numbered in creation order and labelled (channel, Morton
-    code) in `cell_keys`. Per cell number the store keeps the cell's
-    channel and center and two index tables into one shared row pool:
-    `lt_rows`, the long-term rows (cells x g_cap), and `buf_rows`, the
-    buffered rows (cells x e_cap), each oldest first with -1 in unused
-    slots, plus their lengths `lt_len` and `buf_len`; the tables are the
-    only record of which rows a cell holds. Every long-term and buffered
-    entry is one row of `data`, laid out like a TokenBlock row as
-    [key | value | position], with parallel ndarray columns: merge weight, count, score, birth frame
-    and token index (-1 and a per-channel serial for merged rows), an
-    arrival sequence number and the key norm. Channels never share a cell,
-    so each channel behaves as if it had a store of its own; token counts,
-    count mass, event counters and merged serials are kept per channel.
-    The pool grows on demand and reuses freed rows.
+    A cell is numbered in creation order, and `cell_count` cells exist.
+    Per cell number the store keeps the cell's channel (`cell_channel`),
+    its voxel (`cell_voxel`, cells x 3) and two index tables into one
+    shared row pool: `lt_rows`, the long-term rows (cells x g_cap), and
+    `buf_rows`, the buffered rows (cells x e_cap), each oldest first with
+    -1 in unused slots, plus their lengths `lt_len` and `buf_len`; the
+    tables are the only record of which rows a cell holds, and `audit()`
+    checks them against the caps. Every entry is one row of `data`, laid
+    out [key | value | position], with ndarray columns: merge weight,
+    count, score, birth frame, token index (-1 and a per-channel serial
+    for merged rows), arrival number and key norm. No array is a view of
+    another, so a copy or a pickle of the store is a store. Channels never
+    share a cell; token counts, count mass, event counters and merged
+    serials are kept per channel. The pool grows on demand and reuses
+    freed rows.
     Deterministic by construction: every argmax/argmin is resolved by table
     order (first wins), every live row has its own arrival sequence number,
     and retrieval breaks ranking ties by it. Pool-row and cell numbers are
@@ -157,22 +155,19 @@ class VoxelStore:
         self.quantize = quantize
         self.channels = int(channels)
         self.half_saturations = 0
-        self.cell_keys: list[tuple[int, int]] = []  # by cell number
         # per channel: event counts (columns in EVENTS order), held tokens,
         # and the source-token count mass held plus dropped
         self.channel_events = np.zeros((self.channels, len(EVENTS)), dtype=np.int64)
         self.token_counts = np.zeros(self.channels, dtype=np.int64)
         self.count_masses = np.zeros(self.channels, dtype=np.int64)
-        # per channel: the numbers of the cells the last insert_evicted touched
-        self.touched: list[np.ndarray] = [_NO_CELLS] * self.channels
         self._merged_serials = [0] * self.channels
         self._seq = 0  # store-wide arrival order, used as the final ranking tie-break
-        # (channel, ix, iy, iz) -> cell number, so a revisited cell costs one
-        # tuple lookup instead of an encode
+        # (channel, ix, iy, iz) -> cell number
         self._by_coord: dict[tuple, int] = {}
         # the cell tables, by cell number; they grow on demand
+        self.cell_count = 0
         self.cell_channel = np.empty(0, dtype=np.int64)
-        self._centers = np.empty((0, 3))
+        self.cell_voxel = np.empty((0, 3), dtype=np.int64)
         self.lt_rows = np.empty((0, self.g_cap), dtype=np.int64)
         self.lt_len = np.empty(0, dtype=np.int64)
         self.buf_rows = np.empty((0, self.e_cap), dtype=np.int64)
@@ -180,7 +175,6 @@ class VoxelStore:
         # the row pool; its width is fixed by the first block inserted
         self.d_h = 0
         self.data = np.empty((0, 0))
-        self._keys = self.data  # view of the key columns of data
         self.weight = np.empty(0)
         self.count = np.empty(0, dtype=np.int64)
         self.score = np.empty(0)
@@ -225,7 +219,6 @@ class VoxelStore:
         "aggregated": the park filled the buffer and collapsed it.
         "dropped": the token has no position and cannot be placed.
         """
-        self.touched = [_NO_CELLS] * self.channels
         n = len(block)
         if n == 0:
             return []
@@ -301,7 +294,6 @@ class VoxelStore:
             self._add_cells([c for c, i in zip(coords, found) if i < 0])
             found = [self._by_coord[c] for c in coords]
         cell_of = np.array(found, dtype=np.int64)
-        self.touched = [cell_of[cell_rows[starts, 0] == c] for c in range(self.channels)]
 
         # Waves are contiguous runs of the placed rows sorted by rank.
         by_wave = np.argsort(rank, kind="stable")
@@ -317,7 +309,7 @@ class VoxelStore:
             # Each row fuses into its cell's closest long-term entry above merge_lambda.
             reps = self.lt_rows[cell[lo:hi]]
             incoming = block.rows[rows[lo:hi]]
-            cos = _cosines(self._keys[reps], incoming[:, None, : self.d_h],
+            cos = _cosines(self.data[reps, : self.d_h], incoming[:, None, : self.d_h],
                            self._key_norm[reps], inc_norm[lo:hi, None])
             # a pad reads the pool's last row; neither it nor a NaN ever wins
             np.fmax(cos, -np.inf, out=cos)
@@ -451,7 +443,7 @@ class VoxelStore:
                 self.lt_rows[capped, slot] = -1
                 self.lt_len[capped] = slot
                 r = reps[at_cap]
-                cos = _cosines(self._keys[r], self._keys[old], self._key_norm[r],
+                cos = _cosines(self.data[r, :d], self.data[old, :d], self._key_norm[r],
                                self._key_norm[old])
                 self._fold(r, old, cos, channel[at_cap])
                 self._free.extend(old.tolist())
@@ -484,7 +476,7 @@ class VoxelStore:
         pick = np.arange(k), weights.argmin(axis=1)  # first min wins
         victims = table[pick]
         rest = table[np.arange(g) != pick[1][:, None]].reshape(k, g - 1)
-        cos = _cosines(self._keys[rest], self._keys[victims][:, None],
+        cos = _cosines(self.data[rest, : self.d_h], self.data[victims, None, : self.d_h],
                        self._key_norm[rest], self._key_norm[victims][:, None])
         # The first peer that beats -2 takes the victim, so a NaN cosine
         # never wins and an all-NaN cell folds into its first peer at -2.
@@ -516,7 +508,7 @@ class VoxelStore:
         # brings it, whatever the store holds.
         coords = voxel_indices(visible_positions, self.voxel_size,
                                where or (lambda i: f"visible row {i}"))
-        n_cells = len(self.cell_keys)
+        n_cells = self.cell_count
         if quota <= 0 or not n_cells or not len(coords):
             return [self.block([]) for _ in range(self.channels)]
         # Only the nearest visible voxel counts, so the visible voxels need
@@ -530,7 +522,8 @@ class VoxelStore:
         # own, so blocks of cells bound the (cells, V) temporaries.
         dmin = np.empty(n_cells)
         for lo in range(0, n_cells, _DISTANCE_BLOCK):
-            centers = self._centers[lo : min(lo + _DISTANCE_BLOCK, n_cells)]
+            voxels = self.cell_voxel[lo : min(lo + _DISTANCE_BLOCK, n_cells)]
+            centers = (voxels + 0.5) * self.voxel_size
             sq = (centers[:, :1] - vis_centers[:, 0]) ** 2
             sq += (centers[:, 1:2] - vis_centers[:, 1]) ** 2
             sq += (centers[:, 2:] - vis_centers[:, 2]) ** 2
@@ -548,22 +541,34 @@ class VoxelStore:
         bounds = np.searchsorted(chan[order], np.arange(self.channels + 1)).tolist()
         return [self.block(rows[a : min(b, a + quota)]) for a, b in zip(bounds, bounds[1:])]
 
+    # -- auditing -----------------------------------------------------------
+
+    def audit(self) -> None:
+        """Check every cell against the caps in one pass: no long-term list
+        over g_cap, no buffer left at e_cap. The first breach raises an
+        InvariantViolation that names the cell by its channel and voxel."""
+        n = self.cell_count
+        for over, what in ((self.lt_len[:n] > self.g_cap, "long-term over cap"),
+                           (self.buf_len[:n] >= self.e_cap, "buffer not drained at cap")):
+            if over.any():
+                i = int(over.argmax())
+                raise InvariantViolation(f"channel {self.cell_channel[i]} voxel "
+                                         f"{tuple(self.cell_voxel[i].tolist())} {what}")
+
     # -- helpers ----------------------------------------------------------
 
     def _add_cells(self, coords: list[tuple]) -> None:
         # New cells (channel, ix, iy, iz), numbered on from the last one.
-        start = len(self.cell_keys)
-        end = start + len(coords)
+        start = self.cell_count
+        end = self.cell_count = start + len(coords)
         if end > len(self.lt_len):
             size = max(16, 2 * len(self.lt_len), end)
-            for name in ("cell_channel", "_centers", "lt_rows", "lt_len", "buf_rows", "buf_len"):
+            for name in ("cell_channel", "cell_voxel", "lt_rows", "lt_len", "buf_rows", "buf_len"):
                 setattr(self, name, _grown(getattr(self, name), size))
-        for i, coord in enumerate(coords, start):
-            self.cell_keys.append((coord[0], morton_encode(coord[1:])))
-            self._by_coord[coord] = i
+        self._by_coord.update(zip(coords, range(start, end)))
         c = np.array(coords, dtype=np.int64)
         self.cell_channel[start:end] = c[:, 0]
-        self._centers[start:end] = (c[:, 1:] + 0.5) * self.voxel_size
+        self.cell_voxel[start:end] = c[:, 1:]
         self.lt_rows[start:end] = -1
         self.lt_len[start:end] = 0
         self.buf_rows[start:end] = -1
@@ -582,7 +587,6 @@ class VoxelStore:
     def _reserve(self, size: int) -> None:
         # Grow every pool column to size rows, the old ones copied over.
         self.data = _grown(self.data, size)
-        self._keys = self.data[:, : self.d_h]
         for name in ("weight", "count", "score", "frame", "token", "seq", "_key_norm"):
             setattr(self, name, _grown(getattr(self, name), size))
 

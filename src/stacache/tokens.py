@@ -68,10 +68,6 @@ class TokenBlock:
         return block
 
     @classmethod
-    def empty(cls, d_h: int) -> "TokenBlock":
-        return cls.build(np.empty((0, d_h)), np.empty((0, d_h)))
-
-    @classmethod
     def concat(cls, blocks: list["TokenBlock"]) -> "TokenBlock":
         return cls(*(np.concatenate(column) for column in zip(*(b.columns() for b in blocks))))
 

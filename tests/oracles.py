@@ -21,7 +21,7 @@ from stacache import (
     DimensionError,
     StreamReplayer,
     VoxelCoord,
-    morton_decode,
+    morton_encode,
 )
 from stacache.pipeline import _frame_cosine, _frame_rel_l2
 
@@ -128,7 +128,7 @@ def weighted_mean(vectors, weights):
     return (weights[:, None] * vectors).sum(axis=0) / weights.sum()
 
 
-_decoded = functools.lru_cache(maxsize=4096)(morton_decode)  # tests revisit few cells
+_encoded = functools.lru_cache(maxsize=4096)(morton_encode)  # tests revisit few cells
 
 
 class Cell(NamedTuple):
@@ -145,11 +145,12 @@ def store_cells(store):
     """Every cell of store by (channel, Morton code), in creation order,
     read once from the cell tables: a snapshot, so read it again after an
     insert."""
-    n = len(store.cell_keys)
+    n = store.cell_count
     lt, lt_len = store.lt_rows[:n].tolist(), store.lt_len[:n].tolist()
     buf, buf_len = store.buf_rows[:n].tolist(), store.buf_len[:n].tolist()
-    return {key: Cell(i, _decoded(key[1]), lt[i][: lt_len[i]], buf[i][: buf_len[i]])
-            for i, key in enumerate(store.cell_keys)}
+    voxels = [VoxelCoord(*v) for v in store.cell_voxel[:n].tolist()]
+    return {(c, _encoded(v)): Cell(i, v, lt[i][: lt_len[i]], buf[i][: buf_len[i]])
+            for i, (c, v) in enumerate(zip(store.cell_channel[:n].tolist(), voxels))}
 
 
 def retrieve_oracle(store, visible, quota, channel=0):

@@ -121,6 +121,47 @@ def test_compare_report_out_to_missing_directory_fails_before_replaying(
     assert err.startswith("error: ") and "trace error" not in err
 
 
+def test_failed_replay_leaves_no_stats_file(tmp_path, capsys):
+    # a bad magic fails before the first row, a record cut short after
+    # some: either way the stats file goes, rather than a partial stream
+    bad = tmp_path / "bad.kvtrace"
+    bad.write_bytes(b"NOTATRACE json garbage\n")
+    cut = tmp_path / "cut.kvtrace"
+    with open(_synth(tmp_path, frames=12, capsys=capsys), "rb") as f:
+        cut.write_bytes(f.read()[:-1])
+    for trace in (bad, cut):
+        out = tmp_path / "s.jsonl"
+        code = main(["replay", "--trace", str(trace), "--policy", "stac", "--chunk", "2",
+                     "--stats-out", str(out)])
+        assert code == 2, trace
+        assert "trace error" in capsys.readouterr().err
+        assert not out.exists(), trace
+
+
+def test_failed_compare_leaves_no_report_file(tmp_path, capsys):
+    bad = tmp_path / "bad.kvtrace"
+    bad.write_bytes(b"NOTATRACE json garbage\n")
+    out = tmp_path / "r.json"
+    code = main(["compare", "--trace", str(bad), "--a", "full", "--b", "stac",
+                 "--report-out", str(out)])
+    assert code == 2
+    assert "trace error: bad magic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_voxel_cap_over_the_channel_budget_is_config_error(tmp_path, capsys):
+    # the cell tables hold g_cap + e_cap slots per cell, so a cap past what
+    # a channel may attend would only buy memory: 8 x 4 tokens here
+    path = _synth(tmp_path, tokens=4, capsys=capsys)
+    for flag in ("--g-cap", "--e-cap"):
+        code = main(["replay", "--trace", path, "--policy", "stac", flag, "1000"])
+        assert code == 3, flag
+        name = flag[2:].replace("-", "_")
+        assert f"{name}=1000 exceeds the channel's budget of 32 tokens" in \
+            capsys.readouterr().err, flag
+    assert main(["replay", "--trace", path, "--policy", "stac", "--g-cap", "32"]) == 0
+
+
 def test_missing_trace_file_is_trace_error(tmp_path, capsys):
     code = main(["replay", "--trace", str(tmp_path / "absent.kvtrace"), "--policy", "full"])
     assert code == 2

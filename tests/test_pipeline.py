@@ -1,7 +1,9 @@
 """Replay harness: policies vs oracles, budgets, stats rows, determinism."""
 
+import copy
 import json
 import mmap
+import pickle
 import re
 import threading
 import tracemalloc
@@ -504,20 +506,20 @@ def _breached_replay(plant):
 
 
 def test_audit_catches_a_cap_breach_in_a_touched_cell():
-    # the audit checks only the cells the chunk's insertion touched, and a
-    # breach there is caught on that very chunk
+    # a breach in a cell is caught on the chunk whose insertion made it
     def overfill(store):
-        for i in store.touched[1]:
-            if store.lt_len[i]:
-                store.lt_len[i] += store.g_cap
-                return
+        n = store.cell_count
+        held = np.flatnonzero((store.cell_channel[:n] == 1) & (store.lt_len[:n] > 0))
+        if held.size:
+            store.lt_len[held[0]] += store.g_cap
 
     with pytest.raises(InvariantViolation, match="long-term over cap"):
         _breached_replay(overfill)
 
     def undrained(store):
-        if store.touched[0].size:
-            store.buf_len[store.touched[0][-1]] = store.e_cap
+        cells = np.flatnonzero(store.cell_channel[: store.cell_count] == 0)
+        if cells.size:
+            store.buf_len[cells[-1]] = store.e_cap
 
     with pytest.raises(InvariantViolation, match="buffer not drained"):
         _breached_replay(undrained)
@@ -532,6 +534,37 @@ def test_audit_conservation_is_per_channel():
 
     with pytest.raises(InvariantViolation, match="conservation"):
         _breached_replay(shift)
+
+
+def _pickled(replayer):
+    return pickle.loads(pickle.dumps(replayer))
+
+
+@pytest.mark.parametrize("policy", [
+    pytest.param(Policy.full(), id="full"),
+    pytest.param(Policy.sliding(3), id="window3"),
+    pytest.param(Policy.stac(), id="stac"),
+    pytest.param(Policy.stac(CacheConfig(half_precision=True)), id="stac-half"),
+    pytest.param(Policy.stac(CacheConfig(g_cap=1)), id="stac-g1"),
+])
+def test_copied_replayer_resumes_exactly(policy):
+    # A replay's state is complete in its objects: a deep copy or a pickle
+    # round trip taken mid-stream, fed on, gives the uninterrupted replay's
+    # outputs for every later frame, bit for bit, and its canonical lines.
+    header, records = _trace(seed=7, frames=41, tokens=16, heads=2, d_h=8)
+    for chunk in (1, 3, 4):
+        whole, want = feed_all(StreamReplayer(header, policy, chunk_size=chunk), records)
+        for cut in (1, 9, 22):
+            replayer = StreamReplayer(header, policy, chunk_size=chunk)
+            for record in records[:cut]:
+                replayer.feed(record)
+            for copied in (copy.deepcopy, _pickled):
+                case = (chunk, cut, copied.__name__)
+                stats, got = feed_all(copied(replayer), records[cut:])
+                assert set(range(cut, len(records))) <= set(got), case
+                for f, outputs in got.items():
+                    assert outputs.tobytes() == want[f].tobytes(), (*case, f)
+                assert stats.canonical_lines() == whole.canonical_lines(), case
 
 
 def test_window_buffer_is_sized_once_from_the_policy():

@@ -147,8 +147,10 @@ class _RefStore:
         self.center_rows: list[tuple] = []
         self.center_codes: list[int] = []
         self.token_count = 0
+        self.count_mass = 0  # source tokens held plus dropped
 
     def insert_evicted(self, token):
+        self.count_mass += token.count
         if token.position is None:
             self.events["dropped"] += 1
             return
@@ -299,8 +301,15 @@ class _RefStores:
         return np.array([[s.events[e] for e in EVENTS] for s in self.stores], dtype=np.int64)
 
     @property
+    def count_masses(self):
+        return np.array([s.count_mass for s in self.stores], dtype=np.int64)
+
+    @property
     def half_saturations(self):
         return sum(s.half_saturations for s in self.stores)
+
+    def audit(self):
+        pass  # the object stores keep no cap tables
 
     def retrieve(self, visible, quota, where=None):
         return [_Retrieved(s.retrieve(visible, quota)) for s in self.stores]
@@ -316,7 +325,7 @@ class _RefStores:
 
 def _token_block(tokens, d_h):
     if not tokens:
-        return TokenBlock.empty(d_h)
+        return TokenBlock.build(np.empty((0, d_h)), np.empty((0, d_h)))
     return TokenBlock.build(
         [t.key for t in tokens], [t.value for t in tokens],
         [np.zeros(3) if t.position is None else t.position for t in tokens],
@@ -369,9 +378,6 @@ class _RefChannel(_StacChannel):
             self.audits += 6
         spat_mass = float(res.mass[temp_len : temp_len + spat_len].sum())
         return res.outputs, spat_mass, _token_block(evicted, self.d_h)
-
-    def _audit_store(self):
-        self.audits += 2
 
     def score_sums(self):
         window = [t for frame in self.cache.window for t in frame]

@@ -723,15 +723,12 @@ def test_one_store_of_channels_equals_a_store_per_channel():
                                      np.repeat(np.arange(channels), sizes))
             want = [e for store, b in zip(own, blocks) for e in store.insert_evicted(b)]
             assert got == want, case
-            for c, store in enumerate(own):
-                assert [one.cell_keys[i] for i in one.touched[c]] == \
-                    [(c, store.cell_keys[i][1]) for i in store.touched[0]]
         for c, store in enumerate(own):
             assert one.token_counts[c] == store.token_counts.sum()
             assert one.count_masses[c] == store.count_masses.sum()
             assert one.channel_events[c].tolist() == store.channel_events[0].tolist()
             mine = {code: cell for (ch, code), cell in store_cells(one).items() if ch == c}
-            assert list(mine) == [code for _, code in store.cell_keys]
+            assert list(mine) == [code for _, code in store_cells(store)]
             for (_, code), cell in store_cells(store).items():
                 assert [_row_bits(one, r) for r in mine[code].long_term] == \
                     [_row_bits(store, r) for r in cell.long_term]

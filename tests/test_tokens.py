@@ -110,7 +110,6 @@ def test_token_block_rows_take_and_concat():
     both = TokenBlock.concat([block, picked])
     assert both.tokens.tolist() == [0, 1, 2, 2, 0]
     assert np.array_equal(both.rows[3:], picked.rows)
-    assert len(TokenBlock.empty(2)) == 0 and TokenBlock.empty(2).d_h == 2
     with pytest.raises(DimensionError):
         TokenBlock.build(keys, values, positions, mask=[True, False])
     with pytest.raises(DimensionError):
