@@ -1,7 +1,7 @@
 """Command line interface: synthesize traces, replay them, compare policies.
 
-Exit codes: 0 success, 1 usage (including an output file that cannot be
-opened), 2 trace validation (including positions outside the voxel index
+Exit codes: 0 success, 1 usage (including an output that cannot be opened
+or written), 2 trace validation (including positions outside the voxel index
 range), 3 configuration validation, 4 runtime invariant violation.
 """
 
@@ -261,7 +261,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write to stdout that fails fails the command
+        return code
     except (TraceFormatError, VoxelRangeError) as e:
         # a position outside the voxel range is bad trace data, not config
         print(f"trace error: {e}", file=sys.stderr)
@@ -273,11 +275,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT
     except OSError as e:
-        # an output file that cannot be opened is a usage error, as in synth
-        if args.cmd != "synth" and e.filename in (None, args.trace):
+        # the trace reader names its errors after the trace; an output that
+        # cannot be opened or written is a usage error, as in synth
+        if args.cmd != "synth" and e.filename == args.trace:
             print(f"trace error: {e}", file=sys.stderr)
             return EXIT_TRACE
         print(f"error: {e}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # Python flushes stdout again at exit, and exits 120 if that
+            # fails, so what a failed write left there goes to devnull
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return EXIT_USAGE
     except StacacheError as e:
         print(f"error: {e}", file=sys.stderr)

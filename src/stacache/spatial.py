@@ -119,11 +119,11 @@ class VoxelStore:
     checks them against the caps. Every entry is one row of `data`, laid
     out [key | value | position], with ndarray columns: merge weight,
     count, score, birth frame, token index (-1 and a per-channel serial
-    for merged rows), arrival number and key norm. No array is a view of
-    another, so a copy or a pickle of the store is a store. Channels never
-    share a cell; token counts, count mass, event counters and merged
-    serials are kept per channel. The pool grows on demand and reuses
-    freed rows.
+    for merged rows) and arrival number. No array is a view of another,
+    so a copy or a pickle of the store is a store. Channels never share a
+    cell; count mass and event counters are kept per channel, token counts
+    are read from the cell tables, and merged serials continue the
+    `aggregated` counts. The pool grows on demand and reuses freed rows.
     Deterministic by construction: every argmax/argmin is resolved by table
     order (first wins), every live row has its own arrival sequence number,
     and retrieval breaks ranking ties by it. Pool-row and cell numbers are
@@ -155,12 +155,10 @@ class VoxelStore:
         self.quantize = quantize
         self.channels = int(channels)
         self.half_saturations = 0
-        # per channel: event counts (columns in EVENTS order), held tokens,
-        # and the source-token count mass held plus dropped
+        # per channel: event counts (columns in EVENTS order) and the
+        # source-token count mass held plus dropped
         self.channel_events = np.zeros((self.channels, len(EVENTS)), dtype=np.int64)
-        self.token_counts = np.zeros(self.channels, dtype=np.int64)
         self.count_masses = np.zeros(self.channels, dtype=np.int64)
-        self._merged_serials = [0] * self.channels
         self._seq = 0  # store-wide arrival order, used as the final ranking tie-break
         # (channel, ix, iy, iz) -> cell number
         self._by_coord: dict[tuple, int] = {}
@@ -181,11 +179,17 @@ class VoxelStore:
         self.frame = np.empty(0, dtype=np.int64)
         self.token = np.empty(0, dtype=np.int64)
         self.seq = np.empty(0, dtype=np.int64)
-        self._key_norm = np.empty(0)  # sqrt(k.k) of each held row, refreshed on write
         self._rows = 0  # pool rows handed out so far, freed ones included
         self._free: list[int] = []
 
     # -- reading ----------------------------------------------------------
+
+    @property
+    def token_counts(self) -> np.ndarray:
+        """Tokens held per channel, read from the cell tables."""
+        n = self.cell_count
+        return np.bincount(self.cell_channel[:n], self.lt_len[:n] + self.buf_len[:n],
+                           self.channels).astype(np.int64)
 
     def block(self, rows) -> TokenBlock:
         """Copies of the given pool rows as a TokenBlock, in the given order."""
@@ -209,10 +213,11 @@ class VoxelStore:
         cell contents and slot order, ids, arrival numbers and counters are
         those of routing the rows one at a time in row order, bit for bit;
         pool-row and cell numbers are storage, and the cells one call
-        creates are numbered in (channel, voxel) order. Rows of different
-        cells never interact, so they are routed in waves: wave k takes the
-        k-th row of every touched cell, and a wave's cosines, fusions,
-        buffer writes and aggregations are batched.
+        creates are numbered in (channel, voxel) order. Only this method
+        numbers rows; a channel's merged serials continue its `aggregated`
+        count. Rows of different cells never interact, so they are routed in
+        waves: wave k takes the k-th row of every touched cell, and a wave's
+        cosines, fusions, buffer writes and aggregations are batched.
         Per row:
         "fused": merged into a sufficiently similar long-term entry.
         "buffered": parked in the voxel buffer.
@@ -247,8 +252,8 @@ class VoxelStore:
         events = np.full(n, -1, dtype=np.int64)
         events[~block.mask] = DROPPED
         base = self._seq
-        serials = list(self._merged_serials)
-        merged: list[tuple] = []  # per wave: (row indices, channels, representatives)
+        serials = self.channel_events[:, AGGREGATED].tolist()  # one per aggregation so far
+        merged: list[tuple] = []  # per wave: (row indices, representatives)
         try:
             if placed.size:
                 self._route(block, channels, placed, voxels, events, merged)
@@ -260,11 +265,11 @@ class VoxelStore:
             if merged:
                 # Merged serials follow row order per channel, as row-by-row
                 # routing assigns them; one folded away already needs none.
-                i, ch, r = (np.concatenate(part) for part in zip(*merged))
+                i, r = (np.concatenate(part) for part in zip(*merged))
                 order = np.argsort(i)
                 i, r = i[order], r[order]
                 serial = []
-                for c in ch[order].tolist():
+                for c in channels[i].tolist():
                     serial.append(serials[c])
                     serials[c] += 1
                 live = (self.frame[r] == -1) & (self.token[r] == -2 - i)
@@ -298,19 +303,14 @@ class VoxelStore:
         # Waves are contiguous runs of the placed rows sorted by rank.
         by_wave = np.argsort(rank, kind="stable")
         cell = cell_of[group[by_wave]]
-        by_wave = order[by_wave]
-        chan = chan[by_wave]
-        rows = placed[by_wave]
-        inc_norm = np.sqrt(np.vecdot(block.keys, block.keys))[rows]
+        rows = placed[order[by_wave]]
         arrival = self._seq + 2 * rows
-        wave_events = np.full(m, FUSED)
         ends = np.cumsum(np.bincount(rank)).tolist()
         for lo, hi in zip([0] + ends, ends):
             # Each row fuses into its cell's closest long-term entry above merge_lambda.
             reps = self.lt_rows[cell[lo:hi]]
             incoming = block.rows[rows[lo:hi]]
-            cos = _cosines(self.data[reps, : self.d_h], incoming[:, None, : self.d_h],
-                           self._key_norm[reps], inc_norm[lo:hi, None])
+            cos = _cosines(self.data[reps, : self.d_h], incoming[:, None, : self.d_h])
             # a pad reads the pool's last row; neither it nor a NaN ever wins
             np.fmax(cos, -np.inf, out=cos)
             cos[reps < 0] = -np.inf
@@ -321,6 +321,7 @@ class VoxelStore:
             if hit.size:
                 self._fuse(reps[hit, best[hit]], incoming[hit], block.counts[rows[lo + hit]],
                            best_cos[hit])
+                events[rows[lo + hit]] = FUSED
             if hit.size == hi - lo:
                 continue
             # The rest park in their cells' buffers with one scatter; a
@@ -336,9 +337,7 @@ class VoxelStore:
             self.frame[new] = block.frames[i]
             self.token[new] = block.tokens[i]
             self.seq[new] = arrival[rest]
-            self._key_norm[new] = inc_norm[rest]
-            self.token_counts += np.bincount(chan[rest], minlength=self.channels)
-            wave_events[rest] = BUFFERED
+            events[i] = BUFFERED
             at = cell[rest]
             slot = self.buf_len[at]
             if slot.max() >= self.buf_rows.shape[1]:
@@ -353,13 +352,12 @@ class VoxelStore:
                 continue
             j = rest[full]
             reps = self.aggregate(at[full])
-            wave_events[j] = AGGREGATED
+            events[rows[j]] = AGGREGATED
             # Each representative arrives right after the row that filled
             # its buffer; its serial waits for insert_evicted.
             self.seq[reps] = arrival[j] + 1
             self.token[reps] = -2 - rows[j]
-            merged.append((rows[j], chan[j], reps))
-        events[rows] = wave_events
+            merged.append((rows[j], reps))
 
     def aggregate(self, cells) -> np.ndarray:
         """Collapse the buffer of each given cell into one representative
@@ -368,8 +366,8 @@ class VoxelStore:
         The pivot is the highest-score buffered row (earliest arrival on
         ties); every member, pivot included, contributes with weight
         exp(cos(pivot_key, member_key)). The representative inherits the
-        pivot's score and a count/weight summed over the members. cells are
-        distinct cell numbers, and the entries, ids, arrival numbers and
+        pivot's score and a count/weight summed over the members; its caller
+        numbers it. cells are distinct cell numbers, and the entries and
         counters are those of aggregating them one at a time in the given
         order, bit for bit: every cosine is one pair's, every weight one
         math.exp, every sum runs over the buffer axis alone. Which pool
@@ -393,9 +391,8 @@ class VoxelStore:
             members = self.buf_rows[cells[sel], :n]
             pick = np.arange(len(members)), self.score[members].argmax(axis=1)  # first max wins
             rows = self.data[members]
-            norms = self._key_norm[members]
             keys = rows[:, :, :d]
-            cos = _cosines(keys, keys[pick][:, None], norms, norms[pick][:, None])
+            cos = _cosines(keys, keys[pick][:, None])
             omegas = np.array([math.exp(c) for c in cos.ravel().tolist()]).reshape(cos.shape)
             # the pivot's own weight is e^1 by definition; exponentiating
             # its self-cosine would admit rounding noise below 1.0
@@ -414,22 +411,13 @@ class VoxelStore:
         table = self.buf_rows[cells]
         reps, freed = table[:, 0], table[:, 1:]
         self._free.extend(freed[freed >= 0].tolist())
-        channel = self.cell_channel[cells]
         self.data[reps] = means
         self.weight[reps] = z
         self.count[reps] = counts
         self.score[reps] = scores
         self.frame[reps] = -1
-        serials, tokens = self._merged_serials, []
-        for c in channel.tolist():
-            tokens.append(serials[c])
-            serials[c] += 1
-        self.token[reps] = tokens
-        keys = means[:, :d]
-        self._key_norm[reps] = np.sqrt(np.vecdot(keys, keys))
         self.buf_rows[cells] = -1
         self.buf_len[cells] = 0
-        np.add.at(self.token_counts, channel, 1 - lens)  # members out, representative in
 
         # Long-term insertion; a cell at capacity frees a slot first. With
         # g_cap=1 the sole resident folds into the newcomer instead, since
@@ -443,17 +431,14 @@ class VoxelStore:
                 self.lt_rows[capped, slot] = -1
                 self.lt_len[capped] = slot
                 r = reps[at_cap]
-                cos = _cosines(self.data[r, :d], self.data[old, :d], self._key_norm[r],
-                               self._key_norm[old])
-                self._fold(r, old, cos, channel[at_cap])
+                cos = _cosines(self.data[r, :d], self.data[old, :d])
+                self._fold(r, old, cos, self.cell_channel[capped])
                 self._free.extend(old.tolist())
             else:
                 self.re_merge(capped)
         slot = self.lt_len[cells]
         self.lt_rows[cells, slot] = reps
         self.lt_len[cells] = slot + 1
-        self.seq[reps] = self._seq + np.arange(k)
-        self._seq += k
         return reps
 
     def re_merge(self, cells) -> np.ndarray:
@@ -476,8 +461,7 @@ class VoxelStore:
         pick = np.arange(k), weights.argmin(axis=1)  # first min wins
         victims = table[pick]
         rest = table[np.arange(g) != pick[1][:, None]].reshape(k, g - 1)
-        cos = _cosines(self.data[rest, : self.d_h], self.data[victims, None, : self.d_h],
-                       self._key_norm[rest], self._key_norm[victims][:, None])
+        cos = _cosines(self.data[rest, : self.d_h], self.data[victims, None, : self.d_h])
         # The first peer that beats -2 takes the victim, so a NaN cosine
         # never wins and an all-NaN cell folds into its first peer at -2.
         np.fmax(cos, -2.0, out=cos)
@@ -587,7 +571,7 @@ class VoxelStore:
     def _reserve(self, size: int) -> None:
         # Grow every pool column to size rows, the old ones copied over.
         self.data = _grown(self.data, size)
-        for name in ("weight", "count", "score", "frame", "token", "seq", "_key_norm"):
+        for name in ("weight", "count", "score", "frame", "token", "seq"):
             setattr(self, name, _grown(getattr(self, name), size))
 
     def _fold(self, targets: np.ndarray, old: np.ndarray, cos: np.ndarray,
@@ -595,9 +579,7 @@ class VoxelStore:
         # Fuse held rows old into the distinct held rows targets; the
         # caller frees old's slots.
         self._fuse(targets, self.data[old], self.count[old], cos)
-        folded = np.bincount(channels, minlength=self.channels)
-        self.token_counts -= folded
-        self.channel_events[:, RE_MERGED] += folded
+        self.channel_events[:, RE_MERGED] += np.bincount(channels, minlength=self.channels)
 
     def _fuse(self, targets: np.ndarray, incoming: np.ndarray, counts: np.ndarray,
               cos: np.ndarray) -> None:
@@ -617,8 +599,6 @@ class VoxelStore:
         if self.quantize:
             rows[:, : 2 * d] = self._quantized(rows[:, : 2 * d])
         self.data[targets] = rows
-        keys = rows[:, :d]
-        self._key_norm[targets] = np.sqrt(np.vecdot(keys, keys))
         self.weight[targets] = z
         self.count[targets] += counts
 
@@ -627,16 +607,18 @@ class VoxelStore:
         return half_roundtrip(vec)
 
 
-def _cosines(keys: np.ndarray, key: np.ndarray, norms, norm) -> np.ndarray:
-    """Cosines of the rows of keys with key (broadcast), given their norms.
-
-    np.vecdot gives each row the bits of one ndarray.dot, so every cosine
-    equals the scalar dot / (norm * norm) of a single pair. The result is
-    clipped into [-1, 1] with NaN kept, and a zero norm scores -1:
-    quantization can flush a tiny key to exact zero, and a directionless
-    key is dissimilar to everything. keys must have two or more axes.
+def _cosines(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Cosines of the rows of keys with key (broadcast), each norm taken
+    from its operand's row. np.vecdot gives each row the bits of one
+    ndarray.dot however the batch is laid out, so every cosine equals the
+    scalar dot / (norm * norm) of a single pair. The result is clipped into
+    [-1, 1] with NaN kept, and a zero norm scores -1: quantization can flush
+    a tiny key to exact zero, and a directionless key is dissimilar to
+    everything. keys must have two or more axes.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norms = np.sqrt(np.vecdot(keys, keys))
+        norm = np.sqrt(np.vecdot(key, key))
         cos = np.vecdot(keys, key)
         cos /= norms * norm
     np.minimum(cos, 1.0, out=cos)

@@ -205,8 +205,10 @@ def read_trace(path: str) -> tuple[TraceHeader, Iterator[TraceRecord]]:
         # An unstarted generator's close() would skip its finally.
         next(records)
         return header, records
-    except BaseException:
+    except BaseException as e:
         f.close()
+        if isinstance(e, OSError):
+            e.filename = path  # a read that fails names the trace, as an open does
         raise
 
 
@@ -257,6 +259,9 @@ def _iter_binary(f: BinaryIO, header: TraceHeader) -> Iterator[TraceRecord]:
             yield record
         if f.read(1):
             raise TraceFormatError(f"trailing bytes after {header.frame_count} records")
+    except OSError as e:
+        e.filename = f.name  # as in read_trace
+        raise
     finally:
         f.close()
 

@@ -1,14 +1,16 @@
 """CLI behavior: subcommands, output streams, and exit codes."""
 
+import errno
 import json
 import math
+import os
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from stacache import CacheConfig, cli, synth_trace, validate_config, write_trace
+from stacache import CacheConfig, cli, synth_trace, traceio, validate_config, write_trace
 from stacache.cli import main
 from stacache.spatial import COORD_LIMIT
 
@@ -119,6 +121,43 @@ def test_compare_report_out_to_missing_directory_fails_before_replaying(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "trace error" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, to_stdout", [
+    pytest.param(["replay", "--policy", "stac", "--stats-out", "/dev/full"], False,
+                 id="replay-stats-out"),
+    pytest.param(["replay", "--policy", "stac"], True, id="replay-stdout"),
+    pytest.param(["replay", "--policy", "stac", "--csv"], True, id="replay-csv-stdout"),
+    pytest.param(["compare", "--a", "full", "--b", "stac", "--report-out", "/dev/full"], False,
+                 id="compare-report-out"),
+])
+def test_failed_output_write_is_usage_error(tmp_path, capsys, monkeypatch, argv, to_stdout):
+    # a full device under the output is no fault of the trace
+    path = _synth(tmp_path, capsys=capsys)
+    if to_stdout:
+        full = open("/dev/full", "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", full)
+    code = main([*argv, "--trace", path])
+    if to_stdout:
+        full.close()  # what the failed write left pending no longer fails
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: [Errno 28]") and "trace error" not in err
+
+
+@pytest.mark.parametrize("reader", ["_load_json_line", "_decode_record"])
+def test_failed_trace_read_is_trace_error(tmp_path, capsys, monkeypatch, reader):
+    # a read that fails after the open, in the header or in a record, is
+    # still the trace's fault, and the error names it
+    path = _synth(tmp_path, capsys=capsys)
+
+    def fail(*args):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(traceio, reader, fail)
+    assert main(["replay", "--trace", path, "--policy", "stac"]) == 2
+    assert capsys.readouterr().err == f"trace error: [Errno 5] Input/output error: {path!r}\n"
 
 
 def test_failed_replay_leaves_no_stats_file(tmp_path, capsys):

@@ -20,7 +20,7 @@ from stacache import (
     morton_encode,
 )
 from stacache import kernel
-from stacache.spatial import DROPPED, RE_MERGED, voxel_indices
+from stacache.spatial import AGGREGATED, DROPPED, RE_MERGED, voxel_indices
 from oracles import (FusionOracle, morton_oracle, py_cosine, retrieve_oracle, store_cells,
                      weighted_mean)
 
@@ -723,8 +723,17 @@ def test_one_store_of_channels_equals_a_store_per_channel():
                                      np.repeat(np.arange(channels), sizes))
             want = [e for store, b in zip(own, blocks) for e in store.insert_evicted(b)]
             assert got == want, case
+        cells = store_cells(one)
         for c, store in enumerate(own):
             assert one.token_counts[c] == store.token_counts.sum()
+            # the derived counters: token counts are the rows the channel's
+            # cells hold, and merged serials stay below its aggregated count
+            held = [r for (ch, _), cell in cells.items() if ch == c
+                    for r in (*cell.long_term, *cell.buffer)]
+            assert one.token_counts[c] == len(held)
+            serials = [int(one.token[r]) for r in held if one.frame[r] == -1]
+            assert len(set(serials)) == len(serials)
+            assert all(0 <= s < one.channel_events[c, AGGREGATED] for s in serials)
             assert one.count_masses[c] == store.count_masses.sum()
             assert one.channel_events[c].tolist() == store.channel_events[0].tolist()
             mine = {code: cell for (ch, code), cell in store_cells(one).items() if ch == c}
@@ -800,18 +809,24 @@ def test_free_list_order_is_storage_only():
 def test_vecdot_matches_per_row_dot_bit_for_bit():
     # The batched cosines rest on np.vecdot giving each row the bits of one
     # ndarray.dot, broadcast operands and rows gathered from a strided pool
-    # included; einsum or a matmul against a column would not.
+    # included; einsum or a matmul against a column would not. The norms
+    # _cosines takes from its operands' rows rest on it too.
     rng = np.random.default_rng(50)
     for d in (3, 4, 7, 32, 64, 67):
         pool = rng.normal(size=(40, 2 * d + 3)) * rng.uniform(0.01, 100.0)
         keys = pool[:, :d]
+        pool_squares = np.vecdot(keys, keys)
+        for i in range(40):
+            assert pool_squares[i] == keys[i].dot(keys[i])
         for _ in range(200):
             reps = keys[rng.integers(0, 40, size=(5, 3))]
             incoming = rng.normal(size=(5, d))
             dots = np.vecdot(reps, incoming[:, None, :])
+            rep_squares = np.vecdot(reps, reps)
             for i in range(5):
                 for j in range(3):
                     assert dots[i, j] == reps[i, j].dot(incoming[i])
+                    assert rep_squares[i, j] == reps[i, j].dot(reps[i, j])
             squares = np.vecdot(incoming, incoming)
             for i in range(5):
                 assert squares[i] == incoming[i].dot(incoming[i])
