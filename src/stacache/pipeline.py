@@ -26,7 +26,7 @@ from .attention import Workspace, attend
 from .errors import ConfigError, InvariantViolation, TraceFormatError
 from .spatial import EVENTS, VoxelStore
 from .temporal import TemporalCache
-from .tokens import CacheConfig, FrameTokens, TokenBlock, validate_config
+from .tokens import CacheConfig, FrameTokens, TokenBlock, TokenId, validate_config
 from .traceio import TraceHeader, TraceRecord, read_trace
 
 # Byte accounting convention: cache entries are float16 key+value pairs,
@@ -147,10 +147,9 @@ class _VerbatimChannel:
     own (`_mapped_rows`), so an outgrown one goes back to the OS when
     dropped.
 
-    A step returns its outputs, 0.0 for the mass on retrieved rows and no
-    evictees: these policies keep no voxel store. `held` is the number of
-    rows the channel attends from its cache, and `audits` counts the mass
-    checks it ran.
+    A step returns the channel's outputs: these policies keep no voxel
+    store. `held` is the number of rows the channel attends from its cache,
+    and `audits` counts the mass checks it ran.
     """
 
     def __init__(self, d_h: int, window: Optional[int], tokens_per_frame: int,
@@ -188,9 +187,7 @@ class _VerbatimChannel:
             row += f.token_count
         return end
 
-    def step(self, frames: list[FrameTokens], retrieved: Optional[TokenBlock],
-             audit: bool) -> tuple[np.ndarray, float, None]:
-        # retrieved is always None: these policies keep no voxel store
+    def step(self, frames: list[FrameTokens], audit: bool) -> np.ndarray:
         chunk_q = np.concatenate([f.queries for f in frames])
         end = self._append(frames)
         res = attend(chunk_q, self.keys[:end], self.values[:end], np.ones(end), self.d_h,
@@ -205,130 +202,193 @@ class _VerbatimChannel:
             self.held = self.ref_len + kept
             self.keys[self.ref_len : self.held] = self.keys[end - kept : end]
             self.values[self.ref_len : self.held] = self.values[end - kept : end]
-        return res.outputs, 0.0, None
+        return res.outputs
 
 
-class _StacChannel:
-    """The compressed scheme: temporal working cache + spatial voxel store.
+class _StacChannels:
+    """The compressed scheme on every channel: one temporal cache holds all
+    of them, and the replay's voxel store takes their evictees.
 
-    The channel owns its temporal cache and holds nothing of the replay's
-    shared voxel store. The replayer retrieves every channel's rows from
-    the store once per chunk and hands each step its own. A step attends
-    over the cache's member block, those rows and the chunk; it returns its
-    outputs, the mass on the retrieved rows and the chunk's evicted rows,
-    and the replayer inserts every channel's at once, then audits the store
-    and each channel's conservation. `held` is the member count,
-    `score_sums` the sequential score sums of the block's three views, and
-    `audits` counts the checks.
+    A chunk is one `step`. Each channel in turn attends over its members
+    in snapshot order, the rows the replayer retrieved for it and the
+    chunk, all copied into one per-replay key and value buffer. Then the
+    cache takes every channel's masses at once: one score update, one
+    window turnover and one anchor selection, and one audit checks every
+    channel. The step writes each channel's outputs into the replayer's
+    block and returns the mass on the retrieved rows and the chunk's
+    evicted rows, channel by channel; the replayer inserts them, then
+    audits the store and each channel's conservation. `audits` counts the
+    checks: six per channel and chunk here, two in the replayer.
     """
 
-    def __init__(self, config: CacheConfig, budget: BudgetSplit, d_h: int, tokens_per_frame: int,
+    def __init__(self, config: CacheConfig, budget: BudgetSplit, header: TraceHeader,
                  workspace: Workspace):
         self.config = config
         self.budget = budget
-        self.d_h = d_h
-        self.tokens_per_frame = tokens_per_frame
+        self.header = header
         self.cache = TemporalCache(
             window_frames=config.window_frames,
             anchor_budget=budget.anchor_tokens,
             gamma=config.gamma,
             quantize=config.half_precision,
+            channels=header.layers * header.heads,
         )
+        # key and value rows of one channel's key set; they grow to the largest
+        self.keys, self.values = np.empty((0, header.d_h)), np.empty((0, header.d_h))
         self.workspace = workspace
         self.audits = 0
 
     @property
-    def held(self) -> int:
+    def member_count(self) -> int:
+        """Temporal members per channel."""
         return self.cache.member_count
 
-    def register(self, frame: FrameTokens) -> None:
-        self.cache.register_reference(frame)
+    @property
+    def half_saturations(self) -> int:
+        return self.cache.half_saturations
 
-    def step(self, frames: list[FrameTokens], retrieved: TokenBlock,
-             audit: bool) -> tuple[np.ndarray, float, TokenBlock]:
-        n = self.tokens_per_frame
-        members = self.cache.members
-        anchors = self.cache.blocks()[2]  # as attended; selection rebuilds members
+    def register(self, record: TraceRecord) -> None:
+        self.cache.register_reference(record)
 
-        # Key set in snapshot order (reference, window, anchors), then the
-        # retrieved rows, then the chunk; each part is one block of rows.
-        chunk_q = np.concatenate([f.queries for f in frames])
-        attended = [members, retrieved] if len(retrieved) else [members]
-        keys = np.concatenate([b.keys for b in attended] + [f.keys for f in frames])
-        values = np.concatenate([b.values for b in attended] + [f.values for f in frames])
-        temp_len, spat_len = len(members), len(retrieved)
-        counts = np.ones(keys.shape[0])
-        counts[temp_len : temp_len + spat_len] = retrieved.counts
-        res = attend(chunk_q, keys, values, counts, self.d_h, workspace=self.workspace)
+    def step(self, records: list[TraceRecord], retrieved: list[TokenBlock], audit: bool,
+             out: np.ndarray) -> tuple[float, TokenBlock]:
+        """Attend the chunk on every channel into out[:, layer, head], then
+        turn the cache over; returns the mass on the retrieved rows and the
+        evicted rows. Each retrieved block is dropped once its channel has
+        attended."""
+        h, cache = self.header, self.cache
+        d, n = h.d_h, h.tokens_per_frame
+        fresh = len(records) * n
+        attended = cache.order
+        held = attended.shape[1]
+        member_mass = np.empty(attended.shape)
+        fresh_mass = np.empty((len(attended), fresh))
+        spat_mass, masses, seen = 0.0, [], []
+        for c, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
+            got = retrieved[c]
+            base = held + len(got)
+            end = base + fresh
+            if end > len(self.keys):
+                self.keys, self.values = np.empty((end, d)), np.empty((end, d))
+            keys, values = self.keys[:end], self.values[:end]
+            keys[:held] = cache.rows[attended[c], :d]
+            values[:held] = cache.rows[attended[c], d : 2 * d]
+            for i, r in enumerate(records):
+                keys[base + i * n : base + (i + 1) * n] = r.data[li, hi, 1]
+                values[base + i * n : base + (i + 1) * n] = r.data[li, hi, 2]
+            counts = np.ones(end)
+            if len(got):  # an empty store's blocks have no columns
+                keys[held:base] = got.keys
+                values[held:base] = got.values
+                counts[held:base] = got.counts
+            queries = np.concatenate([r.data[li, hi, 0] for r in records])
+            res = attend(queries, keys, values, counts, d, workspace=self.workspace)
+            out[:, li, hi] = res.outputs.reshape(len(records), n, d)
+            member_mass[c] = res.mass[:held]
+            spat_mass += float(res.mass[held:base].sum())
+            fresh_mass[c] = res.mass[base:]
+            if audit:
+                masses.append(res.mass)
+                seen.append((got.frames, got.tokens))
+            retrieved[c] = None  # spent
 
-        self.cache.update_scores(res.mass[:temp_len])
-        base = temp_len + spat_len
-        initial_scores = [res.mass[base + i * n : base + (i + 1) * n] for i in range(len(frames))]
-        expelled = self.cache.ingest_frames(frames, initial_scores)
-        evicted = self.cache.select_anchors(expelled)
-
+        ranked = held - cache.anchor_count  # where the anchors start, as attended
+        cache.update_scores(member_mass)
+        expelled = cache.ingest_frames(records, fresh_mass)
         if audit:
-            self._audit(res.mass, chunk_q.shape[0], attended, frames[0].frame_idx,
-                        anchors, expelled, evicted)
-
-        # Only outputs, a scalar and the evicted rows outlive the step: the
-        # key set is freed before any other channel attends, and the
-        # attention weights stay in the replay's workspace for the next
-        # channel to overwrite.
-        return res.outputs, float(res.mass[temp_len : temp_len + spat_len].sum()), evicted
+            # The ids of the members as attended, then of the expellees, read
+            # before selection: the audit holds selection to its inputs.
+            slots = np.concatenate([attended, expelled.reshape(len(attended), -1)], axis=1)
+            ids = cache.frames[slots], cache.tokens[slots]
+        evicted = cache.select_anchors(expelled)
+        if audit:
+            self._audit(masses, fresh, ids, held, ranked, seen, records, evicted)
+        return spat_mass, evicted
 
     def score_sums(self) -> dict:
-        # Sequential float sums over each group's scores in member order.
-        groups = ("reference", "window", "anchor")
-        return {g: (sum(b.scores.tolist()), len(b)) for g, b in zip(groups, self.cache.blocks())}
+        # Per group: the sequential float sum of each channel's scores in
+        # member order, those summed in channel order; and the group's size.
+        cache = self.cache
+        ref = cache.reference_count
+        win = ref + cache.window_token_count
+        scores = cache.scores[cache.order]
+        parts = {"reference": scores[:, :ref], "window": scores[:, ref:win],
+                 "anchor": scores[:, win:]}
+        return {g: (sum(sum(row) for row in p.tolist()), p.size) for g, p in parts.items()}
 
-    def _audit(self, mass, n_queries, attended, chunk_lo, prev_anchors, expelled, evicted) -> None:
-        """The checks that do not depend on the voxel store, before insertion."""
-        _check_mass(mass, n_queries)
+    def _audit(self, masses, n_queries, ids, held, ranked, retrieved, records,
+               evicted) -> None:
+        """The checks that do not depend on the voxel store, before insertion,
+        on every channel at once. A breach names the first channel that has
+        one and, where there is one, the token.
+
+        `ids` holds (frames, tokens), each (channels, held + expellees): the
+        ids of each channel's members as attended, the anchors from column
+        `ranked` on, then of its expellees. `retrieved` holds the ids of
+        each channel's retrieved rows.
+        """
+        cache = self.cache
+        channels, chunk_lo = cache.channels, records[0].frame_idx
+        for mass in masses:
+            _check_mass(mass, n_queries)
         # chunk causality: everything attended from the cache predates the chunk
-        for block in attended:
-            late = np.flatnonzero(block.frames >= chunk_lo)
-            if late.size:
-                raise InvariantViolation(
-                    f"cache token {block.take(late[:1]).ids()[0]} not older than "
-                    f"chunk starting at {chunk_lo}"
-                )
-        members = self.cache.members
-        ids = np.sort(_id_codes([members]))
-        if (ids[1:] == ids[:-1]).any():
-            raise InvariantViolation("duplicate token id in temporal cache")
+        frames, tokens = ids
+        if (frames[:, :held] >= chunk_lo).any() or \
+                (np.concatenate([f for f, _ in retrieved]) >= chunk_lo).any():
+            for c in range(channels):  # per channel, the members before the retrieved rows
+                for f, t in ((frames[c, :held], tokens[c, :held]), retrieved[c]):
+                    late = np.flatnonzero(f >= chunk_lo)
+                    if late.size:
+                        token = TokenId(int(f[late[0]]), int(t[late[0]]))
+                        raise InvariantViolation(f"channel {c}: cache token {token} not older "
+                                                 f"than chunk starting at {chunk_lo}")
+        members = cache.order
+        codes = np.sort((cache.frames[members] << 32) | cache.tokens[members], axis=1)
+        dup = codes[:, 1:] == codes[:, :-1]
+        if dup.any():
+            c, i = np.argwhere(dup)[0]
+            token = TokenId(int(codes[c, i] >> 32), int(codes[c, i] & 0xFFFFFFFF))
+            raise InvariantViolation(f"channel {c}: duplicate token id {token} in temporal cache")
         # No evicted token re-enters: window tokens are born from strictly
         # newer frames, so the only way back in is the anchor set, and each
         # new anchor must be an old anchor or an expellee of this chunk that
         # was not evicted. This needs O(budget) memory, not a record of
-        # every eviction so far. The anchors' ids are distinct (checked
-        # above), as isin's assume_unique asks of its first argument.
-        eligible = np.setdiff1d(_id_codes([prev_anchors, expelled]), _id_codes([evicted]),
-                                assume_unique=True)
-        anchors = self.cache.blocks()[2]
-        back = np.flatnonzero(np.isin(_id_codes([anchors]), eligible, assume_unique=True,
-                                      invert=True, kind="sort"))
-        if back.size:
-            hits = sorted(anchors.take(back).ids())
-            raise InvariantViolation(f"evicted token(s) re-entered the temporal cache: {hits[:3]}")
+        # every eviction so far. One code per (channel, frame, token) keeps
+        # the channels apart in one set difference: temporal token indices
+        # lie below N, and frames at or below the chunk's last. The anchors'
+        # codes are distinct (checked above), as isin's assume_unique asks
+        # of its first argument.
+        span, n = records[-1].frame_idx + 1, cache.tokens_per_frame
+        offsets = np.arange(channels)[:, None] * span
+
+        def coded(frames, tokens):
+            return (offsets + frames.reshape(channels, -1)) * n + tokens.reshape(channels, -1)
+
+        eligible = np.setdiff1d(coded(frames[:, ranked:], tokens[:, ranked:]),
+                                coded(evicted.frames, evicted.tokens), assume_unique=True)
+        anchors = members[:, cache.reference_count + cache.window_token_count :]
+        back = np.isin(coded(cache.frames[anchors], cache.tokens[anchors]), eligible,
+                       assume_unique=True, invert=True, kind="sort")
+        if back.any():
+            c = back.any(axis=1).argmax()
+            hits = sorted(cache.block(anchors[c, back[c]]).ids())
+            raise InvariantViolation(
+                f"channel {c}: evicted token(s) re-entered the temporal cache: {hits[:3]}")
         cfg, budget = self.config, self.budget
-        wa_cap = (cfg.window_frac + cfg.anchor_frac) * cfg.budget_multiplier * self.tokens_per_frame
-        wa = self.cache.window_token_count + self.cache.anchor_count
+        wa_cap = (cfg.window_frac + cfg.anchor_frac) * cfg.budget_multiplier * n
+        wa = cache.window_token_count + cache.anchor_count  # the same on every channel
         if wa > wa_cap + 1e-9:
             raise InvariantViolation(f"window+anchor tokens {wa} exceed budget share {wa_cap}")
-        if self.cache.anchor_count > budget.anchor_tokens:
+        if cache.anchor_count > budget.anchor_tokens:
             raise InvariantViolation(
-                f"{self.cache.anchor_count} anchors exceed budget {budget.anchor_tokens}"
+                f"{cache.anchor_count} anchors exceed budget {budget.anchor_tokens}"
             )
-        if (members.scores < 0.0).any():
-            raise InvariantViolation("negative score in temporal cache")
-        self.audits += 6
-
-
-def _id_codes(blocks: list[TokenBlock]) -> np.ndarray:
-    # One int64 per (frame, token) id; temporal ids are non-negative and
-    # below 2^31, so the code is unique.
-    return np.concatenate([(b.frames << 32) | b.tokens for b in blocks])
+        negative = cache.scores[members] < 0.0
+        if negative.any():
+            c, i = np.argwhere(negative)[0]
+            raise InvariantViolation(f"channel {c}: negative score in temporal cache: "
+                                     f"{cache.block(members[c, i : i + 1]).ids()[0]}")
+        self.audits += 6 * channels
 
 
 def _visible_token(records: list[TraceRecord], i: int) -> str:
@@ -384,11 +444,12 @@ class StreamReplayer:
     outputs of the chunk processed last, frame -> (L, H, N, d_h); each chunk
     replaces them, so a replay keeps O(chunk) of them.
 
-    `process_chunk` counts each chunk's row. A step reports its outputs,
-    the mass on its retrieved rows and its evictees; every other figure
-    comes from the channels' `held`, `audits` and `score_sums()`, from the
-    retrieved blocks, and from the store's per-channel `token_counts` and
-    `channel_events`.
+    `process_chunk` counts each chunk's row. Under `window` and `full`
+    each channel steps on its own (`channels`); under `stac` one step
+    (`stac`) attends every channel and reports the mass on the retrieved
+    rows and the evictees. Every other figure comes from `held`, `audits`,
+    `member_count` and `score_sums()`, from the retrieved blocks, and from
+    the store's per-channel `token_counts` and `channel_events`.
     """
 
     def __init__(
@@ -414,7 +475,15 @@ class StreamReplayer:
         self.audit = audit
         self.stats_sink = stats_sink
         n_channels = header.layers * header.heads
+        # Channels attend one after another, so they all attend through one
+        # workspace; one per channel would pin C copies of the largest Q x K
+        # (C x 31.6 MB under `full` at K of about 15k). It lives as long as
+        # the replayer, not the process, and replays in other threads have
+        # their own.
+        self.workspace = Workspace()
         self.store: Optional[VoxelStore] = None
+        self.stac: Optional[_StacChannels] = None
+        self.channels: list[_VerbatimChannel] = []
         if policy.kind == "stac":
             config = policy.config
             self.store = VoxelStore(
@@ -426,13 +495,14 @@ class StreamReplayer:
                 quantize=config.half_precision,
                 channels=n_channels,
             )
-        # Channel steps run one after another, so they all attend through one
-        # workspace; one per channel would pin C copies of the largest Q x K
-        # (C x 31.6 MB under `full` at K of about 15k). It lives as long as
-        # the replayer, not the process, and replays in other threads have
-        # their own.
-        self.workspace = Workspace()
-        self.channels = [self._make_channel() for _ in range(n_channels)]
+            self.stac = _StacChannels(config, self.budget, header, self.workspace)
+        else:
+            window = policy.window if policy.kind == "window" else None
+            self.channels = [
+                _VerbatimChannel(header.d_h, window, header.tokens_per_frame, chunk_size,
+                                 header.frame_count, self.workspace)
+                for _ in range(n_channels)
+            ]
         self.outputs: dict[int, np.ndarray] = {}
         self.rows: list[dict] = []
         self._pending: list[TraceRecord] = []
@@ -443,14 +513,11 @@ class StreamReplayer:
         self._t0 = time.perf_counter()
         self._finished = False
 
-    def _make_channel(self):
-        h = self.header
-        if self.policy.kind != "stac":
-            window = self.policy.window if self.policy.kind == "window" else None
-            return _VerbatimChannel(h.d_h, window, h.tokens_per_frame, self.chunk_size,
-                                    h.frame_count, self.workspace)
-        return _StacChannel(self.policy.config, self.budget, h.d_h, h.tokens_per_frame,
-                            self.workspace)
+    def _held(self) -> int:
+        """Tokens the caches hold, over every channel."""
+        if self.stac is not None:
+            return self.stac.member_count * self.header.layers * self.header.heads
+        return sum(ch.held for ch in self.channels)
 
     def feed(self, record: TraceRecord) -> Optional[dict]:
         """Accept the next frame; returns a chunk row when one completes."""
@@ -471,10 +538,12 @@ class StreamReplayer:
                 )
         self._frames_seen += 1
         if record.frame_idx == 0:
+            if self.stac is not None:
+                self.stac.register(record)
             for ch, (li, hi) in zip(self.channels, np.ndindex(h.layers, h.heads)):
                 ch.register(record.channel(li, hi))
             # the reference is held from here on, also if no chunk follows
-            self._peak_total = self._final_total = sum(ch.held for ch in self.channels)
+            self._peak_total = self._final_total = self._held()
             return None
         self._pending.append(record)
         if len(self._pending) == self.chunk_size:
@@ -487,14 +556,14 @@ class StreamReplayer:
         if not records:
             raise InvariantViolation("process_chunk with no records")
         t0 = time.perf_counter()
-        h, store, channels = self.header, self.store, self.channels
-        temporal = sum(ch.held for ch in channels)
+        h, store, stac = self.header, self.store, self.stac
+        n_channels = h.layers * h.heads
+        temporal = self._held()
         spatial = spatial_end = 0
-        in_flight = len(channels) * len(records) * h.tokens_per_frame
+        in_flight = n_channels * len(records) * h.tokens_per_frame
         events = dict.fromkeys(self._event_totals, 0)
         retrieval = dict.fromkeys(("requested", "returned_g", "returned_e"), 0)
         score_means = dict.fromkeys(("reference", "window", "anchor"), 0.0)
-        retrieved = [None] * len(channels)
         if store is not None:
             spatial = int(store.token_counts.sum())
             events_before = store.channel_events.sum(0)
@@ -505,50 +574,48 @@ class StreamReplayer:
             retrieved = store.retrieve(vis, self.budget.retrieve_tokens,
                                        where=lambda i: _visible_token(records, i))
             returned_g = sum(int((b.frames == -1).sum()) for b in retrieved)
-            retrieval = {"requested": len(channels) * self.budget.retrieve_tokens,
+            retrieval = {"requested": n_channels * self.budget.retrieve_tokens,
                          "returned_g": returned_g,
                          "returned_e": sum(len(b) for b in retrieved) - returned_g}
 
         # The last chunk's outputs go before this chunk's block is made, and
-        # each step's are copied in as it returns: one block is alive at once.
+        # each channel's are copied in as it attends: one block is alive at once.
         self.outputs = {}
         frames, n, d = len(records), h.tokens_per_frame, h.d_h
         out = np.empty((frames, h.layers, h.heads, n, d))
-        spat_mass, evicted = 0.0, []
-        for ci, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
-            outputs, mass, evictees = channels[ci].step(
-                [r.channel(li, hi) for r in records], retrieved[ci], self.audit)
-            retrieved[ci] = None  # spent: each channel's rows go as its step ends
-            out[:, li, hi] = outputs.reshape(frames, n, d)
-            spat_mass += mass
-            evicted.append(evictees)
+        spat_mass = 0.0
+        for ch, (li, hi) in zip(self.channels, np.ndindex(h.layers, h.heads)):
+            out[:, li, hi] = ch.step([r.channel(li, hi) for r in records],
+                                     self.audit).reshape(frames, n, d)
+        if stac is not None:
+            spat_mass, evicted = stac.step(records, retrieved, self.audit, out)
         self.outputs = {r.frame_idx: o for r, o in zip(records, out)}
 
         if store is not None:
             # One insertion of every channel's evictees, then the audits: the
             # caps of every cell, and each channel's token conservation.
-            sizes = [len(e) for e in evicted]
-            store.insert_evicted(TokenBlock.concat(evicted), np.repeat(np.arange(len(sizes)), sizes))
+            # Every channel evicts as many rows as every other.
+            store.insert_evicted(evicted,
+                                 np.repeat(np.arange(n_channels), len(evicted) // n_channels))
             if self.audit:
                 store.audit()
                 produced = (records[-1].frame_idx + 1) * n
-                for c, ch in enumerate(channels):
-                    accounted = ch.held + int(store.count_masses[c])
-                    if accounted != produced:
-                        raise InvariantViolation(f"channel {c}: token conservation broken: "
-                                                 f"{accounted} accounted vs {produced} produced")
-                    ch.audits += 2
+                accounted = stac.member_count + store.count_masses
+                broken = np.flatnonzero(accounted != produced)
+                if broken.size:
+                    c = broken[0]
+                    raise InvariantViolation(f"channel {c}: token conservation broken: "
+                                             f"{accounted[c]} accounted vs {produced} produced")
+                stac.audits += 2 * n_channels
             delta = (store.channel_events.sum(0) - events_before).tolist()
-            events = {"evicted": sum(sizes), **dict(zip(EVENTS, delta))}
+            events = {"evicted": len(evicted), **dict(zip(EVENTS, delta))}
             spatial_end = int(store.token_counts.sum())
-            sums = [ch.score_sums() for ch in channels]
-            for group in score_means:
-                count = sum(s[group][1] for s in sums)
+            for group, (scores, count) in stac.score_sums().items():
                 if count:
-                    score_means[group] = sum(s[group][0] for s in sums) / count
+                    score_means[group] = scores / count
 
         total = temporal + spatial + in_flight
-        total_end = sum(ch.held for ch in channels) + spatial_end
+        total_end = self._held() + spatial_end
         self._peak_total = max(self._peak_total, total, total_end)
         self._final_total = total_end
         for k, v in events.items():
@@ -589,9 +656,8 @@ class StreamReplayer:
         full_tokens = self._frames_seen * h.tokens_per_frame * channels
         elapsed = time.perf_counter() - self._t0
         half_sats = 0
-        if self.store is not None:
-            half_sats = self.store.half_saturations + sum(
-                ch.cache.half_saturations for ch in self.channels)
+        if self.stac is not None:
+            half_sats = self.store.half_saturations + self.stac.half_saturations
         summary = {
             "type": "summary",
             "policy": self.policy.label(),
@@ -610,7 +676,8 @@ class StreamReplayer:
             "compression_ratio": full_tokens / self._peak_total if self._peak_total else 0.0,
             "events": dict(self._event_totals),
             "half_saturations": half_sats,
-            "audits_checked": sum(ch.audits for ch in self.channels),
+            "audits_checked": sum(ch.audits for ch in self.channels)
+                              + (self.stac.audits if self.stac is not None else 0),
             "mean_chunk_ms": sum(r["wall_ms"] for r in self.rows) / len(self.rows) if self.rows else 0.0,
             "total_ms": elapsed * 1e3,
         }

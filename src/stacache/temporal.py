@@ -1,32 +1,45 @@
-"""Working cache over the recent past of one (layer, head) channel.
+"""Working cache over the recent past of every (layer, head) channel.
 
 Membership has three parts: the reference tokens of the very first frame
 (kept verbatim forever), a FIFO window of the last few frames, and a
 score-ranked anchor set fed by tokens the window expels. Scores are
 cumulative attention mass with exponential decay, updated once per chunk.
+Every channel holds the same number of members in each part, so one cache
+turns all of a replay's channels over at once.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from .errors import DimensionError, StacacheError
 from .kernel import HALF_MAX, half_roundtrip
-from .tokens import FrameTokens, TokenBlock
+from .tokens import TokenBlock
+from .traceio import TraceRecord
 
 
 class TemporalCache:
-    """Reference + sliding window + anchors for a single channel.
+    """Reference + sliding window + anchors for `channels` channels.
 
-    Every member is a row of one TokenBlock, `members`, in snapshot order:
-    the reference, the window oldest frame first, then the anchors, which
-    are in descending score as of their last selection. `reference_count`
-    and the window frames' row counts say where each part starts, and
-    `blocks()` gives the three parts as views. All mutation happens through
-    the four public methods below, in the order the pipeline calls them;
-    ingestion and anchor selection each rebuild `members` once.
+    Members live in slots. Each channel has `capacity` of them, and slot s
+    of channel c is row c * capacity + s of the slot arrays: `rows`
+    ([key | value | position], as in TokenBlock), `scores`, `frames`,
+    `tokens` and `mask`. That row number is the slot's flat index; a
+    channel's slots are neighbours, so gathering its members stays within
+    its own rows. A slot is written once, when its token arrives, and a
+    held row never moves. What turns over is `order`, the (channels,
+    member_count) flat indices of each channel's members in snapshot
+    order: the reference, the window oldest frame first, then the anchors
+    in descending score as of their last selection. `free` holds each
+    channel's unused slots, one row per channel; member counts never differ
+    between channels, so neither do the free lists' lengths. When a chunk
+    needs more slots than are free, the arrays grow and every flat index
+    is renumbered; only register_reference and ingest_frames grow them.
+
+    Frames come as trace records: each record's data is (L, H, 3, N, d_h),
+    with L * H == channels and channel c the c-th (layer, head) pair in
+    row-major order. All mutation happens through the four public methods
+    below, in the order the pipeline calls them.
     """
 
     def __init__(
@@ -35,6 +48,7 @@ class TemporalCache:
         anchor_budget: int,
         gamma: float,
         quantize: bool = False,
+        channels: int = 1,
     ):
         if window_frames < 1:
             raise DimensionError(f"window_frames must be >= 1, got {window_frames}")
@@ -42,131 +56,204 @@ class TemporalCache:
             raise DimensionError(f"anchor_budget must be >= 0, got {anchor_budget}")
         if not (0.0 <= gamma <= 1.0):
             raise DimensionError(f"gamma must lie in [0, 1], got {gamma}")
+        if channels < 1:
+            raise DimensionError(f"channels must be >= 1, got {channels}")
         self.window_frames = window_frames
         self.anchor_budget = anchor_budget
         self.gamma = gamma
         self.quantize = quantize
+        self.channels = int(channels)
         self.half_saturations = 0
-        self.members: TokenBlock | None = None
+        self.tokens_per_frame = 0
+        self.capacity = 0
+        self.rows = np.empty((0, 0))
+        self.scores = np.empty(0)
+        self.frames = np.empty(0, dtype=np.int64)
+        self.tokens = np.empty(0, dtype=np.int64)
+        self.mask = np.empty(0, dtype=bool)
+        self.order = np.empty((self.channels, 0), dtype=np.int64)
+        self.free = np.empty((self.channels, 0), dtype=np.int64)
         self.reference_count = 0
-        self._window_sizes: deque[int] = deque()
+        self._window_held = 0  # frames in the window
         self._last_frame: int | None = None
 
     # -- membership -----------------------------------------------------
 
     @property
+    def member_count(self) -> int:
+        """Members per channel."""
+        return self.order.shape[1]
+
+    @property
     def window_token_count(self) -> int:
-        return sum(self._window_sizes)
+        return self._window_held * self.tokens_per_frame
 
     @property
     def anchor_count(self) -> int:
         return self.member_count - self.reference_count - self.window_token_count
 
-    @property
-    def member_count(self) -> int:
-        return 0 if self.members is None else len(self.members)
-
-    def blocks(self) -> list[TokenBlock]:
-        """The reference, window and anchors, as views of `members`.
-        Callers read them; only update_scores writes."""
-        ref, win = self.reference_count, self.reference_count + self.window_token_count
-        return [self.members.take(s) for s in (slice(0, ref), slice(ref, win), slice(win, None))]
+    def block(self, slots) -> TokenBlock:
+        """Copies of the given slots' rows as a TokenBlock, in the given order."""
+        slots = np.asarray(slots, dtype=np.int64)
+        return TokenBlock(self.rows[slots], self.mask[slots], self.scores[slots],
+                          self.frames[slots], self.tokens[slots],
+                          np.ones(len(slots), dtype=np.int64))
 
     def snapshot(self) -> TokenBlock:
-        """All members as one new block, in snapshot order."""
-        return TokenBlock.concat([self.members])
+        """All members as one new block: channel by channel, each in
+        snapshot order."""
+        return self.block(self.order.ravel())
 
     # -- mutation -------------------------------------------------------
 
-    def register_reference(self, frame: FrameTokens) -> None:
+    def register_reference(self, record: TraceRecord) -> None:
         """Install the first frame as the permanent reference set."""
-        if self.members is not None:
+        if self._last_frame is not None:
             raise StacacheError("reference already registered")
-        self.members = self._make_block(frame, None)
-        self.reference_count = len(self.members)
-        self._last_frame = frame.frame_idx
+        n, d = self._check(record)
+        self.tokens_per_frame = n
+        self.rows = np.empty((0, 2 * d + 3))
+        self.order = self._alloc(n)
+        self._write(self.order, [record], None)
+        self.reference_count = n
+        self._last_frame = record.frame_idx
 
-    def ingest_frames(
-        self,
-        frames: list[FrameTokens],
-        initial_scores: list[np.ndarray] | None = None,
-    ) -> TokenBlock:
-        """Append chunk frames to the window; return the rows it expels.
+    def ingest_frames(self, records: list[TraceRecord],
+                      initial_scores: np.ndarray | None = None) -> np.ndarray:
+        """Append chunk frames to the window; return the slots it expels.
 
-        initial_scores, when given, seeds each fresh token's score with the
-        attention mass it just received as part of its own chunk (scores
-        are otherwise only updated for tokens already resident when the
-        chunk attended). The window keeps its newest `window_frames`
-        frames, so with more fresh frames than that the oldest fresh ones
-        are expelled too. Expelled rows come back oldest frame first with
-        their scores intact; they are candidates for anchor selection, not
-        yet evicted.
+        initial_scores, when given, is (channels, frames * N): it seeds each
+        fresh token's score with the attention mass it just received as
+        part of its own chunk (scores are otherwise only updated for tokens
+        already resident when the chunk attended). The window keeps its
+        newest `window_frames` frames, so with more fresh frames than that
+        the oldest fresh ones are expelled too. Fresh frames are written to
+        slots either way. The expelled slots come back as flat indices,
+        channel by channel and oldest frame first, with their scores
+        intact; they are candidates for anchor selection, not members and
+        not yet evicted.
         """
         if self._last_frame is None:
             raise StacacheError("register_reference must run before ingest_frames")
-        if initial_scores is not None and len(initial_scores) != len(frames):
-            raise DimensionError(
-                f"{len(frames)} frames but {len(initial_scores)} score vectors"
-            )
-        fresh = []
-        for i, frame in enumerate(frames):
-            if frame.frame_idx <= self._last_frame:
+        n, last = self.tokens_per_frame, self._last_frame
+        for record in records:
+            self._check(record, n, (self.rows.shape[1] - 3) // 2)
+            if record.frame_idx <= last:
                 raise DimensionError(
-                    f"frame indices must increase: got {frame.frame_idx} "
-                    f"after {self._last_frame}"
+                    f"frame indices must increase: got {record.frame_idx} after {last}"
                 )
-            scores = None if initial_scores is None else initial_scores[i]
-            fresh.append(self._make_block(frame, scores))
-            self._last_frame = frame.frame_idx
-        reference, window, anchors = self.blocks()
-        self._window_sizes.extend(len(block) for block in fresh)
-        out = max(0, len(self._window_sizes) - self.window_frames)
-        gone = sum(self._window_sizes.popleft() for _ in range(out))
-        k = max(0, len(fresh) - len(self._window_sizes))  # fresh frames expelled too
-        expelled = TokenBlock.concat([window.take(slice(0, gone)), *fresh[:k]])
-        self.members = TokenBlock.concat([reference, window.take(slice(gone, None)), *fresh[k:], anchors])
-        return expelled
+            last = record.frame_idx
+        fresh_shape = (self.channels, len(records) * n)
+        if initial_scores is not None:
+            initial_scores = np.asarray(initial_scores, dtype=np.float64)
+            if initial_scores.shape != fresh_shape:
+                raise DimensionError(
+                    f"initial scores of shape {initial_scores.shape}, want {fresh_shape}"
+                )
+        fresh = self._alloc(len(records) * n)
+        if records:
+            self._write(fresh, records, initial_scores)
+        self._last_frame = last
+        ref, win = self.reference_count, self.reference_count + self.window_token_count
+        held = self._window_held + len(records)
+        out = max(0, held - self.window_frames) * n  # oldest rows leave, fresh ones too
+        window = np.concatenate([self.order[:, ref:win], fresh], axis=1)
+        self.order = np.concatenate(
+            [self.order[:, :ref], window[:, out:], self.order[:, win:]], axis=1)
+        self._window_held = held - out // n
+        return window[:, :out].ravel()
 
     def update_scores(self, mass: np.ndarray) -> None:
-        """Decay-and-accumulate: s <- gamma * s + mass, in snapshot order."""
+        """Decay-and-accumulate: s <- gamma * s + mass, with mass of shape
+        (channels, member_count) in snapshot order."""
         mass = np.asarray(mass, dtype=np.float64)
-        if mass.shape != (self.member_count,):
+        if mass.shape != self.order.shape:
             raise DimensionError(
-                f"mass shape {mass.shape} misaligned with {self.member_count} cache members"
+                f"mass shape {mass.shape} misaligned with {self.order.shape} cache members"
             )
-        self.members.scores *= self.gamma
-        self.members.scores += mass
+        scores = self.scores[self.order]
+        scores *= self.gamma
+        scores += mass
+        self.scores[self.order] = scores
 
-    def select_anchors(self, expelled: TokenBlock) -> TokenBlock:
-        """Rank current anchors plus expelled rows; keep the top ones.
+    def select_anchors(self, expelled: np.ndarray) -> TokenBlock:
+        """Rank each channel's current anchors plus its expelled slots; keep
+        the top ones in their slots.
 
         Ties break deterministically: higher score first, then younger
-        frame, then lower token index. Losers are returned in rank order
-        and are no longer cache members; their scores stay frozen at the
-        value they held here.
+        frame, then lower token index. Losers come back as one block,
+        channel by channel and each in rank order, as copies of their rows;
+        their scores stay frozen at the value they held here, and their
+        slots are freed.
         """
-        if self.members is None:  # no reference: the anchors are all there is
-            self.members = expelled.take(slice(0, 0))
-        reference, window, anchors = self.blocks()
-        candidates = TokenBlock.concat([anchors, expelled])
-        order = np.lexsort((candidates.tokens, -candidates.frames, -candidates.scores))
-        self.members = TokenBlock.concat([reference, window, candidates.take(order[: self.anchor_budget])])
-        return candidates.take(order[self.anchor_budget :])
+        expelled = np.asarray(expelled, dtype=np.int64).reshape(self.channels, -1)
+        kept = self.reference_count + self.window_token_count
+        candidates = np.concatenate([self.order[:, kept:], expelled], axis=1)
+        # one lexsort ranks every channel's row of candidates on its own
+        rank = np.lexsort((self.tokens[candidates], -self.frames[candidates],
+                           -self.scores[candidates]), axis=-1)
+        ranked = np.take_along_axis(candidates, rank, axis=1)
+        self.order = np.concatenate([self.order[:, :kept], ranked[:, : self.anchor_budget]],
+                                    axis=1)
+        losers = ranked[:, self.anchor_budget :]
+        self.free = np.concatenate([self.free, losers], axis=1)
+        return self.block(losers.ravel())
 
     # -- helpers ----------------------------------------------------------
 
-    def _make_block(self, frame: FrameTokens, scores: np.ndarray | None) -> TokenBlock:
-        # The frame's tokens with (quantized) copies of its keys and values.
-        keys, values = frame.keys, frame.values
-        if self.quantize:
-            self.half_saturations += int((np.abs(keys) > HALF_MAX).sum())
-            self.half_saturations += int((np.abs(values) > HALF_MAX).sum())
-            keys = half_roundtrip(keys)
-            values = half_roundtrip(values)
-        try:
-            return TokenBlock.build(
-                keys, values, frame.positions, frame.position_mask, scores,
-                frames=frame.frame_idx,
+    def _check(self, record: TraceRecord, n: int | None = None,
+               d: int | None = None) -> tuple[int, int]:
+        # The record's shapes against this cache's channels, N and d_h; a
+        # reference record sets N and d_h.
+        got = record.data.shape
+        if len(got) == 5 and n is None:
+            n, d = got[3], got[4]
+        if len(got) != 5 or (got[0] * got[1], *got[2:]) != (self.channels, 3, n, d) \
+                or record.positions.shape != (n, 3) or record.position_mask.shape != (n,):
+            raise DimensionError(
+                f"frame {record.frame_idx}: data {got}, positions {record.positions.shape} "
+                f"and mask {record.position_mask.shape} do not fit {self.channels} channels "
+                f"of {n} tokens with d_h={d}"
             )
-        except DimensionError as e:
-            raise DimensionError(f"frame {frame.frame_idx}: {e}") from None
+        return n, d
+
+    def _alloc(self, k: int) -> np.ndarray:
+        # k free slots per channel, (channels, k); the arrays grow first
+        # if too few are free.
+        short = k - self.free.shape[1]
+        if short > 0:
+            old, new = self.capacity, self.capacity + short
+            for name in ("rows", "scores", "frames", "tokens", "mask"):
+                a = getattr(self, name)
+                grown = np.empty((self.channels, new, *a.shape[1:]), dtype=a.dtype)
+                grown[:, :old] = a.reshape(self.channels, old, *a.shape[1:])
+                setattr(self, name, grown.reshape(self.channels * new, *a.shape[1:]))
+            if old:  # slot s of channel c moves from row c * old + s to c * new + s
+                self.order += self.order // old * short
+                self.free += self.free // old * short
+            added = np.arange(self.channels)[:, None] * new + np.arange(old, new)
+            self.free = np.concatenate([self.free, added], axis=1)
+            self.capacity = new
+        cut = self.free.shape[1] - k
+        slots, self.free = self.free[:, cut:].copy(), self.free[:, :cut].copy()
+        return slots
+
+    def _write(self, slots: np.ndarray, records: list[TraceRecord],
+               scores: np.ndarray | None) -> None:
+        # The records' tokens into slots (channels, frames * N), with
+        # (quantized) copies of their keys and values.
+        d = (self.rows.shape[1] - 3) // 2
+        n = self.tokens_per_frame
+        kv = np.stack([r.data[:, :, 1:] for r in records], axis=3)  # (L, H, k|v, frames, N, d)
+        keys = kv[:, :, 0].reshape(slots.shape + (d,))
+        values = kv[:, :, 1].reshape(slots.shape + (d,))
+        if self.quantize:
+            self.half_saturations += int((np.abs(kv) > HALF_MAX).sum())
+            keys, values = half_roundtrip(keys), half_roundtrip(values)
+        self.rows[slots, :d] = keys
+        self.rows[slots, d : 2 * d] = values
+        self.rows[slots, 2 * d :] = np.concatenate([r.positions for r in records])
+        self.mask[slots] = np.concatenate([r.position_mask for r in records])
+        self.scores[slots] = 0.0 if scores is None else scores
+        self.frames[slots] = np.repeat([r.frame_idx for r in records], n)
+        self.tokens[slots] = np.tile(np.arange(n), len(records))

@@ -13,11 +13,10 @@ import numpy as np
 
 from stacache import (
     CacheConfig,
-    FrameTokens,
     Policy,
     TemporalCache,
     TokenBlock,
-    TokenId,
+    TraceRecord,
     VoxelStore,
     attend,
     compare,
@@ -130,16 +129,14 @@ def test_c04_score_closed_form():
         for a in (1.0, 0.3):
             cache = TemporalCache(window_frames=1, anchor_budget=0, gamma=gamma)
             rng = np.random.default_rng(4)
-            cache.register_reference(FrameTokens(
+            cache.register_reference(TraceRecord(
                 frame_idx=0,
-                queries=rng.normal(size=(1, 2)),
-                keys=rng.normal(size=(1, 2)),
-                values=rng.normal(size=(1, 2)),
+                data=rng.normal(size=(1, 1, 3, 1, 2)),
                 positions=np.zeros((1, 3)),
                 position_mask=np.ones(1, dtype=bool),
             ))
             for t in range(1, 201):
-                cache.update_scores(np.array([a]))
+                cache.update_scores(np.array([[a]]))
                 want = geometric_closed_form(a, gamma, t)
                 assert abs(cache.snapshot().scores[0] - want) <= 1e-10, (gamma, a, t)
     elapsed = time.perf_counter() - t0
@@ -153,31 +150,47 @@ def _anchor_oracle(candidates, budget):
     return ranked[:budget], ranked[budget:]
 
 
+def _zero_record(frame_idx, channels, n):
+    return TraceRecord(frame_idx, np.zeros((1, channels, 3, n, 2)), np.zeros((n, 3)),
+                       np.ones(n, dtype=bool))
+
+
 def test_c05_selection_mechanisms_match_bruteforce():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
-    vec = np.zeros(2)
 
-    # anchor Top-K, two rounds each so kept anchors re-compete
+    # anchor Top-K on two channels at once, two rounds each so kept anchors
+    # re-compete; a round expels the window's frame and every fresh frame
+    # but the newest, two tokens a frame, each with a score of its own
+    channels, n = 2, 2
     for _ in range(500):
         budget = int(rng.integers(0, 7))
-        cache = TemporalCache(window_frames=1, anchor_budget=budget, gamma=0.9)
-        pool, next_idx = [], 0
+        cache = TemporalCache(window_frames=1, anchor_budget=budget, gamma=0.9,
+                              channels=channels)
+        cache.register_reference(_zero_record(0, channels, n))
+        pools, frame = [[] for _ in range(channels)], 1
         for _round in range(2):
-            batch = []
-            for _ in range(int(rng.integers(1, 9))):
-                score = float(rng.choice([0.0, 1.0, 2.0])) if rng.random() < 0.5 \
-                    else float(rng.uniform(0.0, 3.0))
-                batch.append((TokenId(int(rng.integers(0, 4)), next_idx), score))
-                next_idx += 1
-            kept_ref, losers_ref = _anchor_oracle(pool + batch, budget)
-            losers = cache.select_anchors(TokenBlock.build(
-                np.tile(vec, (len(batch), 1)), np.tile(vec, (len(batch), 1)),
-                scores=[s for _, s in batch], frames=[t.frame_idx for t, _ in batch],
-                tokens=[t.token_idx for t, _ in batch]))
-            assert cache.snapshot().ids() == [t for t, _ in kept_ref]
-            assert losers.ids() == [t for t, _ in losers_ref]
-            pool = kept_ref
+            fresh = int(rng.integers(1, 5))
+            expelled = cache.ingest_frames(
+                [_zero_record(f, channels, n) for f in range(frame, frame + fresh)])
+            frame += fresh
+            cache.scores[expelled] = [
+                float(rng.choice([0.0, 1.0, 2.0])) if rng.random() < 0.5
+                else float(rng.uniform(0.0, 3.0)) for _ in expelled]
+            batch = cache.block(expelled)
+            each = len(batch) // channels
+            refs = [_anchor_oracle(pools[c] + list(zip(
+                        batch.take(slice(c * each, (c + 1) * each)).ids(),
+                        batch.scores[c * each : (c + 1) * each].tolist())), budget)
+                    for c in range(channels)]
+            losers = cache.select_anchors(expelled)
+            anchors = cache.order[:, cache.reference_count + cache.window_token_count :]
+            lost = len(losers) // channels
+            for c, (kept_ref, losers_ref) in enumerate(refs):
+                assert cache.block(anchors[c]).ids() == [t for t, _ in kept_ref]
+                assert losers.take(slice(c * lost, (c + 1) * lost)).ids() == \
+                    [t for t, _ in losers_ref]
+                pools[c] = kept_ref
 
     # fusion-target argmax and routing events
     home = np.array([0.5, 0.5, 0.5])

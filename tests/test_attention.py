@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stacache import DimensionError, EmptySupportError, Workspace, attend
+from stacache import DimensionError, EmptySupportError, Workspace, attend, attention
 from oracles import naive_attend
 
 
@@ -131,6 +131,41 @@ def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale
     if scale > 1.0:
         logits = q @ k.T / np.sqrt(float(d))
         assert np.abs(logits).max() > 500.0
+
+
+@pytest.mark.parametrize("n_q, n_k", [(1, 8191), (5, 8193), (256, 797), (256, 8192 + 300),
+                                      (1, 70), (256, 40)])
+def test_attend_bits_do_not_depend_on_the_ufunc_buffer(n_q, n_k, monkeypatch):
+    # attend runs its broadcasting passes under a small ufunc buffer; under
+    # numpy's default one they must give the same bits, with key counts on
+    # both sides of the default buffer's 8192 elements and a span of counts
+    # above 1, so the bias add runs too
+    rng = np.random.default_rng(n_q + n_k)
+    d = 16
+    q, k, v = (rng.normal(size=(n, d)) for n in (n_q, n_k, n_k))
+    counts = np.ones(n_k)
+    counts[n_k // 4 : n_k // 2] = rng.integers(1, 6, size=n_k // 2 - n_k // 4)
+    small = attend(q, k, v, counts, d)
+    assert attention._ROW_BUFSIZE < np.getbufsize() == 8192
+    monkeypatch.setattr(attention, "_ROW_BUFSIZE", np.getbufsize())
+    default = attend(q, k, v, counts, d)
+    assert np.array_equal(small.outputs, default.outputs)
+    assert np.array_equal(small.mass, default.mass)
+
+
+def test_attend_leaves_the_callers_buffer_size_and_error_state():
+    rng = np.random.default_rng(3)
+    q, k, v = (rng.normal(size=(4, 8)) for _ in range(3))
+    with np.errstate(divide="raise", over="warn", under="print", invalid="call"):
+        np.seterrcall(lambda *args: None)
+        np.setbufsize(4096)
+        state = np.geterr()
+        attend(q, k, v, np.ones(4), 8)
+        assert (np.getbufsize(), np.geterr()) == (4096, state)
+        with pytest.raises(EmptySupportError):
+            attend(q, k[:0], v[:0], np.ones(0), 8)
+        assert (np.getbufsize(), np.geterr()) == (4096, state)
+    assert np.getbufsize() == 8192
 
 
 def test_attend_through_a_warm_workspace_allocates_no_q_by_k_array():

@@ -19,8 +19,9 @@ from stacache import (
     InvariantViolation,
     Policy,
     StreamReplayer,
-    TokenBlock,
+    TokenId,
     TraceFormatError,
+    TraceRecord,
     allocate_budget,
     compare,
     run_stream,
@@ -452,40 +453,104 @@ def test_stac_bounded_on_long_walk():
     assert stats.summary["peak_total_tokens"] < full.summary["peak_total_tokens"]
 
 
-def _leaky_replay(leak):
-    """Replay stac on one channel whose select_anchors is wrapped by leak."""
-    header, records = _trace(seed=3, frames=40, tokens=6, d_h=4, motion="revisit")
+def _leaky_replay(leak, heads=1):
+    """Replay stac on `heads` channels; leak(cache, evicted) runs after
+    each chunk's anchor selection."""
+    header, records = _trace(seed=3, frames=40, tokens=6, heads=heads, d_h=4, motion="revisit")
     replayer = StreamReplayer(header, Policy.stac(), audit=True)
-    cache = replayer.channels[0].cache
+    cache = replayer.stac.cache
     original = cache.select_anchors
-    cache.select_anchors = lambda expelled: leak(cache, original(expelled))
+
+    def select(expelled):
+        evicted = original(expelled)
+        leak(cache, evicted)
+        return evicted
+
+    cache.select_anchors = select
     for record in records:
         replayer.feed(record)
 
 
-def test_audit_catches_token_evicted_this_chunk_staying_resident():
-    def leak(cache, evicted):
-        if len(evicted):
-            cache.members = TokenBlock.concat([cache.members, evicted.take([0])])
-        return evicted
+def _evicted_slots(cache, evicted):
+    # selection frees the losers' slots last, each channel's in rank order
+    return cache.free[:, cache.free.shape[1] - len(evicted) // cache.channels :]
 
+
+def _slot_id(cache, slot):
+    return TokenId(int(cache.frames[slot]), int(cache.tokens[slot]))
+
+
+def _resident_again(channel, planted):
+    # an evicted token made the channel's last anchor again, by its slot
+    def leak(cache, evicted):
+        if len(evicted) and not planted:
+            slot = _evicted_slots(cache, evicted)[channel, 0]
+            planted.append(_slot_id(cache, slot))
+            cache.order[channel, -1] = slot
+    return leak
+
+
+def _back_from_earlier(channel, planted):
+    # a token evicted chunks ago takes the id of the channel's last anchor
+    gone = []
+
+    def leak(cache, evicted):
+        if len(gone) > 1 and not planted:
+            slot = cache.order[channel, -1]
+            cache.frames[slot], cache.tokens[slot] = gone[0]
+            planted.append(gone[0])
+        each = len(evicted) // cache.channels
+        gone.extend(evicted.take(slice(channel * each, (channel + 1) * each)).ids())
+    return leak
+
+
+def test_audit_catches_token_evicted_this_chunk_staying_resident():
     with pytest.raises(InvariantViolation, match="re-entered"):
-        _leaky_replay(leak)
+        _leaky_replay(_resident_again(0, []))
 
 
 def test_audit_catches_token_evicted_earlier_coming_back():
     # the O(budget) check has no record of old evictions, yet still sees a
     # token evicted chunks ago turn up among the anchors
-    gone = []
-
-    def leak(cache, evicted):
-        if len(gone) > 1:
-            cache.members = TokenBlock.concat([cache.members.take(slice(0, -1)), gone[0]])
-        gone.extend(evicted.take([i]) for i in range(len(evicted)))
-        return evicted
-
     with pytest.raises(InvariantViolation, match="re-entered"):
-        _leaky_replay(leak)
+        _leaky_replay(_back_from_earlier(0, []))
+
+
+def _duplicate(channel, planted):
+    # the channel's last anchor takes the id of its first window token
+    def leak(cache, evicted):
+        if cache.anchor_count and not planted:
+            token = _slot_id(cache, cache.order[channel, cache.reference_count])
+            slot = cache.order[channel, -1]
+            cache.frames[slot], cache.tokens[slot] = token
+            planted.append(token)
+    return leak
+
+
+def _negative(channel, planted):
+    def leak(cache, evicted):
+        if cache.anchor_count and not planted:
+            slot = cache.order[channel, -1]
+            cache.scores[slot] = -1e-3
+            planted.append(_slot_id(cache, slot))
+    return leak
+
+
+@pytest.mark.parametrize("plant, what", [
+    (_resident_again, "evicted token\\(s\\) re-entered the temporal cache"),
+    (_back_from_earlier, "evicted token\\(s\\) re-entered the temporal cache"),
+    (_duplicate, "duplicate token id"),
+    (_negative, "negative score in temporal cache"),
+], ids=["evicted-this-chunk", "evicted-earlier", "duplicate", "negative-score"])
+def test_audit_names_the_breach_in_the_last_of_three_channels(plant, what):
+    # The audit checks every channel at once; a breach planted in channel
+    # 2 alone raises, and the message names that channel and its token.
+    planted = []
+    with pytest.raises(InvariantViolation) as caught:
+        _leaky_replay(plant(2, planted), heads=3)
+    (token,) = planted
+    assert re.search(f"^channel 2: {what}.*{re.escape(repr(token))}", str(caught.value)), \
+        str(caught.value)
 
 
 def _breached_replay(plant):
@@ -534,6 +599,50 @@ def test_audit_conservation_is_per_channel():
 
     with pytest.raises(InvariantViolation, match="conservation"):
         _breached_replay(shift)
+
+
+@pytest.mark.parametrize("config, chunk, layers, heads", [
+    (CacheConfig(), 4, 2, 3),
+    # one window frame expels fresh frames at once; no anchors; quantized
+    (CacheConfig(window_frames=1, window_frac=0.5, anchor_frac=0.0, retrieve_frac=0.5,
+                 half_precision=True), 3, 1, 2),
+], ids=["defaults-2x3-chunk4", "window1-no-anchors-half-1x2-chunk3"])
+def test_stac_channels_replay_as_if_alone(config, chunk, layers, heads):
+    # Channels share a cache and a store but never each other's tokens: a
+    # channel's outputs equal, bit for bit, those of a one-channel replay of
+    # its own slice of the records.
+    header, records = _trace(seed=8, frames=30, tokens=8, layers=layers, heads=heads,
+                             motion="revisit")
+    _, outputs = replay_outputs((header, records), Policy.stac(config), chunk)
+    alone = replace(header, layers=1, heads=1)
+    for li, hi in np.ndindex(layers, heads):
+        sliced = [TraceRecord(r.frame_idx, r.data[li : li + 1, hi : hi + 1].copy(), r.positions,
+                              r.position_mask) for r in records]
+        _, own = replay_outputs((alone, sliced), Policy.stac(config), chunk)
+        assert sorted(own) == sorted(outputs)
+        for f, out in own.items():
+            assert np.array_equal(outputs[f][li, hi], out[0, 0]), (li, hi, f)
+
+
+def test_audit_names_a_late_retrieved_token_in_the_last_of_three_channels():
+    header, records = _trace(seed=3, frames=40, tokens=6, heads=3, d_h=4, motion="revisit")
+    replayer = StreamReplayer(header, Policy.stac(), audit=True)
+    store = replayer.store
+    original = store.retrieve
+    planted = []
+
+    def retrieve(visible, quota, where=None):
+        blocks = original(visible, quota, where)
+        if len(blocks[2]) and not planted:
+            blocks[2].frames[-1] = len(records)  # born after every chunk
+            planted.append(blocks[2].ids()[-1])
+        return blocks
+
+    store.retrieve = retrieve
+    with pytest.raises(InvariantViolation) as caught:
+        for record in records:
+            replayer.feed(record)
+    assert str(caught.value).startswith(f"channel 2: cache token {planted[0]!r} not older")
 
 
 def _pickled(replayer):

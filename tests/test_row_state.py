@@ -1,15 +1,18 @@
-"""The row-state stac channel against the object-based channel it replaced.
+"""The row-state stac path against the object-based channels it replaced.
 
-The reference below is the previous stac path, kept as test-local code: a
-temporal cache and a voxel store that hold one Python object per token, a
-channel step that stacks those objects into its key set, and a stand-in for
-the replay's voxel store that retrieves each channel's objects from, and
-routes its evictees one at a time into, a store of that channel's own. The
-stand-in reads those stores back as the per-channel arrays the replayer
-counts a chunk from. The channels under test keep the same state as rows of
-arrays and share one voxel store, which takes every channel's evictees of a
-chunk in one batched insertion. Every replay must give the same attention
-outputs, bit for bit, and the same canonical stats stream, byte for byte.
+The reference below is an earlier stac path, kept as test-local code: a
+temporal cache and a voxel store per channel that hold one Python object
+per token, a channel step that stacks those objects into its key set, a
+stand-in for the replay's stac step that runs those channels one after
+another, and a stand-in for the replay's voxel store that retrieves each
+channel's objects from, and routes its evictees one at a time into, a store
+of that channel's own. The stand-ins read those caches and stores back as
+the figures the replayer counts a chunk from. The path under test keeps
+the same state as rows of arrays: every channel's members in slots of one
+temporal cache, which turns them all over at once, and one voxel store,
+which takes every channel's evictees of a chunk in one batched insertion.
+Every replay must give the same attention outputs, bit for bit, and the
+same canonical stats stream, byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from stacache import (CacheConfig, Policy, StreamReplayer, TokenBlock, TokenId, 
                       synth_trace)
 from stacache.attention import attend
 from stacache.kernel import HALF_MAX, half_roundtrip
-from stacache.pipeline import _StacChannel
 from stacache.spatial import EVENTS, RE_MERGED, VoxelCoord, morton_encode, voxel_indices
 from oracles import feed_all, store_cells, weighted_mean
 
@@ -334,23 +336,20 @@ def _token_block(tokens, d_h):
         counts=[t.count for t in tokens])
 
 
-class _RefChannel(_StacChannel):
-    """The previous channel step over token objects (no audit checks; it
-    counts the audits the channel under test counts)."""
+class _RefChannel:
+    """An earlier channel step over token objects."""
 
     def __init__(self, config, budget, d_h, tokens_per_frame):
-        self.config, self.budget = config, budget
         self.d_h, self.tokens_per_frame = d_h, tokens_per_frame
         self.cache = _RefCache(config.window_frames, budget.anchor_tokens, config.gamma,
                                config.half_precision)
         self.store = _RefStore(config.voxel_size, config.merge_lambda, config.g_cap,
                                config.e_cap, config.knn_radius_mult, config.half_precision)
-        self.audits = 0
 
     def register(self, frame):
         self.cache.register_reference(frame)
 
-    def step(self, frames, retrieved, audit):
+    def step(self, frames, retrieved):
         # retrieved holds token objects of this channel's own store, near
         # the positions its frames carry
         n = self.tokens_per_frame
@@ -374,8 +373,6 @@ class _RefChannel(_StacChannel):
         initial = [res.mass[base + i * n : base + (i + 1) * n] for i in range(len(frames))]
         expelled = self.cache.ingest_frames(frames, initial)
         evicted = self.cache.select_anchors(expelled)
-        if audit:
-            self.audits += 6
         spat_mass = float(res.mass[temp_len : temp_len + spat_len].sum())
         return res.outputs, spat_mass, _token_block(evicted, self.d_h)
 
@@ -388,15 +385,55 @@ class _RefChannel(_StacChannel):
         }
 
 
+class _RefChannels:
+    """Stands in for the replay's stac step over one reference channel per
+    (layer, head) (no audit checks; it counts the audits the path under
+    test counts)."""
+
+    def __init__(self, channels, header):
+        self.channels, self.header = channels, header
+        self.audits = 0
+
+    @property
+    def member_count(self):
+        (count,) = {ch.cache.member_count for ch in self.channels}
+        return count
+
+    @property
+    def half_saturations(self):
+        return sum(ch.cache.half_saturations for ch in self.channels)
+
+    def register(self, record):
+        h = self.header
+        for ch, (li, hi) in zip(self.channels, np.ndindex(h.layers, h.heads)):
+            ch.register(record.channel(li, hi))
+
+    def step(self, records, retrieved, audit, out):
+        h = self.header
+        spat_mass, evicted = 0.0, []
+        for c, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
+            outputs, mass, evictees = self.channels[c].step(
+                [r.channel(li, hi) for r in records], retrieved[c])
+            out[:, li, hi] = outputs.reshape(len(records), h.tokens_per_frame, h.d_h)
+            spat_mass += mass
+            evicted.append(evictees)
+        if audit:
+            self.audits += 6 * len(self.channels)
+        return spat_mass, TokenBlock.concat(evicted)
+
+    def score_sums(self):
+        sums = [ch.score_sums() for ch in self.channels]
+        return {g: (sum(s[g][0] for s in sums), sum(s[g][1] for s in sums)) for g in sums[0]}
+
+
 def _replay(header, records, config, chunk_size, reference):
     replayer = StreamReplayer(header, Policy.stac(config), chunk_size=chunk_size, audit=True)
     if reference:
         # each reference channel keeps a store of its own
-        replayer.channels = [
-            _RefChannel(config, replayer.budget, header.d_h, header.tokens_per_frame)
-            for _ in replayer.channels
-        ]
-        replayer.store = _RefStores([ch.store for ch in replayer.channels])
+        channels = [_RefChannel(config, replayer.budget, header.d_h, header.tokens_per_frame)
+                    for _ in range(header.layers * header.heads)]
+        replayer.stac = _RefChannels(channels, header)
+        replayer.store = _RefStores([ch.store for ch in channels])
     return feed_all(replayer, records)
 
 

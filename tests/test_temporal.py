@@ -1,27 +1,29 @@
-"""Temporal working cache: window FIFO, score decay, anchor selection."""
+"""Temporal working cache: window FIFO, score decay, anchor selection.
+
+The cache here holds one channel; slots are flat indices into its arrays.
+"""
 
 import numpy as np
 import pytest
 
-from stacache import DimensionError, StacacheError, TemporalCache, TokenId
-from stacache.tokens import FrameTokens
+from stacache import DimensionError, StacacheError, TemporalCache, TokenId, TraceRecord
 from oracles import decayed_score, geometric_closed_form
 
 
 def _frame(frame_idx, n=4, d=4, seed=None, with_positions=True):
+    # one channel's q, k and v as a one-layer, one-head record
     rng = np.random.default_rng(seed if seed is not None else 100 + frame_idx)
-    return FrameTokens(
+    qkv = [rng.normal(size=(n, d)) for _ in range(3)]
+    return TraceRecord(
         frame_idx=frame_idx,
-        queries=rng.normal(size=(n, d)),
-        keys=rng.normal(size=(n, d)),
-        values=rng.normal(size=(n, d)),
+        data=np.stack(qkv)[None, None],
         positions=rng.uniform(-1, 1, size=(n, 3)),
         position_mask=np.full(n, with_positions),
     )
 
 
 def _anchors(cache):
-    return cache.blocks()[-1]
+    return cache.block(cache.order[:, cache.reference_count + cache.window_token_count :].ravel())
 
 
 def _cache(window_frames=2, anchor_budget=4, gamma=0.9, **kw):
@@ -62,14 +64,14 @@ def test_ingest_within_window_no_expulsion():
 def test_ingest_beyond_window_expels_fifo():
     cache = _cache(window_frames=2)
     cache.ingest_frames([_frame(1), _frame(2)])
-    expelled = cache.ingest_frames([_frame(3), _frame(4)])
+    expelled = cache.block(cache.ingest_frames([_frame(3), _frame(4)]))
     # frames 1 and 2 leave, oldest first, 4 tokens each
     assert expelled.frames.tolist() == [1] * 4 + [2] * 4
     assert expelled.tokens[:4].tolist() == [0, 1, 2, 3]
     assert cache.window_token_count == 8
     # one call with more frames than the window expels its oldest new
     # frames too, oldest first, and keeps the newest
-    expelled = cache.ingest_frames([_frame(5), _frame(6), _frame(7)])
+    expelled = cache.block(cache.ingest_frames([_frame(5), _frame(6), _frame(7)]))
     assert expelled.frames.tolist() == [3] * 4 + [4] * 4 + [5] * 4
     window = cache.snapshot().frames[cache.reference_count : cache.member_count]
     assert window.tolist() == [6] * 4 + [7] * 4
@@ -84,8 +86,8 @@ def test_non_monotone_frames_raise():
 
 def test_update_scores_zero_mass_scales_by_gamma():
     cache = _cache(gamma=0.5)
-    cache.ingest_frames([_frame(1)], initial_scores=[np.full(4, 2.0)])
-    cache.update_scores(np.zeros(cache.member_count))
+    cache.ingest_frames([_frame(1)], initial_scores=np.full((1, 4), 2.0))
+    cache.update_scores(np.zeros((1, cache.member_count)))
     snap = cache.snapshot()
     for score in snap.scores[snap.frames == 1]:
         assert score == pytest.approx(1.0, abs=1e-12)
@@ -97,7 +99,7 @@ def test_update_scores_matches_replay_oracle():
     cache.register_reference(_frame(0, n=1))
     masses = rng.random(50)
     for m in masses:
-        cache.update_scores(np.array([m]))
+        cache.update_scores(np.array([[m]]))
     expected = decayed_score(masses, 0.9)
     assert cache.snapshot().scores[0] == pytest.approx(expected, abs=1e-12)
 
@@ -108,7 +110,7 @@ def test_constant_mass_closed_form(gamma):
     cache.register_reference(_frame(0, n=1))
     a = 0.37
     for t in range(1, 121):
-        cache.update_scores(np.array([a]))
+        cache.update_scores(np.array([[a]]))
         want = geometric_closed_form(a, gamma, t)
         assert cache.snapshot().scores[0] == pytest.approx(want, abs=1e-10)
 
@@ -116,21 +118,21 @@ def test_constant_mass_closed_form(gamma):
 def test_gamma_zero_keeps_only_last_mass():
     cache = TemporalCache(1, 0, 0.0)
     cache.register_reference(_frame(0, n=1))
-    cache.update_scores(np.array([5.0]))
-    cache.update_scores(np.array([0.25]))
+    cache.update_scores(np.array([[5.0]]))
+    cache.update_scores(np.array([[0.25]]))
     assert cache.snapshot().scores[0] == 0.25
 
 
 def test_update_scores_misalignment_raises():
     cache = _cache()
     with pytest.raises(DimensionError):
-        cache.update_scores(np.zeros(cache.member_count + 1))
+        cache.update_scores(np.zeros((1, cache.member_count + 1)))
 
 
 def test_initial_scores_seed_fresh_tokens():
     cache = _cache(window_frames=2)
     scores = np.array([0.1, 0.2, 0.3, 0.4])
-    cache.ingest_frames([_frame(1)], initial_scores=[scores])
+    cache.ingest_frames([_frame(1)], initial_scores=scores[None])
     snap = cache.snapshot()
     assert list(snap.scores[snap.frames == 1]) == pytest.approx(list(scores))
 
@@ -139,14 +141,14 @@ def test_select_anchors_ranking_and_ties():
     cache = _cache(window_frames=1, anchor_budget=2)
     expelled = cache.ingest_frames([_frame(1), _frame(2)])
     # within one frame, a score tie prefers the lower token index
-    expelled.scores[:] = np.where(expelled.tokens < 2, 1.0, 0.0)
+    cache.scores[expelled] = np.where(cache.tokens[expelled] < 2, 1.0, 0.0)
     evicted = cache.select_anchors(expelled)
     kept = _anchors(cache).ids()
     assert kept == [TokenId(1, 0), TokenId(1, 1)]
     assert evicted.ids() == [TokenId(1, 2), TokenId(1, 3)]
     # across frames, an exact tie prefers the younger frame
     expelled2 = cache.ingest_frames([_frame(3)])
-    expelled2.scores[:] = np.where(expelled2.tokens < 2, 1.0, 0.0)
+    cache.scores[expelled2] = np.where(cache.tokens[expelled2] < 2, 1.0, 0.0)
     evicted2 = cache.select_anchors(expelled2)
     kept2 = _anchors(cache).ids()
     assert kept2 == [TokenId(2, 0), TokenId(2, 1)]
@@ -157,13 +159,13 @@ def test_select_anchors_ranking_and_ties():
 def test_anchor_scores_persist_and_recompete():
     cache = _cache(window_frames=1, anchor_budget=1)
     exp = cache.ingest_frames([_frame(1), _frame(2)])
-    exp.scores[:] = np.arange(len(exp), dtype=float)
+    cache.scores[exp] = np.arange(len(exp), dtype=float)
     cache.select_anchors(exp)
     (anchor,) = _anchors(cache).ids()
     assert _anchors(cache).scores.tolist() == [3.0]
     # a stronger newcomer displaces it; the loser keeps its frozen score
     exp2 = cache.ingest_frames([_frame(3)])
-    exp2.scores[:] = 10.0
+    cache.scores[exp2] = 10.0
     evicted = cache.select_anchors(exp2)
     assert anchor in evicted.ids()
     assert evicted.scores[evicted.ids().index(anchor)] == 3.0
@@ -181,7 +183,7 @@ def test_anchor_budget_zero_evicts_everything():
 def test_snapshot_order_reference_window_anchors():
     cache = _cache(window_frames=2, anchor_budget=8)
     exp = cache.ingest_frames([_frame(1), _frame(2), _frame(3)])
-    exp.scores[:] = np.arange(len(exp), dtype=float)
+    cache.scores[exp] = np.arange(len(exp), dtype=float)
     cache.select_anchors(exp)
     snap = cache.snapshot()
     ref = snap.take(slice(0, cache.reference_count))
@@ -198,7 +200,7 @@ def test_reference_survives_many_cycles_unchanged():
     cache = _cache(window_frames=1, anchor_budget=2)
     before = cache.snapshot().keys[:4].copy()
     for f in range(1, 101):
-        mass = np.random.default_rng(f).random(cache.member_count)
+        mass = np.random.default_rng(f).random((1, cache.member_count))
         cache.update_scores(mass)
         exp = cache.ingest_frames([_frame(f)])
         cache.select_anchors(exp)
@@ -210,7 +212,7 @@ def test_reference_survives_many_cycles_unchanged():
 def test_quantize_rounds_and_counts_saturation():
     cache = TemporalCache(2, 0, 0.9, quantize=True)
     frame = _frame(0)
-    frame.keys[0, 0] = 1e6  # beyond float16
+    frame.data[0, 0, 1, 0, 0] = 1e6  # a key beyond float16
     cache.register_reference(frame)
     key = cache.snapshot().keys[0]
     assert key[0] == 65504.0
