@@ -30,7 +30,7 @@ from .pipeline import (
 )
 from .spatial import VoxelCoord, VoxelStore, morton_decode, morton_encode
 from .temporal import TemporalCache
-from .tokens import CacheConfig, FrameTokens, TokenBlock, TokenId, validate_config
+from .tokens import CacheConfig, TokenBlock, TokenId, validate_config
 from .traceio import TraceHeader, TraceRecord, read_trace, synth_trace, write_trace
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "DegenerateVectorError",
     "DimensionError",
     "EmptySupportError",
-    "FrameTokens",
     "HALF_MAX",
     "InvariantViolation",
     "Policy",

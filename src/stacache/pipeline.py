@@ -4,10 +4,12 @@ Frames arrive one at a time and are processed in fixed-size chunks: queries
 of a chunk attend over the policy's cached tokens plus the chunk itself,
 then the policy updates its cache. Every (layer, head) pair is an
 independent channel with its own cache state; a chunk's stats row sums over
-channels. Under `stac` the channels share one voxel store, which keeps
-their cells apart and takes a chunk's evictees from every channel in one
-insertion. Replays are deterministic for a given trace and policy, apart
-from wall-clock fields.
+channels. Each policy has one cache object that holds every channel and
+steps them all once per chunk, so the replayer never asks which policy it
+runs. Under `stac` the channels share one temporal cache and one voxel
+store, which keep their tokens apart and turn every channel over at once.
+Replays are deterministic for a given trace and policy, apart from
+wall-clock fields.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .attention import Workspace, attend
 from .errors import ConfigError, InvariantViolation, TraceFormatError
 from .spatial import EVENTS, VoxelStore
 from .temporal import TemporalCache
-from .tokens import CacheConfig, FrameTokens, TokenBlock, TokenId, validate_config
+from .tokens import CacheConfig, TokenId, validate_config
 from .traceio import TraceHeader, TraceRecord, read_trace
 
 # Byte accounting convention: cache entries are float16 key+value pairs,
@@ -115,7 +117,14 @@ def allocate_budget(config: CacheConfig, tokens_per_frame: int) -> BudgetSplit:
     return split
 
 
-# -- per-channel policy implementations ------------------------------------
+# -- the policies' caches ----------------------------------------------------
+#
+# Each policy has one cache that holds every channel. A cache takes the
+# reference frame in `register(record)`, and one `step(records, audit, out)`
+# per chunk attends every channel into out[:, layer, head], turns the cache
+# over and returns the chunk's policy figures, keyed as the row keys them.
+# It reports `member_count` (temporal members per channel), `spatial_tokens`
+# (over every channel), `half_saturations` and `audits` (checks run).
 
 
 def _mapped_rows(rows: int, d_h: int) -> np.ndarray:
@@ -133,105 +142,127 @@ def _mapped_rows(rows: int, d_h: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, rows * d_h * 8), dtype=np.float64).reshape(rows, d_h)
 
 
-class _VerbatimChannel:
-    """Baseline: the reference frame plus the last `window` frames, verbatim.
+class _VerbatimChannels:
+    """Baseline: the reference frame plus the last `window` frames, verbatim,
+    on every channel.
 
-    `window=None` keeps every frame (the `full` policy). Rows live in one
-    append-only key/value buffer, reference first, so a step attends over a
-    prefix slice in arrival order; a window moves its last frames down
-    behind the reference after each step. A window's buffer is sized once,
-    for the reference, the window and one chunk, where the header's frame
-    count caps both the window and the chunk. The `full` buffer doubles
-    when full instead, so a header that declares an absurd frame count
-    cannot turn into an allocation. Every buffer is a memory mapping of its
-    own (`_mapped_rows`), so an outgrown one goes back to the OS when
-    dropped.
-
-    A step returns the channel's outputs: these policies keep no voxel
-    store. `held` is the number of rows the channel attends from its cache,
-    and `audits` counts the mass checks it ran.
+    `window=None` keeps every frame (the `full` policy). Each channel's rows
+    live in an append-only key/value buffer of its own, reference first, so
+    a step attends over a prefix slice in arrival order; a window moves its
+    last frames down behind the reference after each step. A window's
+    buffers are sized once, for the reference, the window and one chunk,
+    where the header's frame count caps both the window and the chunk.
+    `full`'s buffers double when full instead, one channel at a time, so a
+    header that declares an absurd frame count cannot turn into an
+    allocation, and only one channel's outgrown pair is alive at once.
+    Every buffer is a memory mapping of its own (`_mapped_rows`), so an
+    outgrown one goes back to the OS when dropped. Every channel holds as
+    many rows as every other, and no voxel store: the step's figures are
+    zeros.
     """
 
-    def __init__(self, d_h: int, window: Optional[int], tokens_per_frame: int,
-                 chunk_size: int, frame_count: int, workspace: Workspace):
-        self.d_h = d_h
+    spatial_tokens = 0
+    half_saturations = 0
+
+    def __init__(self, header: TraceHeader, window: Optional[int], chunk_size: int,
+                 workspace: Workspace):
+        self.header = header
         self.window = window
-        self.tokens_per_frame = tokens_per_frame
-        rows = 0
-        if window is not None:
-            rows = (1 + min(window, frame_count) + min(chunk_size, frame_count)) * tokens_per_frame
-        self.keys = _mapped_rows(rows, d_h)
-        self.values = _mapped_rows(rows, d_h)
+        n, frames = header.tokens_per_frame, header.frame_count
+        rows = 0 if window is None else (1 + min(window, frames) + min(chunk_size, frames)) * n
+        channels = header.layers * header.heads
+        self.keys = [_mapped_rows(rows, header.d_h) for _ in range(channels)]
+        self.values = [_mapped_rows(rows, header.d_h) for _ in range(channels)]
         self.ref_len = 0
-        self.held = 0
-        self.audits = 0
+        self.member_count = 0  # rows each channel attends from its cache
         self.workspace = workspace
+        self.audits = 0
 
-    def register(self, frame: FrameTokens) -> None:
-        self.ref_len = self._append([frame])
-        self.held = self.ref_len
+    def _append(self, c: int, records: list[TraceRecord]) -> tuple[np.ndarray, np.ndarray]:
+        """Channel c's keys and values with the records' rows written after
+        the held ones, as views up to the new end."""
+        h, held = self.header, self.member_count
+        li, hi = divmod(c, h.heads)
+        n = h.tokens_per_frame
+        end = held + len(records) * n
+        keys, values = self.keys[c], self.values[c]
+        if end > len(keys):
+            rows = max(end, 2 * len(keys))
+            grown = _mapped_rows(rows, h.d_h), _mapped_rows(rows, h.d_h)
+            grown[0][:held] = keys[:held]
+            grown[1][:held] = values[:held]
+            self.keys[c], self.values[c] = keys, values = grown
+        for i, r in enumerate(records):
+            keys[held + i * n : held + (i + 1) * n] = r.data[li, hi, 1]
+            values[held + i * n : held + (i + 1) * n] = r.data[li, hi, 2]
+        return keys[:end], values[:end]
 
-    def _append(self, frames: list[FrameTokens]) -> int:
-        """Write the frames' rows after the held ones; returns the new end."""
-        end = self.held + sum(f.token_count for f in frames)
-        if end > self.keys.shape[0]:
-            rows = max(end, 2 * self.keys.shape[0])
-            keys, values = _mapped_rows(rows, self.d_h), _mapped_rows(rows, self.d_h)
-            keys[: self.held] = self.keys[: self.held]
-            values[: self.held] = self.values[: self.held]
-            self.keys, self.values = keys, values
-        row = self.held
-        for f in frames:
-            self.keys[row : row + f.token_count] = f.keys
-            self.values[row : row + f.token_count] = f.values
-            row += f.token_count
-        return end
+    def register(self, record: TraceRecord) -> None:
+        for c in range(len(self.keys)):
+            self._append(c, [record])
+        self.ref_len = self.member_count = self.header.tokens_per_frame
 
-    def step(self, frames: list[FrameTokens], audit: bool) -> np.ndarray:
-        chunk_q = np.concatenate([f.queries for f in frames])
-        end = self._append(frames)
-        res = attend(chunk_q, self.keys[:end], self.values[:end], np.ones(end), self.d_h,
-                     workspace=self.workspace)
+    def step(self, records: list[TraceRecord], audit: bool, out: np.ndarray) -> dict:
+        h, ref = self.header, self.ref_len
+        n = h.tokens_per_frame
+        end = self.member_count + len(records) * n
+        kept = end - ref if self.window is None else min(end - ref, self.window * n)
+        for c, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
+            keys, values = self._append(c, records)
+            queries = np.concatenate([r.data[li, hi, 0] for r in records])
+            res = attend(queries, keys, values, np.ones(end), h.d_h, workspace=self.workspace)
+            out[:, li, hi] = res.outputs.reshape(len(records), n, h.d_h)
+            if audit:
+                _check_mass(res.mass, len(queries))
+            if kept < end - ref:  # the window's last frames move down behind the reference
+                keys[ref : ref + kept] = keys[end - kept :]
+                values[ref : ref + kept] = values[end - kept :]
+        self.member_count = ref + kept
         if audit:
-            _check_mass(res.mass, chunk_q.shape[0])
-            self.audits += 1
-        if self.window is None:
-            self.held = end
-        else:
-            kept = min(end - self.ref_len, self.window * self.tokens_per_frame)
-            self.held = self.ref_len + kept
-            self.keys[self.ref_len : self.held] = self.keys[end - kept : end]
-            self.values[self.ref_len : self.held] = self.values[end - kept : end]
-        return res.outputs
+            self.audits += len(self.keys)
+        return {"events": dict.fromkeys(("evicted", *EVENTS), 0),
+                "retrieval": dict.fromkeys(("requested", "returned_g", "returned_e"), 0),
+                "spatial_mass_frac": 0.0,
+                "score_means": dict.fromkeys(("reference", "window", "anchor"), 0.0)}
 
 
 class _StacChannels:
     """The compressed scheme on every channel: one temporal cache holds all
-    of them, and the replay's voxel store takes their evictees.
+    of them, and one voxel store takes their evictees.
 
-    A chunk is one `step`. Each channel in turn attends over its members
-    in snapshot order, the rows the replayer retrieved for it and the
-    chunk, all copied into one per-replay key and value buffer. Then the
-    cache takes every channel's masses at once: one score update, one
-    window turnover and one anchor selection, and one audit checks every
-    channel. The step writes each channel's outputs into the replayer's
-    block and returns the mass on the retrieved rows and the chunk's
-    evicted rows, channel by channel; the replayer inserts them, then
-    audits the store and each channel's conservation. `audits` counts the
-    checks: six per channel and chunk here, two in the replayer.
+    A chunk is one `step`. One retrieval serves every channel: the store is
+    the same for all of them until the chunk's insertion. Each channel in
+    turn attends over its members in snapshot order, the rows retrieved for
+    it and the chunk, all copied into one per-replay key and value buffer.
+    Then the temporal cache takes every channel's masses at once: one score
+    update, one window turnover and one anchor selection; the store takes
+    every channel's evictees in one insertion; and one audit checks every
+    channel, eight checks per channel and chunk.
     """
 
-    def __init__(self, config: CacheConfig, budget: BudgetSplit, header: TraceHeader,
-                 workspace: Workspace):
+    def __init__(self, config: CacheConfig, header: TraceHeader, workspace: Workspace):
+        problems = validate_config(config)
+        if problems:
+            raise ConfigError("; ".join(problems))
+        self.budget = allocate_budget(config, header.tokens_per_frame)
         self.config = config
-        self.budget = budget
         self.header = header
-        self.cache = TemporalCache(
+        channels = header.layers * header.heads
+        self.temporal = TemporalCache(
             window_frames=config.window_frames,
-            anchor_budget=budget.anchor_tokens,
+            anchor_budget=self.budget.anchor_tokens,
             gamma=config.gamma,
             quantize=config.half_precision,
-            channels=header.layers * header.heads,
+            channels=channels,
+        )
+        self.store = VoxelStore(
+            voxel_size=config.voxel_size,
+            merge_lambda=config.merge_lambda,
+            g_cap=config.g_cap,
+            e_cap=config.e_cap,
+            knn_radius_mult=config.knn_radius_mult,
+            quantize=config.half_precision,
+            channels=channels,
         )
         # key and value rows of one channel's key set; they grow to the largest
         self.keys, self.values = np.empty((0, header.d_h)), np.empty((0, header.d_h))
@@ -240,29 +271,36 @@ class _StacChannels:
 
     @property
     def member_count(self) -> int:
-        """Temporal members per channel."""
-        return self.cache.member_count
+        return self.temporal.member_count
+
+    @property
+    def spatial_tokens(self) -> int:
+        return int(self.store.token_counts.sum())
 
     @property
     def half_saturations(self) -> int:
-        return self.cache.half_saturations
+        return self.store.half_saturations + self.temporal.half_saturations
 
     def register(self, record: TraceRecord) -> None:
-        self.cache.register_reference(record)
+        self.temporal.register_reference(record)
 
-    def step(self, records: list[TraceRecord], retrieved: list[TokenBlock], audit: bool,
-             out: np.ndarray) -> tuple[float, TokenBlock]:
+    def step(self, records: list[TraceRecord], audit: bool, out: np.ndarray) -> dict:
         """Attend the chunk on every channel into out[:, layer, head], then
-        turn the cache over; returns the mass on the retrieved rows and the
-        evicted rows. Each retrieved block is dropped once its channel has
-        attended."""
-        h, cache = self.header, self.cache
+        turn the temporal cache over and insert its evictees into the store.
+        Each retrieved block is dropped once its channel has attended."""
+        h, cache, store = self.header, self.temporal, self.store
         d, n = h.d_h, h.tokens_per_frame
-        fresh = len(records) * n
+        channels, fresh, quota = cache.channels, len(records) * n, self.budget.retrieve_tokens
+        events_before = store.channel_events.sum(0)
+        vis = np.concatenate([r.positions[r.position_mask] for r in records])
+        retrieved = store.retrieve(vis, quota, where=lambda i: _visible_token(records, i))
+        returned_g = sum(int((b.frames == -1).sum()) for b in retrieved)
+        retrieval = {"requested": channels * quota, "returned_g": returned_g,
+                     "returned_e": sum(len(b) for b in retrieved) - returned_g}
         attended = cache.order
         held = attended.shape[1]
         member_mass = np.empty(attended.shape)
-        fresh_mass = np.empty((len(attended), fresh))
+        fresh_mass = np.empty((channels, fresh))
         spat_mass, masses, seen = 0.0, [], []
         for c, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
             got = retrieved[c]
@@ -298,36 +336,43 @@ class _StacChannels:
         if audit:
             # The ids of the members as attended, then of the expellees, read
             # before selection: the audit holds selection to its inputs.
-            slots = np.concatenate([attended, expelled.reshape(len(attended), -1)], axis=1)
+            slots = np.concatenate([attended, expelled.reshape(channels, -1)], axis=1)
             ids = cache.frames[slots], cache.tokens[slots]
         evicted = cache.select_anchors(expelled)
+        # every channel evicts as many rows as every other
+        store.insert_evicted(evicted, np.repeat(np.arange(channels), len(evicted) // channels))
         if audit:
             self._audit(masses, fresh, ids, held, ranked, seen, records, evicted)
-        return spat_mass, evicted
+        delta = (store.channel_events.sum(0) - events_before).tolist()
+        return {"events": {"evicted": len(evicted), **dict(zip(EVENTS, delta))},
+                "retrieval": retrieval,
+                "spatial_mass_frac": spat_mass / (channels * fresh),
+                "score_means": self._score_means()}
 
-    def score_sums(self) -> dict:
+    def _score_means(self) -> dict:
         # Per group: the sequential float sum of each channel's scores in
-        # member order, those summed in channel order; and the group's size.
-        cache = self.cache
+        # member order, those summed in channel order, over the group's size.
+        cache = self.temporal
         ref = cache.reference_count
         win = ref + cache.window_token_count
         scores = cache.scores[cache.order]
         parts = {"reference": scores[:, :ref], "window": scores[:, ref:win],
                  "anchor": scores[:, win:]}
-        return {g: (sum(sum(row) for row in p.tolist()), p.size) for g, p in parts.items()}
+        return {g: sum(sum(row) for row in p.tolist()) / p.size if p.size else 0.0
+                for g, p in parts.items()}
 
     def _audit(self, masses, n_queries, ids, held, ranked, retrieved, records,
                evicted) -> None:
-        """The checks that do not depend on the voxel store, before insertion,
-        on every channel at once. A breach names the first channel that has
-        one and, where there is one, the token.
+        """Every check of the chunk, on every channel at once, after the
+        insertion. A breach names the first channel that has one and, where
+        there is one, the token.
 
         `ids` holds (frames, tokens), each (channels, held + expellees): the
         ids of each channel's members as attended, the anchors from column
         `ranked` on, then of its expellees. `retrieved` holds the ids of
         each channel's retrieved rows.
         """
-        cache = self.cache
+        cache = self.temporal
         channels, chunk_lo = cache.channels, records[0].frame_idx
         for mass in masses:
             _check_mass(mass, n_queries)
@@ -388,7 +433,16 @@ class _StacChannels:
             c, i = np.argwhere(negative)[0]
             raise InvariantViolation(f"channel {c}: negative score in temporal cache: "
                                      f"{cache.block(members[c, i : i + 1]).ids()[0]}")
-        self.audits += 6 * channels
+        # the caps of every cell, and each channel's token conservation
+        self.store.audit()
+        produced = (records[-1].frame_idx + 1) * n
+        accounted = cache.member_count + self.store.count_masses
+        broken = np.flatnonzero(accounted != produced)
+        if broken.size:
+            c = broken[0]
+            raise InvariantViolation(f"channel {c}: token conservation broken: "
+                                     f"{accounted[c]} accounted vs {produced} produced")
+        self.audits += 8 * channels
 
 
 def _visible_token(records: list[TraceRecord], i: int) -> str:
@@ -444,12 +498,11 @@ class StreamReplayer:
     outputs of the chunk processed last, frame -> (L, H, N, d_h); each chunk
     replaces them, so a replay keeps O(chunk) of them.
 
-    `process_chunk` counts each chunk's row. Under `window` and `full`
-    each channel steps on its own (`channels`); under `stac` one step
-    (`stac`) attends every channel and reports the mass on the retrieved
-    rows and the evictees. Every other figure comes from `held`, `audits`,
-    `member_count` and `score_sums()`, from the retrieved blocks, and from
-    the store's per-channel `token_counts` and `channel_events`.
+    `cache` holds every channel under the policy: `_VerbatimChannels` under
+    `full` and `window`, `_StacChannels` under `stac`. `process_chunk`
+    counts each chunk's row: one `cache.step` attends every channel and
+    returns the policy's figures, and the token counts come from the
+    cache's `member_count` and `spatial_tokens` before and after it.
     """
 
     def __init__(
@@ -460,13 +513,6 @@ class StreamReplayer:
         audit: bool = True,
         stats_sink: Optional[Callable[[dict], None]] = None,
     ):
-        if policy.kind == "stac":
-            problems = validate_config(policy.config)
-            if problems:
-                raise ConfigError("; ".join(problems))
-            self.budget = allocate_budget(policy.config, header.tokens_per_frame)
-        else:
-            self.budget = None
         if chunk_size < 1:
             raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         self.header = header
@@ -474,35 +520,15 @@ class StreamReplayer:
         self.chunk_size = chunk_size
         self.audit = audit
         self.stats_sink = stats_sink
-        n_channels = header.layers * header.heads
         # Channels attend one after another, so they all attend through one
         # workspace; one per channel would pin C copies of the largest Q x K
         # (C x 31.6 MB under `full` at K of about 15k). It lives as long as
         # the replayer, not the process, and replays in other threads have
         # their own.
         self.workspace = Workspace()
-        self.store: Optional[VoxelStore] = None
-        self.stac: Optional[_StacChannels] = None
-        self.channels: list[_VerbatimChannel] = []
-        if policy.kind == "stac":
-            config = policy.config
-            self.store = VoxelStore(
-                voxel_size=config.voxel_size,
-                merge_lambda=config.merge_lambda,
-                g_cap=config.g_cap,
-                e_cap=config.e_cap,
-                knn_radius_mult=config.knn_radius_mult,
-                quantize=config.half_precision,
-                channels=n_channels,
-            )
-            self.stac = _StacChannels(config, self.budget, header, self.workspace)
-        else:
-            window = policy.window if policy.kind == "window" else None
-            self.channels = [
-                _VerbatimChannel(header.d_h, window, header.tokens_per_frame, chunk_size,
-                                 header.frame_count, self.workspace)
-                for _ in range(n_channels)
-            ]
+        self.cache = (_StacChannels(policy.config, header, self.workspace) if policy.kind == "stac"
+                      else _VerbatimChannels(header, policy.window if policy.kind == "window"
+                                             else None, chunk_size, self.workspace))
         self.outputs: dict[int, np.ndarray] = {}
         self.rows: list[dict] = []
         self._pending: list[TraceRecord] = []
@@ -514,10 +540,9 @@ class StreamReplayer:
         self._finished = False
 
     def _held(self) -> int:
-        """Tokens the caches hold, over every channel."""
-        if self.stac is not None:
-            return self.stac.member_count * self.header.layers * self.header.heads
-        return sum(ch.held for ch in self.channels)
+        """Tokens the cache holds, temporal and spatial, over every channel."""
+        h = self.header
+        return self.cache.member_count * h.layers * h.heads + self.cache.spatial_tokens
 
     def feed(self, record: TraceRecord) -> Optional[dict]:
         """Accept the next frame; returns a chunk row when one completes."""
@@ -536,12 +561,13 @@ class StreamReplayer:
                 raise TraceFormatError(
                     f"frame {record.frame_idx}: {name} has shape {got}, the header wants {want}"
                 )
+        if record.position_mask.dtype != np.bool_:
+            # an integer mask would index positions as rows
+            raise TraceFormatError(f"frame {record.frame_idx}: position_mask has dtype "
+                                   f"{record.position_mask.dtype}, want bool")
         self._frames_seen += 1
         if record.frame_idx == 0:
-            if self.stac is not None:
-                self.stac.register(record)
-            for ch, (li, hi) in zip(self.channels, np.ndindex(h.layers, h.heads)):
-                ch.register(record.channel(li, hi))
+            self.cache.register(record)
             # the reference is held from here on, also if no chunk follows
             self._peak_total = self._final_total = self._held()
             return None
@@ -551,74 +577,28 @@ class StreamReplayer:
         return None
 
     def process_chunk(self, records: list[TraceRecord]) -> dict:
-        """Attend one chunk on every channel, update the caches, and count
+        """Attend one chunk on every channel, update the cache, and count
         the chunk in its stats row; this is the only place a row is made."""
         if not records:
             raise InvariantViolation("process_chunk with no records")
         t0 = time.perf_counter()
-        h, store, stac = self.header, self.store, self.stac
-        n_channels = h.layers * h.heads
-        temporal = self._held()
-        spatial = spatial_end = 0
-        in_flight = n_channels * len(records) * h.tokens_per_frame
-        events = dict.fromkeys(self._event_totals, 0)
-        retrieval = dict.fromkeys(("requested", "returned_g", "returned_e"), 0)
-        score_means = dict.fromkeys(("reference", "window", "anchor"), 0.0)
-        if store is not None:
-            spatial = int(store.token_counts.sum())
-            events_before = store.channel_events.sum(0)
-            # One retrieval per chunk serves every channel: the store is the
-            # same for all of them until the chunk's insertion.
-            vis = np.concatenate([r.positions[r.position_mask] for r in records]) \
-                if any(r.position_mask.any() for r in records) else np.zeros((0, 3))
-            retrieved = store.retrieve(vis, self.budget.retrieve_tokens,
-                                       where=lambda i: _visible_token(records, i))
-            returned_g = sum(int((b.frames == -1).sum()) for b in retrieved)
-            retrieval = {"requested": n_channels * self.budget.retrieve_tokens,
-                         "returned_g": returned_g,
-                         "returned_e": sum(len(b) for b in retrieved) - returned_g}
-
+        h, cache = self.header, self.cache
+        frames, n, d = len(records), h.tokens_per_frame, h.d_h
+        temporal = cache.member_count * h.layers * h.heads
+        spatial = cache.spatial_tokens
+        in_flight = h.layers * h.heads * frames * n
         # The last chunk's outputs go before this chunk's block is made, and
         # each channel's are copied in as it attends: one block is alive at once.
         self.outputs = {}
-        frames, n, d = len(records), h.tokens_per_frame, h.d_h
         out = np.empty((frames, h.layers, h.heads, n, d))
-        spat_mass = 0.0
-        for ch, (li, hi) in zip(self.channels, np.ndindex(h.layers, h.heads)):
-            out[:, li, hi] = ch.step([r.channel(li, hi) for r in records],
-                                     self.audit).reshape(frames, n, d)
-        if stac is not None:
-            spat_mass, evicted = stac.step(records, retrieved, self.audit, out)
+        figures = cache.step(records, self.audit, out)
         self.outputs = {r.frame_idx: o for r, o in zip(records, out)}
 
-        if store is not None:
-            # One insertion of every channel's evictees, then the audits: the
-            # caps of every cell, and each channel's token conservation.
-            # Every channel evicts as many rows as every other.
-            store.insert_evicted(evicted,
-                                 np.repeat(np.arange(n_channels), len(evicted) // n_channels))
-            if self.audit:
-                store.audit()
-                produced = (records[-1].frame_idx + 1) * n
-                accounted = stac.member_count + store.count_masses
-                broken = np.flatnonzero(accounted != produced)
-                if broken.size:
-                    c = broken[0]
-                    raise InvariantViolation(f"channel {c}: token conservation broken: "
-                                             f"{accounted[c]} accounted vs {produced} produced")
-                stac.audits += 2 * n_channels
-            delta = (store.channel_events.sum(0) - events_before).tolist()
-            events = {"evicted": len(evicted), **dict(zip(EVENTS, delta))}
-            spatial_end = int(store.token_counts.sum())
-            for group, (scores, count) in stac.score_sums().items():
-                if count:
-                    score_means[group] = scores / count
-
         total = temporal + spatial + in_flight
-        total_end = self._held() + spatial_end
+        total_end = self._held()
         self._peak_total = max(self._peak_total, total, total_end)
         self._final_total = total_end
-        for k, v in events.items():
+        for k, v in figures["events"].items():
             self._event_totals[k] += v
         row = {
             "type": "chunk",
@@ -631,11 +611,8 @@ class StreamReplayer:
             "in_flight": in_flight,
             "total": total,
             "total_end": total_end,
-            "bytes": total * h.d_h * BYTES_PER_SCALAR * 2,
-            "events": events,
-            "retrieval": retrieval,
-            "spatial_mass_frac": spat_mass / in_flight,
-            "score_means": score_means,
+            "bytes": total * d * BYTES_PER_SCALAR * 2,
+            **figures,  # events, retrieval, spatial_mass_frac, score_means
             "wall_ms": (time.perf_counter() - t0) * 1e3,
         }
         self.rows.append(row)
@@ -655,9 +632,6 @@ class StreamReplayer:
         channels = h.layers * h.heads
         full_tokens = self._frames_seen * h.tokens_per_frame * channels
         elapsed = time.perf_counter() - self._t0
-        half_sats = 0
-        if self.stac is not None:
-            half_sats = self.store.half_saturations + self.stac.half_saturations
         summary = {
             "type": "summary",
             "policy": self.policy.label(),
@@ -675,9 +649,8 @@ class StreamReplayer:
             "full_cache_tokens": full_tokens,
             "compression_ratio": full_tokens / self._peak_total if self._peak_total else 0.0,
             "events": dict(self._event_totals),
-            "half_saturations": half_sats,
-            "audits_checked": sum(ch.audits for ch in self.channels)
-                              + (self.stac.audits if self.stac is not None else 0),
+            "half_saturations": self.cache.half_saturations,
+            "audits_checked": self.cache.audits,
             "mean_chunk_ms": sum(r["wall_ms"] for r in self.rows) / len(self.rows) if self.rows else 0.0,
             "total_ms": elapsed * 1e3,
         }

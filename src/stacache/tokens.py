@@ -67,18 +67,6 @@ class TokenBlock:
                 )
         return block
 
-    @classmethod
-    def concat(cls, blocks: list["TokenBlock"]) -> "TokenBlock":
-        return cls(*(np.concatenate(column) for column in zip(*(b.columns() for b in blocks))))
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return (self.rows, self.mask, self.scores, self.frames, self.tokens, self.counts)
-
-    def take(self, index) -> "TokenBlock":
-        """The rows at index, in index order: copies for an index array,
-        views for a slice."""
-        return TokenBlock(*(column[index] for column in self.columns()))
-
     def __len__(self) -> int:
         return self.rows.shape[0]
 
@@ -101,27 +89,6 @@ class TokenBlock:
 
     def ids(self) -> list[TokenId]:
         return [TokenId(f, t) for f, t in zip(self.frames.tolist(), self.tokens.tolist())]
-
-
-@dataclass
-class FrameTokens:
-    """All tokens one frame contributes to one (layer, head) channel.
-
-    positions carries one 3-D point per token; position_mask marks which
-    rows are real. Rows with a False mask (no geometry for that token) are
-    junk and must never be read.
-    """
-
-    frame_idx: int
-    queries: np.ndarray      # (N, d_h)
-    keys: np.ndarray         # (N, d_h)
-    values: np.ndarray       # (N, d_h)
-    positions: np.ndarray    # (N, 3)
-    position_mask: np.ndarray  # (N,) bool
-
-    @property
-    def token_count(self) -> int:
-        return self.keys.shape[0]
 
 
 @dataclass

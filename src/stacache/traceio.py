@@ -18,7 +18,6 @@ from typing import BinaryIO, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import DimensionError, TraceFormatError
-from .tokens import FrameTokens
 
 MAGIC = b"KVTRACE0"
 VERSION = 1
@@ -61,16 +60,6 @@ class TraceRecord:
     data: np.ndarray          # (L, H, 3, N, d_h) float64
     positions: np.ndarray     # (N, 3) float64, zero rows where absent
     position_mask: np.ndarray  # (N,) bool
-
-    def channel(self, layer: int, head: int) -> FrameTokens:
-        return FrameTokens(
-            frame_idx=self.frame_idx,
-            queries=self.data[layer, head, 0],
-            keys=self.data[layer, head, 1],
-            values=self.data[layer, head, 2],
-            positions=self.positions,
-            position_mask=self.position_mask,
-        )
 
 
 def _expected_shapes(header: TraceHeader) -> tuple[tuple[int, ...], int]:

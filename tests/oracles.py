@@ -4,12 +4,14 @@ Everything here is written with plain Python loops and math.* so that a
 bug in the library's vectorized numpy path cannot hide in a shared helper.
 The exceptions: `weighted_mean` is the numpy mean the scalar insertion
 references in the tests share, `store_cells` reads a VoxelStore's cell
-tables back per cell, and the replay helpers at the end collect every
+tables back per cell, `take_rows` and `concat_blocks` slice and join token
+blocks column by column, and the replay helpers at the end collect every
 frame's output from whole replays, where the divergence reference works on
 those with the library's own per-frame metrics, so that `compare` can be
 held to its bytes.
 """
 
+import dataclasses
 import functools
 import math
 from typing import NamedTuple
@@ -20,6 +22,7 @@ from stacache import (
     DegenerateVectorError,
     DimensionError,
     StreamReplayer,
+    TokenBlock,
     VoxelCoord,
     morton_encode,
 )
@@ -126,6 +129,18 @@ def weighted_mean(vectors, weights):
     if not (weights > 0.0).all():
         raise DegenerateVectorError("weights must be strictly positive")
     return (weights[:, None] * vectors).sum(axis=0) / weights.sum()
+
+
+def take_rows(block, index):
+    """The block's rows at index, in index order: copies for an index
+    array, views for a slice."""
+    return TokenBlock(*(getattr(block, f.name)[index] for f in dataclasses.fields(block)))
+
+
+def concat_blocks(blocks):
+    """The blocks' rows one after another, as one new block."""
+    return TokenBlock(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                        for f in dataclasses.fields(TokenBlock)))
 
 
 _encoded = functools.lru_cache(maxsize=4096)(morton_encode)  # tests revisit few cells

@@ -28,7 +28,8 @@ from stacache import (
 )
 from stacache.pipeline import DEFAULT_CHUNK_SIZE
 from stacache.spatial import voxel_indices
-from oracles import VoxelMirror, geometric_closed_form, py_cosine, retrieve_oracle, store_cells
+from oracles import (VoxelMirror, geometric_closed_form, py_cosine, retrieve_oracle, store_cells,
+                     take_rows)
 
 N = 16  # tokens per frame for the replay-level criteria
 
@@ -180,7 +181,7 @@ def test_c05_selection_mechanisms_match_bruteforce():
             batch = cache.block(expelled)
             each = len(batch) // channels
             refs = [_anchor_oracle(pools[c] + list(zip(
-                        batch.take(slice(c * each, (c + 1) * each)).ids(),
+                        take_rows(batch, slice(c * each, (c + 1) * each)).ids(),
                         batch.scores[c * each : (c + 1) * each].tolist())), budget)
                     for c in range(channels)]
             losers = cache.select_anchors(expelled)
@@ -188,7 +189,7 @@ def test_c05_selection_mechanisms_match_bruteforce():
             lost = len(losers) // channels
             for c, (kept_ref, losers_ref) in enumerate(refs):
                 assert cache.block(anchors[c]).ids() == [t for t, _ in kept_ref]
-                assert losers.take(slice(c * lost, (c + 1) * lost)).ids() == \
+                assert take_rows(losers, slice(c * lost, (c + 1) * lost)).ids() == \
                     [t for t, _ in losers_ref]
                 pools[c] = kept_ref
 

@@ -29,7 +29,7 @@ from stacache import (
     write_trace,
 )
 from stacache import pipeline, traceio
-from oracles import feed_all, naive_attend, reference_compare, replay_outputs
+from oracles import feed_all, naive_attend, reference_compare, replay_outputs, take_rows
 
 
 def _trace(seed=0, frames=12, tokens=4, layers=1, heads=1, d_h=4, motion="random_walk"):
@@ -230,6 +230,20 @@ def test_feed_rejects_a_record_shaped_unlike_the_header(field):
     needle = re.escape(f"frame 3: {field} has shape {short.shape}")
     with pytest.raises(TraceFormatError, match=needle):
         run_stream((header, records), Policy.full())
+
+
+@pytest.mark.parametrize("dtype", ["int64", "float64"])
+@pytest.mark.parametrize("policy", [Policy.full(), Policy.sliding(2), Policy.stac()],
+                         ids=["full", "window2", "stac"])
+def test_feed_rejects_a_position_mask_that_is_not_boolean(policy, dtype):
+    # a 0/1 integer mask would pick positions by row index, and a float one
+    # cannot index at all; the reader always casts, the in-memory API must check
+    header, records = _trace(seed=3, frames=6, tokens=8, layers=1, heads=2, motion="revisit")
+    cut = records[3]
+    records[3] = replace(cut, position_mask=cut.position_mask.astype(dtype))
+    with pytest.raises(TraceFormatError,
+                       match=f"^frame 3: position_mask has dtype {dtype}, want bool$"):
+        run_stream((header, records), policy)
 
 
 def test_threaded_replay_matches_serial():
@@ -458,7 +472,7 @@ def _leaky_replay(leak, heads=1):
     each chunk's anchor selection."""
     header, records = _trace(seed=3, frames=40, tokens=6, heads=heads, d_h=4, motion="revisit")
     replayer = StreamReplayer(header, Policy.stac(), audit=True)
-    cache = replayer.stac.cache
+    cache = replayer.cache.temporal
     original = cache.select_anchors
 
     def select(expelled):
@@ -500,7 +514,7 @@ def _back_from_earlier(channel, planted):
             cache.frames[slot], cache.tokens[slot] = gone[0]
             planted.append(gone[0])
         each = len(evicted) // cache.channels
-        gone.extend(evicted.take(slice(channel * each, (channel + 1) * each)).ids())
+        gone.extend(take_rows(evicted, slice(channel * each, (channel + 1) * each)).ids())
     return leak
 
 
@@ -557,7 +571,7 @@ def _breached_replay(plant):
     """Replay stac on two channels; plant(store) runs after each insertion."""
     header, records = _trace(seed=3, frames=40, tokens=6, heads=2, d_h=4, motion="revisit")
     replayer = StreamReplayer(header, Policy.stac(), audit=True)
-    store = replayer.store
+    store = replayer.cache.store
     original = store.insert_evicted
 
     def insert(block, channels=None):
@@ -627,7 +641,7 @@ def test_stac_channels_replay_as_if_alone(config, chunk, layers, heads):
 def test_audit_names_a_late_retrieved_token_in_the_last_of_three_channels():
     header, records = _trace(seed=3, frames=40, tokens=6, heads=3, d_h=4, motion="revisit")
     replayer = StreamReplayer(header, Policy.stac(), audit=True)
-    store = replayer.store
+    store = replayer.cache.store
     original = store.retrieve
     planted = []
 
@@ -682,22 +696,25 @@ def test_window_buffer_is_sized_once_from_the_policy():
     # chunk shrinks it
     header, records = _trace(seed=4, frames=30, tokens=5, heads=2, d_h=4)
     replayer = StreamReplayer(header, Policy.sliding(3), chunk_size=4)
-    buffers = [(ch.keys, ch.values) for ch in replayer.channels]
+    cache = replayer.cache
+    buffers = list(zip(cache.keys, cache.values))
     assert all(k.shape == v.shape == ((1 + 3 + 4) * 5, 4) for k, v in buffers)
+    assert _own_mappings(cache)
     for record in records:
         replayer.feed(record)
     replayer.finish()
-    for ch, (k, v) in zip(replayer.channels, buffers):
-        assert ch.keys is k and ch.values is v
+    for c, (k, v) in enumerate(buffers):
+        assert cache.keys[c] is k and cache.values[c] is v
     # a chunk never holds more frames than the header declares, so a chunk
     # size far past the stream sizes the buffer no larger
     huge = StreamReplayer(header, Policy.sliding(8), chunk_size=2_000_000)
-    assert all(ch.keys.shape == ch.values.shape == ((1 + 8 + 30) * 5, 4) for ch in huge.channels)
+    assert all(k.shape == v.shape == ((1 + 8 + 30) * 5, 4)
+               for k, v in zip(huge.cache.keys, huge.cache.values))
     # a header that under-claims its frames sizes the buffer short; it then
     # grows, and the replay is unchanged
     honest, honest_outputs = replay_outputs((header, records), Policy.sliding(9), chunk_size=4)
     short = StreamReplayer(replace(header, frame_count=2), Policy.sliding(9), chunk_size=4)
-    assert short.channels[0].keys.shape[0] == (1 + 2 + 2) * 5
+    assert short.cache.keys[0].shape[0] == (1 + 2 + 2) * 5
     stats, outputs = feed_all(short, records)
     assert stats.canonical_lines() == honest.canonical_lines()
     assert sorted(outputs) == sorted(honest_outputs)
@@ -712,23 +729,32 @@ def _mapping(a) -> mmap.mmap:
     return a
 
 
+def _own_mappings(cache) -> bool:
+    # One mapping shared by every channel would be copied whole at each
+    # doubling, two generations of every channel resident at once.
+    maps = [id(_mapping(b)) for b in (*cache.keys, *cache.values)]
+    return len(set(maps)) == len(maps)
+
+
 def test_full_history_growth_unmaps_the_outgrown_buffers():
     header, records = _trace(seed=4, frames=23, tokens=5, heads=2, d_h=6)
     replayer = StreamReplayer(header, Policy.full(), chunk_size=4)
     # mmap cannot map zero bytes: the empty starting buffer is a heap array
-    assert all(ch.keys.shape == (0, 6) for ch in replayer.channels)
+    cache = replayer.cache
+    assert all(k.shape == (0, 6) for k in cache.keys)
     replayer.feed(records[0])
     grown = 0
     for record in records[1:]:
-        old = [(ch.keys, ch.values) for ch in replayer.channels]
+        old = list(zip(cache.keys, cache.values))
         refs = [weakref.ref(_mapping(b)) for pair in old for b in pair]
         replayer.feed(record)
-        if replayer.channels[0].keys is not old[0][0]:
+        if cache.keys[0] is not old[0][0]:
             grown += 1
             del old
             assert all(ref() is None for ref in refs)
     replayer.finish()
     assert grown >= 3
+    assert _own_mappings(cache)
 
 
 def test_full_history_is_not_heap_memory():

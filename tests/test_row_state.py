@@ -2,15 +2,15 @@
 
 The reference below is an earlier stac path, kept as test-local code: a
 temporal cache and a voxel store per channel that hold one Python object
-per token, a channel step that stacks those objects into its key set, a
-stand-in for the replay's stac step that runs those channels one after
-another, and a stand-in for the replay's voxel store that retrieves each
-channel's objects from, and routes its evictees one at a time into, a store
-of that channel's own. The stand-ins read those caches and stores back as
-the figures the replayer counts a chunk from. The path under test keeps
-the same state as rows of arrays: every channel's members in slots of one
-temporal cache, which turns them all over at once, and one voxel store,
-which takes every channel's evictees of a chunk in one batched insertion.
+per token, a channel step that stacks those objects into its key set, and
+a stand-in for the replay's whole stac cache that runs those channels one
+after another, retrieving each channel's objects from, and routing its
+evictees one at a time into, a store of that channel's own. The stand-in
+reads those caches and stores back as the chunk's figures. The path under
+test keeps the same state as rows of arrays: every channel's members in
+slots of one temporal cache, which turns them all over at once, and one
+voxel store, which serves every channel in one retrieval and takes every
+channel's evictees of a chunk in one batched insertion.
 Every replay must give the same attention outputs, bit for bit, and the
 same canonical stats stream, byte for byte.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -30,7 +31,7 @@ from stacache import (CacheConfig, Policy, StreamReplayer, TokenBlock, TokenId, 
 from stacache.attention import attend
 from stacache.kernel import HALF_MAX, half_roundtrip
 from stacache.spatial import EVENTS, RE_MERGED, VoxelCoord, morton_encode, voxel_indices
-from oracles import feed_all, store_cells, weighted_mean
+from oracles import concat_blocks, feed_all, store_cells, weighted_mean
 
 
 def _safe_cos(a, b):
@@ -279,52 +280,6 @@ def _ref_best_match(reps, key):
     return best_idx, best_cos
 
 
-class _Retrieved(list):
-    """One channel's retrieved token objects, with the birth frames the
-    replayer counts merged representatives (frame -1) by."""
-
-    @property
-    def frames(self):
-        return np.array([t.id.frame_idx for t in self], dtype=np.int64)
-
-
-class _RefStores:
-    """Stands in for the replay's voxel store over one object store per channel."""
-
-    def __init__(self, stores):
-        self.stores = stores
-
-    @property
-    def token_counts(self):
-        return np.array([s.token_count for s in self.stores], dtype=np.int64)
-
-    @property
-    def channel_events(self):
-        return np.array([[s.events[e] for e in EVENTS] for s in self.stores], dtype=np.int64)
-
-    @property
-    def count_masses(self):
-        return np.array([s.count_mass for s in self.stores], dtype=np.int64)
-
-    @property
-    def half_saturations(self):
-        return sum(s.half_saturations for s in self.stores)
-
-    def audit(self):
-        pass  # the object stores keep no cap tables
-
-    def retrieve(self, visible, quota, where=None):
-        return [_Retrieved(s.retrieve(visible, quota)) for s in self.stores]
-
-    def insert_evicted(self, block, channels):
-        # back to token objects, routed one at a time into their channel's store
-        for i, c in enumerate(channels.tolist()):
-            self.stores[c].insert_evicted(_Token(
-                TokenId(int(block.frames[i]), int(block.tokens[i])), block.keys[i].copy(),
-                block.values[i].copy(), float(block.scores[i]),
-                block.positions[i].copy() if block.mask[i] else None, int(block.counts[i])))
-
-
 def _token_block(tokens, d_h):
     if not tokens:
         return TokenBlock.build(np.empty((0, d_h)), np.empty((0, d_h)))
@@ -386,12 +341,17 @@ class _RefChannel:
 
 
 class _RefChannels:
-    """Stands in for the replay's stac step over one reference channel per
-    (layer, head) (no audit checks; it counts the audits the path under
-    test counts)."""
+    """Stands in for the replay's stac cache over one reference channel per
+    (layer, head), each with a store of its own. A chunk retrieves each
+    channel's token objects from its store, steps the channels one after
+    another, routes each channel's evictees one at a time into its store,
+    and reads the chunk's figures back from the channels and stores (no
+    audit checks; it counts the audits the path under test counts)."""
 
-    def __init__(self, channels, header):
-        self.channels, self.header = channels, header
+    def __init__(self, config, budget, header):
+        self.header, self.quota = header, budget.retrieve_tokens
+        self.channels = [_RefChannel(config, budget, header.d_h, header.tokens_per_frame)
+                         for _ in range(header.layers * header.heads)]
         self.audits = 0
 
     @property
@@ -400,40 +360,70 @@ class _RefChannels:
         return count
 
     @property
+    def spatial_tokens(self):
+        return sum(ch.store.token_count for ch in self.channels)
+
+    @property
     def half_saturations(self):
-        return sum(ch.cache.half_saturations for ch in self.channels)
+        return sum(ch.cache.half_saturations + ch.store.half_saturations for ch in self.channels)
 
     def register(self, record):
         h = self.header
         for ch, (li, hi) in zip(self.channels, np.ndindex(h.layers, h.heads)):
-            ch.register(record.channel(li, hi))
+            ch.register(_channel_frame(record, li, hi))
 
-    def step(self, records, retrieved, audit, out):
+    def step(self, records, audit, out):
         h = self.header
-        spat_mass, evicted = 0.0, []
+        visible = np.concatenate([r.positions[r.position_mask] for r in records])
+        before = [dict(ch.store.events) for ch in self.channels]
+        spat_mass, evicted, returned = 0.0, 0, []
         for c, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
-            outputs, mass, evictees = self.channels[c].step(
-                [r.channel(li, hi) for r in records], retrieved[c])
+            ch = self.channels[c]
+            retrieved = ch.store.retrieve(visible, self.quota)
+            returned.extend(t.id.frame_idx == -1 for t in retrieved)
+            outputs, mass, block = ch.step([_channel_frame(r, li, hi) for r in records],
+                                           retrieved)
             out[:, li, hi] = outputs.reshape(len(records), h.tokens_per_frame, h.d_h)
             spat_mass += mass
-            evicted.append(evictees)
+            evicted += len(block)
+            # back to token objects, routed one at a time into the channel's store
+            for i in range(len(block)):
+                ch.store.insert_evicted(_Token(
+                    TokenId(int(block.frames[i]), int(block.tokens[i])), block.keys[i].copy(),
+                    block.values[i].copy(), float(block.scores[i]),
+                    block.positions[i].copy() if block.mask[i] else None,
+                    int(block.counts[i])))
         if audit:
-            self.audits += 6 * len(self.channels)
-        return spat_mass, TokenBlock.concat(evicted)
-
-    def score_sums(self):
+            self.audits += 8 * len(self.channels)
         sums = [ch.score_sums() for ch in self.channels]
-        return {g: (sum(s[g][0] for s in sums), sum(s[g][1] for s in sums)) for g in sums[0]}
+        means = {}
+        for g in sums[0]:
+            total, count = sum(s[g][0] for s in sums), sum(s[g][1] for s in sums)
+            means[g] = total / count if count else 0.0
+        return {
+            "events": {"evicted": evicted, **{e: sum(ch.store.events[e] - b[e] for ch, b in
+                                                     zip(self.channels, before)) for e in EVENTS}},
+            "retrieval": {"requested": len(self.channels) * self.quota,
+                          "returned_g": sum(returned),
+                          "returned_e": len(returned) - sum(returned)},
+            "spatial_mass_frac": spat_mass / (len(self.channels) * len(records)
+                                              * h.tokens_per_frame),
+            "score_means": means,
+        }
+
+
+def _channel_frame(record, li, hi):
+    """What one channel of a record holds, as the object channels read it."""
+    return SimpleNamespace(frame_idx=record.frame_idx, queries=record.data[li, hi, 0],
+                           keys=record.data[li, hi, 1], values=record.data[li, hi, 2],
+                           positions=record.positions, position_mask=record.position_mask,
+                           token_count=record.data.shape[3])
 
 
 def _replay(header, records, config, chunk_size, reference):
     replayer = StreamReplayer(header, Policy.stac(config), chunk_size=chunk_size, audit=True)
     if reference:
-        # each reference channel keeps a store of its own
-        channels = [_RefChannel(config, replayer.budget, header.d_h, header.tokens_per_frame)
-                    for _ in range(header.layers * header.heads)]
-        replayer.stac = _RefChannels(channels, header)
-        replayer.store = _RefStores([ch.store for ch in channels])
+        replayer.cache = _RefChannels(config, replayer.cache.budget, header)
     return feed_all(replayer, records)
 
 
@@ -560,7 +550,7 @@ def test_one_wave_aggregates_cells_of_two_channels_like_objects(g_cap, quantize)
                     TokenId(1, int(block.tokens[i])), block.keys[i].copy(),
                     block.values[i].copy(), float(block.scores[i]),
                     block.positions[i].copy(), int(block.counts[i])))
-        events = store.insert_evicted(TokenBlock.concat(blocks),
+        events = store.insert_evicted(concat_blocks(blocks),
                                       np.repeat(np.arange(channels), [len(b) for b in blocks]))
         assert events.count("aggregated") == channels * len(homes)
     # one batch a round, each of every cell of both channels

@@ -21,8 +21,8 @@ from stacache import (
 )
 from stacache import kernel
 from stacache.spatial import AGGREGATED, DROPPED, RE_MERGED, voxel_indices
-from oracles import (FusionOracle, morton_oracle, py_cosine, retrieve_oracle, store_cells,
-                     weighted_mean)
+from oracles import (FusionOracle, concat_blocks, morton_oracle, py_cosine, retrieve_oracle,
+                     store_cells, weighted_mean)
 
 LIMIT = 1 << 20
 
@@ -719,7 +719,7 @@ def test_one_store_of_channels_equals_a_store_per_channel():
                     frames=2, tokens=np.arange(serial, serial + n), counts=rng.integers(1, 3, n)))
                 serial += n
             sizes = [len(b) for b in blocks]
-            got = one.insert_evicted(TokenBlock.concat(blocks),
+            got = one.insert_evicted(concat_blocks(blocks),
                                      np.repeat(np.arange(channels), sizes))
             want = [e for store, b in zip(own, blocks) for e in store.insert_evicted(b)]
             assert got == want, case

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stacache import DimensionError, StacacheError, TemporalCache, TokenId, TraceRecord
-from oracles import decayed_score, geometric_closed_form
+from oracles import decayed_score, geometric_closed_form, take_rows
 
 
 def _frame(frame_idx, n=4, d=4, seed=None, with_positions=True):
@@ -186,10 +186,10 @@ def test_snapshot_order_reference_window_anchors():
     cache.scores[exp] = np.arange(len(exp), dtype=float)
     cache.select_anchors(exp)
     snap = cache.snapshot()
-    ref = snap.take(slice(0, cache.reference_count))
-    window = snap.take(slice(cache.reference_count,
-                             cache.reference_count + cache.window_token_count))
-    anchors = snap.take(slice(cache.reference_count + cache.window_token_count, None))
+    ref = take_rows(snap, slice(0, cache.reference_count))
+    window = take_rows(snap, slice(cache.reference_count,
+                                   cache.reference_count + cache.window_token_count))
+    anchors = take_rows(snap, slice(cache.reference_count + cache.window_token_count, None))
     assert (ref.frames == 0).all()
     assert window.frames.tolist() == [2] * 4 + [3] * 4
     scores = anchors.scores.tolist()
@@ -204,7 +204,7 @@ def test_reference_survives_many_cycles_unchanged():
         cache.update_scores(mass)
         exp = cache.ingest_frames([_frame(f)])
         cache.select_anchors(exp)
-    after = cache.snapshot().take(slice(0, 4))
+    after = take_rows(cache.snapshot(), slice(0, 4))
     assert (after.frames == 0).all()
     assert np.array_equal(before, after.keys)
 

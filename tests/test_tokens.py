@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stacache import CacheConfig, DimensionError, FrameTokens, TokenBlock, TokenId, validate_config
+from stacache import CacheConfig, DimensionError, TokenBlock, TokenId, validate_config
 
 
 def test_default_config_is_valid():
@@ -77,19 +77,6 @@ def test_token_id_ordering_and_hash():
     assert len({a, b, TokenId(1, 2)}) == 2
 
 
-def test_frame_tokens_count():
-    n, d = 5, 4
-    ft = FrameTokens(
-        frame_idx=3,
-        queries=np.zeros((n, d)),
-        keys=np.zeros((n, d)),
-        values=np.zeros((n, d)),
-        positions=np.zeros((n, 3)),
-        position_mask=np.ones(n, dtype=bool),
-    )
-    assert ft.token_count == n
-
-
 
 def test_token_block_rows_take_and_concat():
     keys, values = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
@@ -102,14 +89,6 @@ def test_token_block_rows_take_and_concat():
     assert np.array_equal(block.positions, positions)
     assert block.ids() == [TokenId(7, 0), TokenId(7, 1), TokenId(7, 2)]
     assert block.counts.tolist() == [1, 1, 1]
-    picked = block.take([2, 0])
-    assert picked.ids() == [TokenId(7, 2), TokenId(7, 0)]
-    assert picked.mask.tolist() == [True, True] and picked.scores.tolist() == [2.0, 0.5]
-    picked.scores[0] = 9.0  # a taken block owns its columns
-    assert block.scores[2] == 2.0
-    both = TokenBlock.concat([block, picked])
-    assert both.tokens.tolist() == [0, 1, 2, 2, 0]
-    assert np.array_equal(both.rows[3:], picked.rows)
     with pytest.raises(DimensionError):
         TokenBlock.build(keys, values, positions, mask=[True, False])
     with pytest.raises(DimensionError):
