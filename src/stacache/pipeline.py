@@ -128,17 +128,15 @@ def allocate_budget(config: CacheConfig, tokens_per_frame: int) -> BudgetSplit:
 
 
 def _mapped_rows(rows: int, d_h: int) -> np.ndarray:
-    """An uninitialised (rows, d_h) float64 array in an anonymous mapping.
+    """An uninitialised (rows, d_h) float64 array in an anonymous mapping;
+    rows must be positive, as mmap cannot map zero bytes.
 
     The array owns its mapping, so dropping its last view unmaps the pages
     at once. A heap buffer this large may come from malloc's arena (after
     large frees have raised its mmap threshold), and then freeing it leaves
     the pages resident for the next allocation. Untouched pages of a
-    mapping are never resident. mmap cannot map zero bytes, so an empty
-    array stays on the heap.
+    mapping are never resident.
     """
-    if rows == 0:
-        return np.empty((0, d_h))
     return np.frombuffer(mmap.mmap(-1, rows * d_h * 8), dtype=np.float64).reshape(rows, d_h)
 
 
@@ -149,31 +147,27 @@ class _VerbatimChannels:
     `window=None` keeps every frame (the `full` policy). Each channel's rows
     live in an append-only key/value buffer of its own, reference first, so
     a step attends over a prefix slice in arrival order; a window moves its
-    last frames down behind the reference after each step. A window's
-    buffers are sized once, for the reference, the window and one chunk,
-    where the header's frame count caps both the window and the chunk.
-    `full`'s buffers double when full instead, one channel at a time, so a
-    header that declares an absurd frame count cannot turn into an
-    allocation, and only one channel's outgrown pair is alive at once.
-    Every buffer is a memory mapping of its own (`_mapped_rows`), so an
-    outgrown one goes back to the OS when dropped. Every channel holds as
-    many rows as every other, and no voxel store: the step's figures are
-    zeros.
+    last frames down behind the reference after each step. Under either
+    policy a channel's buffers start empty, on the heap, and double when
+    full, one channel at a time, so nothing is sized from the header (one
+    that declares an absurd frame count cannot turn into an allocation) and
+    only one channel's outgrown pair is alive at once. A window's buffers
+    stop growing once they hold the reference, the window and one chunk.
+    Every grown buffer is a memory mapping of its own (`_mapped_rows`), so
+    an outgrown one goes back to the OS when dropped. Every channel holds
+    as many rows as every other, and no voxel store: the step's figures
+    are zeros.
     """
 
     spatial_tokens = 0
     half_saturations = 0
 
-    def __init__(self, header: TraceHeader, window: Optional[int], chunk_size: int,
-                 workspace: Workspace):
+    def __init__(self, header: TraceHeader, window: Optional[int], workspace: Workspace):
         self.header = header
         self.window = window
-        n, frames = header.tokens_per_frame, header.frame_count
-        rows = 0 if window is None else (1 + min(window, frames) + min(chunk_size, frames)) * n
         channels = header.layers * header.heads
-        self.keys = [_mapped_rows(rows, header.d_h) for _ in range(channels)]
-        self.values = [_mapped_rows(rows, header.d_h) for _ in range(channels)]
-        self.ref_len = 0
+        self.keys = [np.empty((0, header.d_h)) for _ in range(channels)]
+        self.values = [np.empty((0, header.d_h)) for _ in range(channels)]
         self.member_count = 0  # rows each channel attends from its cache
         self.workspace = workspace
         self.audits = 0
@@ -200,11 +194,11 @@ class _VerbatimChannels:
     def register(self, record: TraceRecord) -> None:
         for c in range(len(self.keys)):
             self._append(c, [record])
-        self.ref_len = self.member_count = self.header.tokens_per_frame
+        self.member_count = self.header.tokens_per_frame
 
     def step(self, records: list[TraceRecord], audit: bool, out: np.ndarray) -> dict:
-        h, ref = self.header, self.ref_len
-        n = h.tokens_per_frame
+        h = self.header
+        n = ref = h.tokens_per_frame  # the reference frame's rows lead every buffer
         end = self.member_count + len(records) * n
         kept = end - ref if self.window is None else min(end - ref, self.window * n)
         for c, (li, hi) in enumerate(np.ndindex(h.layers, h.heads)):
@@ -528,7 +522,7 @@ class StreamReplayer:
         self.workspace = Workspace()
         self.cache = (_StacChannels(policy.config, header, self.workspace) if policy.kind == "stac"
                       else _VerbatimChannels(header, policy.window if policy.kind == "window"
-                                             else None, chunk_size, self.workspace))
+                                             else None, self.workspace))
         self.outputs: dict[int, np.ndarray] = {}
         self.rows: list[dict] = []
         self._pending: list[TraceRecord] = []

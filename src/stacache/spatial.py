@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateVectorError, DimensionError, InvariantViolation, VoxelRangeError
 from .kernel import HALF_MAX, half_roundtrip
-from .tokens import TokenBlock
+from .tokens import TokenBlock, _grown
 
 # Routing events, in the order of the per-channel event counters. Every
 # evicted row gets one of fused, buffered, aggregated or dropped; re_merged
@@ -625,10 +625,3 @@ def _cosines(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     np.maximum(cos, -1.0, out=cos)
     cos[(norms == 0.0) | (norm == 0.0)] = -1.0
     return cos
-
-
-def _grown(rows: np.ndarray, size: int) -> np.ndarray:
-    # An array of size rows with the old ones copied to the front.
-    grown = np.empty((size, *rows.shape[1:]), dtype=rows.dtype)
-    grown[: len(rows)] = rows
-    return grown

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, StacacheError
 from .kernel import HALF_MAX, half_roundtrip
-from .tokens import TokenBlock
+from .tokens import TokenBlock, _grown
 from .traceio import TraceRecord
 
 
@@ -22,19 +22,19 @@ class TemporalCache:
     """Reference + sliding window + anchors for `channels` channels.
 
     Members live in slots. Each channel has `capacity` of them, and slot s
-    of channel c is row c * capacity + s of the slot arrays: `rows`
+    of channel c is row s * channels + c of the slot arrays: `rows`
     ([key | value | position], as in TokenBlock), `scores`, `frames`,
-    `tokens` and `mask`. That row number is the slot's flat index; a
-    channel's slots are neighbours, so gathering its members stays within
-    its own rows. A slot is written once, when its token arrives, and a
-    held row never moves. What turns over is `order`, the (channels,
-    member_count) flat indices of each channel's members in snapshot
-    order: the reference, the window oldest frame first, then the anchors
-    in descending score as of their last selection. `free` holds each
-    channel's unused slots, one row per channel; member counts never differ
-    between channels, so neither do the free lists' lengths. When a chunk
-    needs more slots than are free, the arrays grow and every flat index
-    is renumbered; only register_reference and ingest_frames grow them.
+    `tokens` and `mask`. That row number is the slot's flat index. A slot
+    is written once, when its token arrives, and a held row never moves.
+    What turns over is `order`, the (channels, member_count) flat indices
+    of each channel's members in snapshot order: the reference, the window
+    oldest frame first, then the anchors in descending score as of their
+    last selection. `free` holds each channel's unused slots, one row per
+    channel; member counts never differ between channels, so neither do
+    the free lists' lengths. When a chunk needs more slots than are free,
+    every array grows by appending rows for the new slot numbers, so a
+    flat index, once handed out, names the same slot for the life of the
+    cache; only register_reference and ingest_frames grow them.
 
     Frames come as trace records: each record's data is (L, H, 3, N, d_h),
     with L * H == channels and channel c the c-th (layer, head) pair in
@@ -224,14 +224,8 @@ class TemporalCache:
         if short > 0:
             old, new = self.capacity, self.capacity + short
             for name in ("rows", "scores", "frames", "tokens", "mask"):
-                a = getattr(self, name)
-                grown = np.empty((self.channels, new, *a.shape[1:]), dtype=a.dtype)
-                grown[:, :old] = a.reshape(self.channels, old, *a.shape[1:])
-                setattr(self, name, grown.reshape(self.channels * new, *a.shape[1:]))
-            if old:  # slot s of channel c moves from row c * old + s to c * new + s
-                self.order += self.order // old * short
-                self.free += self.free // old * short
-            added = np.arange(self.channels)[:, None] * new + np.arange(old, new)
+                setattr(self, name, _grown(getattr(self, name), new * self.channels))
+            added = np.arange(old, new) * self.channels + np.arange(self.channels)[:, None]
             self.free = np.concatenate([self.free, added], axis=1)
             self.capacity = new
         cut = self.free.shape[1] - k

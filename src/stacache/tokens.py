@@ -91,6 +91,14 @@ class TokenBlock:
         return [TokenId(f, t) for f, t in zip(self.frames.tolist(), self.tokens.tolist())]
 
 
+def _grown(rows: np.ndarray, size: int) -> np.ndarray:
+    # An array of size rows with the old ones copied to the front; the
+    # temporal cache and the voxel store grow their row arrays through this.
+    grown = np.empty((size, *rows.shape[1:]), dtype=rows.dtype)
+    grown[: len(rows)] = rows
+    return grown
+
+
 @dataclass
 class CacheConfig:
     """Tuning knobs for the compression scheme, with the published defaults.

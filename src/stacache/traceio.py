@@ -94,27 +94,22 @@ def _check_fits(header: TraceHeader, file_size: int) -> None:
 # -- binary encoding ------------------------------------------------------
 
 
-def _encode_record(record: TraceRecord, header: TraceHeader) -> bytes:
-    shape, _ = _expected_shapes(header)
-    data = np.ascontiguousarray(record.data, dtype=np.float64)
+def _record_parts(record: TraceRecord, header: TraceHeader) -> tuple:
+    # The record's encoding as the buffers a writer writes one after
+    # another: length prefix, frame index, data, mask bits, positions.
+    shape, size = _expected_shapes(header)
+    data = np.ascontiguousarray(record.data, dtype="<f8")
     if data.shape != shape:
         raise TraceFormatError(
             f"record {record.frame_idx}: data shape {data.shape}, expected {shape}"
         )
     n = header.tokens_per_frame
     mask = np.asarray(record.position_mask, dtype=bool)
-    pos = np.where(mask[:, None], np.asarray(record.positions, dtype=np.float64), 0.0)
+    pos = np.where(mask[:, None], np.asarray(record.positions, dtype="<f8"), 0.0)
     if mask.shape != (n,) or pos.shape != (n, 3):
         raise TraceFormatError(f"record {record.frame_idx}: bad positions shape")
-    payload = b"".join(
-        (
-            int(record.frame_idx).to_bytes(8, "little"),
-            data.tobytes(),
-            np.packbits(mask, bitorder="little").tobytes(),
-            np.ascontiguousarray(pos).tobytes(),
-        )
-    )
-    return len(payload).to_bytes(8, "little") + payload
+    return (size.to_bytes(8, "little"), int(record.frame_idx).to_bytes(8, "little"),
+            data, np.packbits(mask, bitorder="little"), np.ascontiguousarray(pos))
 
 
 def _decode_record(payload: bytes, index: int, header: TraceHeader) -> TraceRecord:
@@ -125,16 +120,17 @@ def _decode_record(payload: bytes, index: int, header: TraceHeader) -> TraceReco
         )
     n = header.tokens_per_frame
     frame_idx = int.from_bytes(payload[:8], "little")
-    off = 8
-    nbytes = math.prod(shape) * 8
-    data = np.frombuffer(payload[off : off + nbytes], dtype="<f8").reshape(shape).copy()
-    off += nbytes
+    count = math.prod(shape)
+    # data is a view of the payload, so a record costs one copy of its bytes
+    data = np.frombuffer(payload, dtype="<f8", count=count, offset=8).reshape(shape)
+    off = 8 + count * 8
     bm = (n + 7) // 8
     mask = np.unpackbits(
-        np.frombuffer(payload[off : off + bm], dtype=np.uint8), bitorder="little"
+        np.frombuffer(payload, dtype=np.uint8, count=bm, offset=off), bitorder="little"
     )[:n].astype(bool)
     off += bm
-    pos = np.frombuffer(payload[off : off + n * 3 * 8], dtype="<f8").reshape(n, 3).copy()
+    # the positions start 8-byte aligned only when N % 8 == 0; a copy aligns them
+    pos = np.frombuffer(payload, dtype="<f8", count=n * 3, offset=off).reshape(n, 3).copy()
     _check_finite(data, pos, mask, index)
     return TraceRecord(frame_idx, data, pos, mask)
 
@@ -163,7 +159,8 @@ def write_trace(
         f.write(MAGIC)
         f.write((json.dumps(asdict(header)) + "\n").encode("utf-8"))
         for record in records:
-            f.write(_encode_record(record, header))
+            for part in _record_parts(record, header):
+                f.write(part)
             written += 1
     if written != header.frame_count:
         raise TraceFormatError(
@@ -237,8 +234,8 @@ def _iter_binary(f: BinaryIO, header: TraceHeader) -> Iterator[TraceRecord]:
                 raise TraceFormatError(
                     f"record {index}: payload of {length} bytes, expected {expected}"
                 )
-            payload = f.read(length)
-            if len(payload) < length:
+            payload = bytearray(length)
+            if f.readinto(payload) < length:
                 raise TraceFormatError(f"truncated at record {index}: short payload")
             record = _decode_record(payload, index, header)
             if record.frame_idx != index:

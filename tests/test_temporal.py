@@ -219,3 +219,42 @@ def test_quantize_rounds_and_counts_saturation():
     assert cache.half_saturations == 1
     # remaining entries equal their float16 roundtrip
     assert np.array_equal(key, np.float64(np.float16(key)))
+
+
+def _channel_frame(frame_idx, channels, n=4, d=4):
+    # one record of `channels` heads on one layer
+    rng = np.random.default_rng(200 + frame_idx)
+    return TraceRecord(
+        frame_idx=frame_idx,
+        data=rng.normal(size=(1, channels, 3, n, d)),
+        positions=rng.uniform(-1, 1, size=(n, 3)),
+        position_mask=np.full(n, True),
+    )
+
+
+def test_growth_keeps_every_held_slot_and_its_row():
+    # The slot arrays grow by appending new slot numbers: a member's flat
+    # index, held across a growth, still names its slot, and the slot's row
+    # and columns keep their bits.
+    cache = TemporalCache(window_frames=2, anchor_budget=3, gamma=0.9, channels=3)
+    cache.register_reference(_channel_frame(0, 3))
+    rng = np.random.default_rng(7)
+    frame, grown = 1, 0
+    for chunk in (1, 1, 3, 1, 4, 2, 5):
+        held = cache.order.copy()
+        columns = ("rows", "scores", "frames", "tokens", "mask")
+        before = [getattr(cache, name)[held] for name in columns]
+        capacity = cache.capacity
+        records = [_channel_frame(f, 3) for f in range(frame, frame + chunk)]
+        frame += chunk
+        expelled = cache.ingest_frames(records)
+        grown += cache.capacity > capacity
+        for name, want in zip(columns, before):
+            assert np.array_equal(getattr(cache, name)[held], want)
+        # the reference and the anchors stay members, by the same indices
+        ref, kept = cache.reference_count, cache.member_count - cache.anchor_count
+        assert np.array_equal(cache.order[:, :ref], held[:, :ref])
+        assert np.array_equal(cache.order[:, kept:], held[:, held.shape[1] - cache.anchor_count:])
+        cache.update_scores(rng.random(cache.order.shape))
+        cache.select_anchors(expelled)
+    assert grown >= 3

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,26 @@ def test_binary_roundtrip_is_exact(tmp_path):
     got_header, it = read_trace(path)
     assert got_header == header
     _assert_records_equal(list(it), records)
+
+
+def test_decoding_a_record_allocates_one_payload(tmp_path):
+    # The payload is read once into a buffer that the record's data views,
+    # so reading a record holds about one payload, not one per copy.
+    header, records = synth_trace(seed=5, frames=2, tokens_per_frame=50, layers=2,
+                                  heads=2, d_h=32, motion="random_walk")
+    path = str(tmp_path / "t.kvt")
+    write_trace(path, header, records)
+    _, reader = read_trace(path)
+    payload = 8 + records[0].data.nbytes + (50 + 7) // 8 + 50 * 3 * 8
+    tracemalloc.start()
+    try:
+        record = next(reader)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        reader.close()
+    assert np.array_equal(record.data, records[0].data)
+    assert payload < peak < 1.5 * payload
 
 
 def test_magic_sniffing(tmp_path):
