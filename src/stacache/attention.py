@@ -6,6 +6,12 @@ chunks is enforced upstream by what the caller puts into the key set, not
 by masking here. The logit for a merged token carries an additive ln(count)
 so that one representative with count n reproduces exactly the attention a
 set of n duplicated keys would have received.
+
+The softmax is normalized after the products, as FlashAttention (Dao et
+al., 2022) does: the queries are scaled by 1/sqrt(d_h) before Q.K^T, the
+unnormalized weights exp(logit - row max) multiply the values, and each
+output row and each query's share of the mass is divided by its row sum
+once. That leaves no divide over the Q x K weights.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ class Workspace:
 # Under numpy's default of 8192, numpy 2 runs a row broadcast over rows
 # shorter than the buffer through its buffered iterator: at 256 x 797 on a
 # 2-vCPU AVX-512 host the max subtract took 216 us that way and 126 us
-# unbuffered, the row-sum divide 222 and 154 us. Key sets of a frame's
-# tokens or more are far longer than 64 columns. The operations and their
-# order are the same either way, so only the speed changes, never a bit.
+# unbuffered. Key sets of a frame's tokens or more are far longer than 64
+# columns. The operations and their order are the same either way, so only
+# the speed changes, never a bit.
 _ROW_BUFSIZE = 64
 
 
@@ -70,14 +76,16 @@ def attend(
     attention mass summed over queries; the mass sums to the number of
     queries up to rounding.
 
-    The logits, shifted logits and weights share one Q x K buffer: every
-    step after the product writes in place, with the same IEEE operations
-    in the same order as the allocating form, so the results are
-    bit-identical to it. With a `workspace` that buffer is the workspace's
-    and the call allocates only O(Q + K); without one it is allocated
-    afresh. The outputs and mass are always fresh arrays, so a later call
-    through the same workspace leaves them unchanged. The passes after the
-    product run under a small ufunc buffer, set for the call only.
+    The product takes the queries already divided by sqrt(d_h). The logits,
+    shifted logits and unnormalized weights e[i, j] = exp(logit[i, j] -
+    max_j logit[i, j]) then share one Q x K buffer, each step writing in
+    place. With the row sums s_i, the outputs are (e @ values) / s and the
+    mass is the GEMV (1 / s) @ e, so no pass divides the Q x K weights.
+    With a `workspace` the buffer is the workspace's and the call allocates
+    only O(Q + K); without one it is allocated afresh. The outputs and mass
+    are always fresh arrays, so a later call through the same workspace
+    leaves them unchanged. The passes after the product run under a small
+    ufunc buffer, set for the call only.
     """
     queries = np.asarray(queries, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
@@ -101,8 +109,7 @@ def attend(
         raise DimensionError("counts must all be finite and >= 1")
 
     out = None if workspace is None else workspace.matrix(queries.shape[0], keys.shape[0])
-    w = np.matmul(queries, keys.T, out=out)
-    np.divide(w, np.sqrt(float(d_h)), out=w)
+    w = np.matmul(queries / np.sqrt(float(d_h)), keys.T, out=out)
     bias = np.log(counts)
     # A count of 1 has a zero bias, and adding it changes no bit that
     # survives: x + 0.0 differs from x only by turning -0.0 into +0.0, and
@@ -117,5 +124,5 @@ def attend(
             np.add(w[:, span], bias[span], out=w[:, span])
         np.subtract(w, w.max(axis=1, keepdims=True), out=w)
         np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
-    return AttentionResult(outputs=w @ values, mass=w.sum(axis=0))
+        total = w.sum(axis=1)
+    return AttentionResult(outputs=(w @ values) / total[:, None], mass=np.dot(1.0 / total, w))

@@ -2,8 +2,9 @@
 
 Everything here is written with plain Python loops and math.* so that a
 bug in the library's vectorized numpy path cannot hide in a shared helper.
-The exceptions: `weighted_mean` is the numpy mean the scalar insertion
-references in the tests share, `store_cells` reads a VoxelStore's cell
+The exceptions: the three attend forms are numpy references for the
+arithmetic of `attend`, `weighted_mean` is the numpy mean the scalar
+insertion references in the tests share, `store_cells` reads a VoxelStore's cell
 tables back per cell, `take_rows` and `concat_blocks` slice and join token
 blocks column by column, and the replay helpers at the end collect every
 frame's output from whole replays, where the divergence reference works on
@@ -69,6 +70,36 @@ def naive_attend(queries, keys, values, counts, allowed, d_h):
                 for t in range(dim_v):
                     outputs[i][t] += weights[j] * float(values[j][t])
     return outputs, mass
+
+
+def allocating_attend(q, k, v, counts, d_h):
+    """attend's arithmetic with a fresh array for every step: the queries
+    scaled by 1/sqrt(d_h) before the product, the bias added on every
+    column, exp of the max-shifted logits, then the outputs and the mass
+    divided by the row sums after their products."""
+    logits = (q / np.sqrt(float(d_h))) @ k.T + np.log(counts)[None, :]
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    total = weights.sum(axis=1)
+    return (weights @ v) / total[:, None], np.dot(1.0 / total, weights)
+
+
+def previous_attend(q, k, v, counts, d_h):
+    """The arithmetic attend used before it normalized after the products:
+    the logits and the weights divided over the whole Q x K array."""
+    logits = q @ k.T / np.sqrt(float(d_h)) + np.log(counts)[None, :]
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights @ v, weights.sum(axis=0)
+
+
+def longdouble_attend(q, k, v, counts, d_h):
+    """The softmax attention taken in np.longdouble (numpy's own loops,
+    no BLAS), as the yardstick for attend's rounding error."""
+    q, k, v, counts = (np.asarray(a, dtype=np.longdouble) for a in (q, k, v, counts))
+    logits = q @ k.T / np.sqrt(np.longdouble(d_h)) + np.log(counts)[None, :]
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights @ v, weights.sum(axis=0)
 
 
 def morton_oracle(ix, iy, iz):

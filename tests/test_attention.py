@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stacache import DimensionError, EmptySupportError, Workspace, attend, attention
-from oracles import naive_attend
+from oracles import allocating_attend, longdouble_attend, naive_attend, previous_attend
 
 
 def _random_instance(rng, n_q=None, n_k=None, d=None):
@@ -57,15 +57,6 @@ def test_attend_matches_oracle_under_partial_masks():
         assert (mass[dead] == 0.0).all()
 
 
-def _allocating_attend(q, k, v, counts, d_h):
-    """The previous attend: a fresh Q x K array for every step."""
-    logits = q @ k.T / np.sqrt(float(d_h)) + np.log(counts)[None, :]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ v, w.sum(axis=0)
-
-
 ATTEND_CASES = [
     (1, 1, 4, 1, 1.0, False),
     (1, 37, 8, 5, 1.0, False),
@@ -79,13 +70,12 @@ ATTEND_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "n_q, n_k, d, count_hi, scale, inner", ATTEND_CASES,
+def _case_id(case):
     # a case is named by its sizes, plus "inner" for the inner-span case
-    ids=["-".join(str(x) for x in case[:5]) + ("-inner" if case[5] else "")
-         for case in ATTEND_CASES],
-)
-def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale, inner):
+    return "-".join(str(x) for x in case[:5]) + ("-inner" if case[5] else "")
+
+
+def _attend_case(n_q, n_k, d, count_hi, scale, inner):
     rng = np.random.default_rng(n_q * 7919 + n_k)
     q = rng.normal(size=(n_q, d)) * scale
     k = rng.normal(size=(n_k, d)) * scale
@@ -97,18 +87,28 @@ def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale
         lo, hi = n_k // 3, 2 * n_k // 3
         counts[:lo] = counts[hi:] = 1.0
         counts[lo] = counts[hi - 1] = 2.0
+    return rng, q, k, v, counts
+
+
+@pytest.mark.parametrize("n_q, n_k, d, count_hi, scale, inner", ATTEND_CASES,
+                         ids=[_case_id(case) for case in ATTEND_CASES])
+def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale, inner):
+    rng, q, k, v, counts = _attend_case(n_q, n_k, d, count_hi, scale, inner)
     if count_hi == 1 or inner:
-        # Column 0 has count 1, so attend adds it no bias. Plant a -0.0
-        # logit there, which the allocating form's + ln(1) turns into +0.0:
-        # the product -5e-324 underflows to -0.0 when scaled by 1/sqrt(d_h).
-        # (q = -1, k = 0 would not do: matmul sums from +0.0.)
+        # Column 0 has count 1, so attend adds it no bias, where the
+        # allocating form adds + ln(1). Plant a zero logit there: the
+        # scaled query -1/sqrt(d_h) times 5e-324 underflows. A GEMM that
+        # rounds each product before summing from +0.0, as this host's
+        # does, returns +0.0; one that fuses the multiply and add returns
+        # -0.0, which + ln(1) would turn into +0.0. The weights agree
+        # either way. (q = -1, k = 0 would give +0.0 everywhere.)
         q[0], k[0] = 0.0, 0.0
         q[0, 0], k[0, 0] = -1.0, 5e-324
-        logit = (q @ k.T / np.sqrt(float(d)))[0, 0]
-        assert logit == 0.0 and np.signbit(logit)
+        logit = ((q / np.sqrt(float(d))) @ k.T)[0, 0]
+        assert logit == 0.0
         assert not np.log(counts[: 1 if inner else n_k]).any()
     inputs = [a.copy() for a in (q, k, v, counts)]
-    ref_out, ref_mass = _allocating_attend(q, k, v, counts, d)
+    ref_out, ref_mass = allocating_attend(q, k, v, counts, d)
     # Through one workspace: sized to this case, then grown past it by a
     # K = 16384 call and used as a prefix, then after a K = 1 call.
     workspace = Workspace()
@@ -129,8 +129,33 @@ def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale
     for before, after in zip(inputs, (q, k, v, counts)):
         assert np.array_equal(before, after)
     if scale > 1.0:
-        logits = q @ k.T / np.sqrt(float(d))
+        logits = (q / np.sqrt(float(d))) @ k.T
         assert np.abs(logits).max() > 500.0
+
+
+def _rel_error(got, ref):
+    """The largest error of a row (of the vector, for one) over that row's
+    largest magnitude, taken in extended precision."""
+    got, ref = np.atleast_2d(got).astype(np.longdouble), np.atleast_2d(ref)
+    return float((np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)).max())
+
+
+ACCURACY_CASES = ATTEND_CASES + [(256, 832, 32, 1, 1.0, False)]
+
+
+@pytest.mark.parametrize("n_q, n_k, d, count_hi, scale, inner", ACCURACY_CASES,
+                         ids=[_case_id(case) for case in ACCURACY_CASES])
+def test_attend_is_as_accurate_as_the_previous_arithmetic(n_q, n_k, d, count_hi, scale, inner):
+    # Normalizing after the products rounds differently, not worse: against
+    # an extended-precision softmax, attend's outputs and mass stay within
+    # twice the error of the arithmetic that divided the Q x K weights
+    _, q, k, v, counts = _attend_case(n_q, n_k, d, count_hi, scale, inner)
+    ref = longdouble_attend(q, k, v, counts, d)
+    res = attend(q, k, v, counts, d)
+    for got, before, want in zip((res.outputs, res.mass), previous_attend(q, k, v, counts, d), ref):
+        error = _rel_error(got, want)
+        assert error <= 2.0 * _rel_error(before, want)
+        assert error <= 1e-12
 
 
 @pytest.mark.parametrize("n_q, n_k", [(1, 8191), (5, 8193), (256, 797), (256, 8192 + 300),

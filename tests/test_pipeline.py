@@ -29,7 +29,8 @@ from stacache import (
     write_trace,
 )
 from stacache import pipeline, traceio
-from oracles import feed_all, naive_attend, reference_compare, replay_outputs, take_rows
+from oracles import (allocating_attend, feed_all, naive_attend, reference_compare,
+                     replay_outputs, take_rows)
 
 
 def _trace(seed=0, frames=12, tokens=4, layers=1, heads=1, d_h=4, motion="random_walk"):
@@ -108,8 +109,8 @@ def test_window_policy_matches_manual_key_set():
 
 def _reference_verbatim(records, window, chunk_size, layer, head, d_h):
     """Outputs and token counts of full (window=None) or window:W, chunk by
-    chunk, from a key set concatenated afresh and the previous attend's
-    allocating arithmetic."""
+    chunk, from a key set concatenated afresh and attend's arithmetic in
+    its allocating form."""
     def frame(r, part):
         return r.data[layer, head, part]
 
@@ -121,10 +122,7 @@ def _reference_verbatim(records, window, chunk_size, layer, head, d_h):
         keys = np.concatenate([frame(r, 1) for r in [records[0]] + kept + chunk])
         values = np.concatenate([frame(r, 2) for r in [records[0]] + kept + chunk])
         queries = np.concatenate([frame(r, 0) for r in chunk])
-        logits = queries @ keys.T / np.sqrt(float(d_h)) + np.log(np.ones(len(keys)))[None, :]
-        w = np.exp(logits - logits.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        out = w @ values
+        out, _ = allocating_attend(queries, keys, values, np.ones(len(keys)), d_h)
         n = frame(records[0], 1).shape[0]
         for i, r in enumerate(chunk):
             outputs[r.frame_idx] = out[i * n : (i + 1) * n]

@@ -149,7 +149,7 @@ PINNED = [
         CacheConfig(g_cap=2, e_cap=4),
         ("aggregated", "re_merged"),
         ("1f0a1eedb9d2ad568908a456dbc37dcda1610d4e0b65c44c89b2daae33df4094",
-         "54e308dcf677328a78a35eeb51184032fee6f7334ede701b1ab448b39438d12c"),
+         "9b50a20ceccb81f5065c6eebb87f3bd62a4926f5705d897c4e193c8725a2a1eb"),
         id="scatter-aggregate-re-merge",
     ),
     pytest.param(
@@ -158,7 +158,7 @@ PINNED = [
         CacheConfig(),
         ("fused",),
         ("251372f505ff3b5a457e7160dc21e0bd25ef6fe356ff14e227a7a791f09fe51b",
-         "94d33ac6c3f2feac329d7f6b65e0ba03bfc5a3dedeb422bab6db55f5857f204c"),
+         "ab5475d50f30ebb3a15a4872bf126aca7461d4dd9e693cfb6e4ddb1981746fe4"),
         id="revisit-fuse-retrieve",
     ),
     pytest.param(
@@ -167,7 +167,7 @@ PINNED = [
         CacheConfig(g_cap=1, half_precision=True),
         ("aggregated", "re_merged"),
         ("d43a45c550f9b2d787bd7cd953a49b9e7b73a2e8059d245fd4ca2822a97013fd",
-         "65e59a9d1899ca2c8fd44c7d3147816cbb08f1bae738e5f4ec71ebc8619f804f"),
+         "34af46f9ca973cf4fd47402d9d7bbca9b8c5aceaa299d75ef4da07e5278cb374"),
         id="quantized-g-cap-1",
     ),
 ]
@@ -188,11 +188,11 @@ VERBATIM_TRACE = dict(seed=14, frames=42, tokens_per_frame=16, layers=1, heads=2
 VERBATIM_PINNED = [
     pytest.param(Policy.full(),
                  ("05325db4188c77197db12da09009f99ff42871fb113c07b23c363cc0838bad75",
-                  "dfa6a770803b7f402a22ff3a262b7197175c7a9d92a2a9fa8f2856808e9bfd77"),
+                  "11e37d7e3d19f6dbbc5770bfe0523ec511af14d4234cd7e2f960433878c672a5"),
                  id="full"),
     pytest.param(Policy.sliding(3),
                  ("750f5d50bac8b0868c993a8934d31bfc45e930afcd622422f4ac328cc4937d8c",
-                  "bf509c1804c97bb6f23f585729b6423b1e05c1c6e770f5f3ecd486ff026e37e6"),
+                  "b534cd2d30871e3b5c1d68e2817fa72091b67ebb541375a34d3331396fe4d071"),
                  id="window-3"),
 ]
 
@@ -206,7 +206,7 @@ def test_verbatim_replay_bits_are_pinned(policy, digests):
 
 
 COMPARE_PINNED = ("cbdc1184283ddc8d34c3f9c2ea005d092bfd813e1420ec66db84efcd754ec756",
-                  "61fc8532eb13c477c629680d5590136e20b6f7228497b01a4e63ca0d8e9599f9")
+                  "26dcc2acb06a80a6461e65d5b8fd976885920c185b0cbe1b5332678d27518634")
 
 
 def test_compare_report_bits_are_pinned():
