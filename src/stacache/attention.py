@@ -7,11 +7,10 @@ by masking here. The logit for a merged token carries an additive ln(count)
 so that one representative with count n reproduces exactly the attention a
 set of n duplicated keys would have received.
 
-The softmax is normalized after the products, as FlashAttention (Dao et
-al., 2022) does: the queries are scaled by 1/sqrt(d_h) before Q.K^T, the
-unnormalized weights exp(logit - row max) multiply the values, and each
-output row and each query's share of the mass is divided by its row sum
-once. That leaves no divide over the Q x K weights.
+The softmax is normalized after the products, as in FlashAttention (Dao
+et al., 2022): each output row and each query's share of the mass is
+divided by its row sum once, and the queries carry the 1/sqrt(d_h) scale
+into Q.K^T, so no pass divides the Q x K weights.
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ Everything here is written with plain Python loops and math.* so that a
 bug in the library's vectorized numpy path cannot hide in a shared helper.
 The exceptions: the three attend forms are numpy references for the
 arithmetic of `attend`, `weighted_mean` is the numpy mean the scalar
-insertion references in the tests share, `store_cells` reads a VoxelStore's cell
-tables back per cell, `take_rows` and `concat_blocks` slice and join token
-blocks column by column, and the replay helpers at the end collect every
-frame's output from whole replays, where the divergence reference works on
-those with the library's own per-frame metrics, so that `compare` can be
-held to its bytes.
+insertion references in the tests share, `store_cells` reads a
+VoxelStore's cell tables back per cell, `take_rows` and `concat_blocks`
+slice and join token blocks column by column, and the replay helpers at
+the end collect every frame's output from whole replays, where the
+divergence reference works on those with the library's own per-frame
+metrics, so that `compare` can be held to its bytes.
 """
 
 import dataclasses

@@ -97,11 +97,10 @@ def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale
     if count_hi == 1 or inner:
         # Column 0 has count 1, so attend adds it no bias, where the
         # allocating form adds + ln(1). Plant a zero logit there: the
-        # scaled query -1/sqrt(d_h) times 5e-324 underflows. A GEMM that
-        # rounds each product before summing from +0.0, as this host's
-        # does, returns +0.0; one that fuses the multiply and add returns
-        # -0.0, which + ln(1) would turn into +0.0. The weights agree
-        # either way. (q = -1, k = 0 would give +0.0 everywhere.)
+        # scaled query -1/sqrt(d_h) times 5e-324 underflows. Where the GEMM
+        # keeps the sign of that product the logit is -0.0, which + ln(1)
+        # turns into +0.0, and the weights must still agree; a GEMM that
+        # sums the rounded products from +0.0 returns +0.0.
         q[0], k[0] = 0.0, 0.0
         q[0, 0], k[0, 0] = -1.0, 5e-324
         logit = ((q / np.sqrt(float(d))) @ k.T)[0, 0]

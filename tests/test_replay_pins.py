@@ -16,6 +16,9 @@ Each case pins two sha256 digests of a small replay.
 The three `stac` cases were first pinned before the voxel store kept its
 cells as index tables; the `full`, `window` and `compare` cases before
 channel steps stopped reporting the figures of their chunk's stats row.
+The structural digests were taken before `attend` moved its softmax
+normalization after the products, which left them as they were; the float
+digests were taken after it.
 
 `PYTHONPATH=src python tests/test_replay_pins.py` prints every case's
 current digests and this host's fingerprint.
@@ -36,17 +39,15 @@ from stacache import CacheConfig, Policy, StreamReplayer, compare, synth_trace
 
 
 def _blas_core() -> str:
-    """The kernel OpenBLAS picked at load time, read from the copy numpy
-    ships with, or "unknown"."""
+    """The kernel OpenBLAS picked at load time, read from the copy a numpy
+    wheel ships with, or "unknown"."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)  # numpy has loaded it: the same handle
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                     "openblas_get_corename"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.argtypes, get.restype = [], ctypes.c_char_p
-                return get().decode()
+        # numpy has loaded this library already, so this is the same handle
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
     return "unknown"
 
 
