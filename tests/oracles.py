@@ -76,8 +76,9 @@ def allocating_attend(q, k, v, counts, d_h):
     """attend's arithmetic with a fresh array for every step: the queries
     scaled by 1/sqrt(d_h) before the product, the bias added on every
     column, exp of the max-shifted logits, then the outputs and the mass
-    divided by the row sums after their products."""
-    logits = (q / np.sqrt(float(d_h))) @ k.T + np.log(counts)[None, :]
+    divided by the row sums after their products. The logits are taken
+    through np.matmul, as in attend, so a test may patch that product."""
+    logits = np.matmul(q / np.sqrt(float(d_h)), k.T) + np.log(counts)[None, :]
     weights = np.exp(logits - logits.max(axis=1, keepdims=True))
     total = weights.sum(axis=1)
     return (weights @ v) / total[:, None], np.dot(1.0 / total, weights)

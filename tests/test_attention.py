@@ -1,5 +1,6 @@
 """Attention engine against a triple-loop oracle, plus the count bias."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -90,33 +91,56 @@ def _attend_case(n_q, n_k, d, count_hi, scale, inner):
     return rng, q, k, v, counts
 
 
+def _negative_zero_logit(monkeypatch, call):
+    """call() with np.matmul returning -0.0 for the zero logit [0, 0] of
+    every product it takes, whatever sign the GEMM gave that zero."""
+    matmul, signs = np.matmul, []
+
+    def planting(*args, **kwargs):
+        w = matmul(*args, **kwargs)
+        assert w[0, 0] == 0.0
+        w[0, 0] = -0.0
+        signs.append(np.signbit(w[0, 0]))
+        return w
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "matmul", planting)
+        result = call()
+    assert signs == [True]
+    return result
+
+
 @pytest.mark.parametrize("n_q, n_k, d, count_hi, scale, inner", ATTEND_CASES,
                          ids=[_case_id(case) for case in ATTEND_CASES])
-def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale, inner):
+def test_attend_is_bit_identical_to_allocating_form(n_q, n_k, d, count_hi, scale, inner,
+                                                    monkeypatch):
     rng, q, k, v, counts = _attend_case(n_q, n_k, d, count_hi, scale, inner)
+    run = lambda call: call()
     if count_hi == 1 or inner:
         # Column 0 has count 1, so attend adds it no bias, where the
         # allocating form adds + ln(1). Plant a zero logit there: the
-        # scaled query -1/sqrt(d_h) times 5e-324 underflows. Where the GEMM
-        # keeps the sign of that product the logit is -0.0, which + ln(1)
-        # turns into +0.0, and the weights must still agree; a GEMM that
-        # sums the rounded products from +0.0 returns +0.0.
+        # scaled query -1/sqrt(d_h) times 5e-324 underflows. Its sign is
+        # the GEMM's to choose, so every product of these inputs, in attend
+        # and in the allocating form (which + ln(1) turns into +0.0), is
+        # handed -0.0 there, and the weights must still agree.
         q[0], k[0] = 0.0, 0.0
         q[0, 0], k[0, 0] = -1.0, 5e-324
         logit = ((q / np.sqrt(float(d))) @ k.T)[0, 0]
         assert logit == 0.0
         assert not np.log(counts[: 1 if inner else n_k]).any()
+        run = functools.partial(_negative_zero_logit, monkeypatch)
     inputs = [a.copy() for a in (q, k, v, counts)]
-    ref_out, ref_mass = allocating_attend(q, k, v, counts, d)
+    ref_out, ref_mass = run(lambda: allocating_attend(q, k, v, counts, d))
     # Through one workspace: sized to this case, then grown past it by a
     # K = 16384 call and used as a prefix, then after a K = 1 call.
     workspace = Workspace()
-    results = [attend(q, k, v, counts, d), attend(q, k, v, counts, d, workspace=workspace)]
+    results = [run(lambda: attend(q, k, v, counts, d)),
+               run(lambda: attend(q, k, v, counts, d, workspace=workspace))]
     kept = [(r.outputs.copy(), r.mass.copy()) for r in results]
     for big_q, big_k in ((n_q + 1, 16384), (1, 1)):
         attend(rng.normal(size=(big_q, d)), rng.normal(size=(big_k, d)),
                rng.normal(size=(big_k, d)), np.ones(big_k), d, workspace=workspace)
-        results.append(attend(q, k, v, counts, d, workspace=workspace))
+        results.append(run(lambda: attend(q, k, v, counts, d, workspace=workspace)))
         kept.append((results[-1].outputs.copy(), results[-1].mass.copy()))
     for res, (out, mass) in zip(results, kept):
         assert np.array_equal(res.outputs, ref_out)

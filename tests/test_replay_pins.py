@@ -27,7 +27,6 @@ current digests and this host's fingerprint.
 from __future__ import annotations
 
 import ctypes
-import glob
 import hashlib
 import json
 import os
@@ -39,12 +38,20 @@ from stacache import CacheConfig, Policy, StreamReplayer, compare, synth_trace
 
 
 def _blas_core() -> str:
-    """The kernel OpenBLAS picked at load time, read from the copy a numpy
-    wheel ships with, or "unknown"."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        # numpy has loaded this library already, so this is the same handle
-        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+    """The kernel OpenBLAS picked at load time, asked of the copy mapped
+    into this process, or "unknown". RTLD_NOLOAD only finds a library that
+    is loaded already, so no second BLAS is ever loaded to ask."""
+    try:
+        with open("/proc/self/maps") as maps:  # the last field is the file
+            mapped = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return "unknown"
+    for path in sorted(p for p in mapped if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_corename64_", None)
         if get is not None:
             get.argtypes, get.restype = [], ctypes.c_char_p
             return get().decode()
